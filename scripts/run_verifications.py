@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run every registered verification oracle and print a status table.
 
+Each row gives the oracle's check count and its wall time in seconds.
+
 Exits 1 if any oracle fails, so the script doubles as a CI gate:
 
     python3 scripts/run_verifications.py
@@ -29,11 +31,13 @@ def main() -> int:
     total_checks = 0
     start = time.perf_counter()
     for name in names:
+        began = time.perf_counter()
         report = run_oracle(name)
+        seconds = time.perf_counter() - began
         total_checks += report.checks
         status = "PASS" if report.passed else "FAIL"
         note = report.details if report.passed else f"counterexample: {report.counterexample}"
-        print(f"{name:<{width}}  {status}  {report.checks:>10,} checks  {note}")
+        print(f"{name:<{width}}  {status}  {report.checks:>10,} checks  {seconds:7.3f} s  {note}")
         if not report.passed:
             failures += 1
     elapsed = time.perf_counter() - start

@@ -8,153 +8,22 @@ interval condition checks in one dimension, closed-form multiplier
 surfaces in two and three, and an exact finite-direction feasibility
 decision in four.  Everything numerically claimed is backed by a
 brute-force oracle in :mod:`signchange.oracles`.
+
+The public names of every submodule are re-exported here.
 """
 
-from .counting import (
-    IndexSets,
-    ProbeReport,
-    count_nonzero,
-    frechet_inequality_probe,
-    index_sets,
-    is_count_subgradient,
-    sign,
-    sign_minorant_gap,
-    sign_vector,
-)
-from .transitions import (
-    Hessian2,
-    SmoothingParams,
-    Topology,
-    TransitionVector,
-    hadamard_norm_sq,
-    pair_counts,
-    sign_changes,
-    smoothed_count,
-    smoothed_sign_changes,
-    symmetric2_eigenvalues,
-    transition_component,
-    transition_hessian_2d,
-    transition_map,
-    transition_norm_sq,
-)
-from .subgradients import (
-    GapParams,
-    GapProfile,
-    coupled_subgradient_value,
-    decoupled_gap,
-    gap_profile,
-    profile_csv,
-    zero_direction_gap,
-)
-from .oracles import (
-    GridTable,
-    Label,
-    LocalClass,
-    VerifyReport,
-    center_symmetry_check,
-    classify_point,
-    enumerate_grid,
-    list_oracles,
-    run_oracle,
-)
-from .optimality import (
-    ConditionReport,
-    OneDProblem,
-    check_1d_condition,
-    curves_csv_1d,
-    global_min_1d,
-    inequality_values_1d,
-    lagrangian_residual,
-    multiplier_2d,
-    multiplier_3d,
-    objective_1d,
-    surface_csv,
-)
-from .polysys import (
-    ADMISSIBLE_RHO_SQUARED,
-    Certificate,
-    FeasibilityResult,
-    PolySystem,
-    build_4d_system,
-    evaluate_system,
-    export_system,
-    feasibility_report,
-    finite_direction_feasibility,
-    grid_feasibility_summary,
-    lattice_directions,
-    pair_form_value,
-    parse_system,
-    solve_rational_system,
-    spherical_to_cartesian,
-)
+from . import counting, optimality, oracles, polysys, subgradients, transitions
+from .counting import *  # noqa: F403
+from .optimality import *  # noqa: F403
+from .oracles import *  # noqa: F403
+from .polysys import *  # noqa: F403
+from .subgradients import *  # noqa: F403
+from .transitions import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "IndexSets",
-    "ProbeReport",
-    "count_nonzero",
-    "frechet_inequality_probe",
-    "index_sets",
-    "is_count_subgradient",
-    "sign",
-    "sign_minorant_gap",
-    "sign_vector",
-    "Hessian2",
-    "SmoothingParams",
-    "Topology",
-    "TransitionVector",
-    "hadamard_norm_sq",
-    "pair_counts",
-    "sign_changes",
-    "smoothed_count",
-    "smoothed_sign_changes",
-    "symmetric2_eigenvalues",
-    "transition_component",
-    "transition_hessian_2d",
-    "transition_map",
-    "transition_norm_sq",
-    "GapParams",
-    "GapProfile",
-    "coupled_subgradient_value",
-    "decoupled_gap",
-    "gap_profile",
-    "profile_csv",
-    "zero_direction_gap",
-    "GridTable",
-    "Label",
-    "LocalClass",
-    "VerifyReport",
-    "center_symmetry_check",
-    "classify_point",
-    "enumerate_grid",
-    "list_oracles",
-    "run_oracle",
-    "ConditionReport",
-    "OneDProblem",
-    "check_1d_condition",
-    "curves_csv_1d",
-    "global_min_1d",
-    "inequality_values_1d",
-    "lagrangian_residual",
-    "multiplier_2d",
-    "multiplier_3d",
-    "objective_1d",
-    "surface_csv",
-    "ADMISSIBLE_RHO_SQUARED",
-    "Certificate",
-    "FeasibilityResult",
-    "PolySystem",
-    "build_4d_system",
-    "evaluate_system",
-    "export_system",
-    "feasibility_report",
-    "finite_direction_feasibility",
-    "grid_feasibility_summary",
-    "lattice_directions",
-    "pair_form_value",
-    "parse_system",
-    "solve_rational_system",
-    "spherical_to_cartesian",
-    "__version__",
-]
+    name
+    for module in (counting, transitions, subgradients, oracles, optimality, polysys)
+    for name in module.__all__
+] + ["__version__"]

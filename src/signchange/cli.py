@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +28,7 @@ from .transitions import (
     transition_norm_sq,
 )
 
-__all__ = ["CliConfig", "build_parser", "run", "main"]
+__all__ = ["build_parser", "run", "main"]
 
 EPILOG = """\
 examples:
@@ -52,17 +51,6 @@ examples:
 
 class UsageError(Exception):
     """Bad flag values; reported on stderr with exit code 2."""
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Shared run settings; randomized oracles bake in the fixed seed."""
-
-    topology: Topology = Topology.CIRCULAR
-    tolerance: float = 1e-6
-    output_format: str = "json"
-    output_path: str | None = None
-    seed: int = 20240817
 
 
 def _parse_vector(text: str) -> np.ndarray:

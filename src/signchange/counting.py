@@ -42,6 +42,37 @@ def sign(value: float, tol: float = 0.0) -> int:
     return 0
 
 
+_NOT_A_VECTOR = "expected a nonempty 1-D real vector"
+_FLOAT_TYPES = (float, np.floating)
+
+
+def _signs(x) -> np.ndarray:
+    """Componentwise signs of a nonempty 1-D real vector as an int8 array.
+
+    Float and integer arrays go through np.sign (floats after a finiteness
+    check).  Anything else is signed element by element with comparisons
+    against 0, so ints and Fractions never pass through float64 and keep
+    their signs beyond its range and resolution.
+    """
+    if isinstance(x, np.ndarray):
+        if x.ndim != 1 or x.size == 0 or x.dtype.kind not in "fiubO":
+            raise ValueError(_NOT_A_VECTOR)
+        if x.dtype.kind == "f" and not np.isfinite(x).all():
+            raise ValueError("vector entries must be finite")
+        if x.dtype.kind in "fiu":
+            return np.sign(x).astype(np.int8)
+    try:
+        values = x if isinstance(x, (list, tuple, np.ndarray)) else list(x)
+        signs = [1 if v > 0 else -1 if v < 0 else 0 for v in values]
+    except (TypeError, ValueError):
+        raise ValueError(_NOT_A_VECTOR) from None
+    if not signs:
+        raise ValueError(_NOT_A_VECTOR)
+    if any(isinstance(v, _FLOAT_TYPES) and not math.isfinite(v) for v in values):
+        raise ValueError("vector entries must be finite")
+    return np.array(signs, dtype=np.int8)
+
+
 def as_vector(x: Iterable[float]) -> np.ndarray:
     """Validate and convert to a 1-D float array with finite entries."""
     arr = np.asarray(list(x) if not isinstance(x, (np.ndarray, list, tuple)) else x, dtype=float)
@@ -53,12 +84,14 @@ def as_vector(x: Iterable[float]) -> np.ndarray:
 
 
 def sign_vector(x: Iterable[float], tol: float = 0.0) -> tuple[int, ...]:
+    if tol == 0.0:
+        return tuple(_signs(x).tolist())
     return tuple(sign(v, tol) for v in as_vector(x))
 
 
 def count_nonzero(x: Iterable[float]) -> int:
     """Number of nonzero components (zero detection is exact)."""
-    return int(np.count_nonzero(as_vector(x)))
+    return int(np.count_nonzero(_signs(x)))
 
 
 @dataclass(frozen=True)
@@ -70,9 +103,9 @@ class IndexSets:
 
 
 def index_sets(x: Iterable[float]) -> IndexSets:
-    arr = as_vector(x)
-    zeros = frozenset(int(i) for i in np.flatnonzero(arr == 0.0))
-    support = frozenset(range(arr.size)) - zeros
+    signs = _signs(x)
+    zeros = frozenset(int(i) for i in np.flatnonzero(signs == 0))
+    support = frozenset(range(signs.size)) - zeros
     return IndexSets(zeros=zeros, support=support)
 
 
@@ -83,11 +116,11 @@ def is_count_subgradient(x: Iterable[float], candidate: Iterable[float]) -> bool
     the candidate must vanish on the support of x.  At x = 0 every vector
     qualifies.
     """
-    arr = as_vector(x)
-    cand = as_vector(candidate)
-    if arr.size != cand.size:
+    signs = _signs(x)
+    cand = _signs(candidate)
+    if signs.size != cand.size:
         raise ValueError("dimension mismatch")
-    return bool(np.all(cand[arr != 0.0] == 0.0))
+    return bool(np.all(cand[signs != 0] == 0))
 
 
 def sign_minorant_gap(x: Iterable[float]) -> float:

@@ -61,6 +61,8 @@ class OneDProblem:
     upper: float = TWO_PI
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.c1, self.sigma, self.lower, self.upper)):
+            raise ValueError("c1, sigma and the interval bounds must be finite")
         if not (self.lower < self.upper):
             raise ValueError("empty interval")
         if self.sigma < 0.0:

@@ -19,13 +19,14 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .counting import count_nonzero, sign_minorant_gap, sign_vector
+from .counting import _signs, sign_minorant_gap
 from .subgradients import GapParams, decoupled_gap, zero_direction_gap
 from .transitions import (
     Hessian2,
     Topology,
     hadamard_norm_sq,
     pair_counts,
+    pair_stats,
     sign_changes,
     smoothed_sign_changes,
     symmetric2_eigenvalues,
@@ -35,7 +36,6 @@ from .transitions import (
 
 __all__ = [
     "pattern_grid",
-    "pattern_stats",
     "GridTable",
     "enumerate_grid",
     "center_symmetry_check",
@@ -74,16 +74,18 @@ def pattern_grid(n: int) -> np.ndarray:
     return ((idx[:, None] // powers[None, :]) % 3 - 1).astype(np.int8)
 
 
-def pattern_stats(patterns: np.ndarray, topology: Topology) -> tuple[np.ndarray, np.ndarray]:
-    """(weak, flips) per row, computed directly from adjacent products."""
-    if topology is Topology.CIRCULAR:
-        a, b = patterns, np.roll(patterns, -1, axis=1)
-    else:
-        a, b = patterns[:, :-1], patterns[:, 1:]
-    prod = a.astype(np.int16) * b.astype(np.int16)
-    flips = np.count_nonzero(prod == -1, axis=1)
-    weak = np.count_nonzero((prod == 0) & (a != b), axis=1)
-    return weak.astype(np.int64), flips.astype(np.int64)
+def _reference_pair_counts(pattern: tuple[int, ...], topology: Topology) -> tuple[int, int]:
+    """(weak, flips) of a sign pattern by a per-pair Python loop, independent
+    of the array kernel that the library routines share."""
+    weak = 0
+    flips = 0
+    for i, j in topology.pairs(len(pattern)):
+        prod = pattern[i] * pattern[j]
+        if prod == -1:
+            flips += 1
+        elif prod == 0 and pattern[i] != pattern[j]:
+            weak += 1
+    return weak, flips
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ class GridTable:
 
 def enumerate_grid(n: int, topology: Topology = Topology.CIRCULAR) -> GridTable:
     patterns = pattern_grid(n)
-    weak, flips = pattern_stats(patterns, topology)
+    weak, flips = pair_stats(patterns, topology)
     return GridTable(n=n, topology=topology, patterns=patterns, t=weak + flips)
 
 
@@ -189,20 +191,18 @@ def classify_point(x: Iterable[float], topology: Topology = Topology.CIRCULAR) -
     zeros may move anywhere, so the reachable patterns determine whether
     x is a local extremum of the count.
     """
-    s = sign_vector(x)
-    if len(s) < 2:
-        raise ValueError("classification needs at least two components")
-    options = [(si,) if si != 0 else (-1, 0, 1) for si in s]
-    reachable = tuple(
-        (pattern, sign_changes(pattern, topology)) for pattern in product(*options)
-    )
-    t_x = sign_changes(s, topology)
-    values = [t for _, t in reachable]
-    if all(si != 0 for si in s):
+    s = _signs(x)
+    t_x = int(sum(pair_stats(s, topology)))
+    options = [(si,) if si != 0 else (-1, 0, 1) for si in s.tolist()]
+    patterns = list(product(*options))
+    weak, flips = pair_stats(np.array(patterns, dtype=np.int8), topology)
+    values = weak + flips
+    reachable = tuple(zip(patterns, values.tolist()))
+    if np.all(s != 0):
         label = Label.NO_ZERO_STATIONARY
-    elif all(t <= t_x for t in values):
+    elif np.all(values <= t_x):
         label = Label.LOCAL_MAX
-    elif all(t >= t_x for t in values):
+    elif np.all(values >= t_x):
         label = Label.LOCAL_MIN
     else:
         label = Label.NEITHER
@@ -234,19 +234,20 @@ def _report(name: str, checks: int, counterexample: dict | None, details: str) -
 
 
 def _oracle_library_crosscheck(n: int) -> VerifyReport:
-    """Scalar routines against the independent array statistics."""
+    """Scalar routines and the batch kernel against a per-pair Python loop."""
     name = f"library_crosscheck_n{n}"
     checks = 0
     for topology in Topology:
         patterns = pattern_grid(n)
-        weak, flips = pattern_stats(patterns, topology)
+        weak, flips = pair_stats(patterns, topology)
         for r, pattern in enumerate(map(tuple, patterns.tolist())):
             checks += 3
+            expected = _reference_pair_counts(pattern, topology)
             got = pair_counts(pattern, topology)
-            if got != (int(weak[r]), int(flips[r])):
+            if got != expected or (int(weak[r]), int(flips[r])) != expected:
                 return _report(name, checks, {"pattern": pattern, "pair_counts": got}, "")
             t_lib = sign_changes(pattern, topology)
-            if t_lib != int(weak[r] + flips[r]):
+            if t_lib != sum(expected):
                 return _report(name, checks, {"pattern": pattern, "t": t_lib}, "")
             if transition_norm_sq(pattern, 0.5, topology) != t_lib:
                 return _report(name, checks, {"pattern": pattern, "norm_half": True}, "")
@@ -263,7 +264,7 @@ def _oracle_ft_inequality(n: int) -> VerifyReport:
     checks = 0
     for topology in Topology:
         patterns = pattern_grid(n)
-        weak, flips = pattern_stats(patterns, topology)
+        weak, flips = pair_stats(patterns, topology)
         t = (weak + flips).astype(float)
         for ky, kx in SWEEP_WEIGHTS:
             displaced = weak + 4.0 * ky * ky * flips
@@ -300,7 +301,7 @@ def _oracle_coupled_equality(n: int) -> VerifyReport:
     checks = 0
     for topology in Topology:
         patterns = pattern_grid(n)
-        weak, flips = pattern_stats(patterns, topology)
+        weak, flips = pair_stats(patterns, topology)
         t = weak + flips
         coupled = weak + 4.0 * 0.25 * flips
         checks += t.size
@@ -325,7 +326,7 @@ def _oracle_bound_chain(n: int) -> VerifyReport:
     checks = 0
     for topology in Topology:
         patterns = pattern_grid(n)
-        weak, flips = pattern_stats(patterns, topology)
+        weak, flips = pair_stats(patterns, topology)
         t = weak + flips
         for k in lows:
             norm = weak + 4.0 * k * k * flips
@@ -361,14 +362,9 @@ def _oracle_zero_set(n: int) -> VerifyReport:
     checks = 0
     for topology in Topology:
         patterns = pattern_grid(n)
-        weak, flips = pattern_stats(patterns, topology)
+        weak, flips = pair_stats(patterns, topology)
         t = weak + flips
-        if topology is Topology.CIRCULAR:
-            a, b = patterns, np.roll(patterns, -1, axis=1)
-        else:
-            a, b = patterns[:, :-1], patterns[:, 1:]
-        a = a.astype(float)
-        b = b.astype(float)
+        a, b = topology.neighbors(patterns.astype(float))
         prod = a * b
         for k in (0.1, 0.5, 1.0, 2.0, -0.3):
             values = (a + b + k * prod) * (prod - 1.0)

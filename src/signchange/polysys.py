@@ -145,8 +145,6 @@ def build_4d_system(z: Sequence[int], mu: Sequence[int] | None = None) -> PolySy
         mono(rho=1, c3=1, s1=1, s2=1),
         mono(rho=1, s1=1, s2=1, s3=1),
     ]
-    # adjacency pairs in display order: wrap pair first, then the chain
-    pair_order = [(0, 3), (0, 1), (1, 2), (2, 3)]
     main: dict = {}
     for i in range(4):
         if mu is None:
@@ -154,7 +152,7 @@ def build_4d_system(z: Sequence[int], mu: Sequence[int] | None = None) -> PolySy
         else:
             term = _poly_scale(d[i], mu[i])
         main = _poly_add(main, term)
-    for i, j in pair_order:
+    for i, j in Topology.CIRCULAR.pairs(4):
         s = _poly_add(d[i], d[j])
         p = _poly_add(_poly_mul(d[i], d[j]), _poly_scale(one, -1))
         main = _poly_add(main, _poly_mul(_poly_mul(s, s), _poly_mul(p, p)))
@@ -291,15 +289,18 @@ def lattice_directions(z: Sequence[int]) -> list[tuple[int, ...]]:
     return [d for d in product(*options) if any(d)]
 
 
+def _pair_forms(steps: np.ndarray):
+    """F of one integer step, or of every row of a 2-D array of steps."""
+    a, b = Topology.CIRCULAR.neighbors(steps)
+    return np.sum((a + b) ** 2 * (a * b - 1) ** 2, axis=-1)
+
+
 def pair_form_value(d: Sequence[int]) -> int:
-    """F(d) = sum over circular pairs of (d_i + d_j)^2 (d_i d_j - 1)^2."""
-    n = len(d)
-    total = 0
-    for i in range(n):
-        j = (i + 1) % n
-        prod = d[i] * d[j]
-        total += (d[i] + d[j]) ** 2 * (prod - 1) ** 2
-    return int(total)
+    """F(d) = sum over circular pairs of (d_i + d_j)^2 (d_i d_j - 1)^2.
+
+    Summed over Python ints (an object array), so any integer step is exact.
+    """
+    return int(_pair_forms(np.array([int(v) for v in d], dtype=object)))
 
 
 def solve_rational_system(
@@ -421,7 +422,8 @@ def finite_direction_feasibility(z: Sequence[int]) -> FeasibilityResult:
         raise ValueError("candidate must be a 4-component sign pattern")
     t = sign_changes(pattern, Topology.CIRCULAR)
     directions = lattice_directions(pattern)
-    rhs = [t - pair_form_value(d) for d in directions]
+    # lattice steps lie in {-2, ..., 2}^4, so int64 holds every F(d) exactly
+    rhs = (t - _pair_forms(np.array(directions, dtype=np.int64))).tolist()
     outcome = solve_rational_system(directions, rhs)
     if outcome[0] == "feasible":
         return FeasibilityResult(

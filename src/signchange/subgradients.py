@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .counting import as_vector, sign_vector
+import numpy as np
+
+from .counting import _signs, as_vector
 from .transitions import Topology, pair_counts, transition_norm_sq
 
 __all__ = [
@@ -76,18 +78,20 @@ def zero_direction_gap(
     (k_y - k_x) * sum over pairs of
         (s_i s_j - 1)^2 ((k_y + k_x) s_i^2 s_j^2 + 2 s_i s_j (s_i + s_j))
     where s is the sign vector of x.  Each summand is 0 except on full
-    flips, where it contributes 4(k_y^2 - k_x^2) <= 0.  Exact for
+    flips, where it contributes 4(k_y^2 - k_x^2) <= 0.  The sum runs over
+    integer sign arrays in two weight-free parts; the weights enter only in
+    the two closing rational operations, so the value is exact for
     Fraction weights.
     """
     k_y, k_x = params.k_y, params.k_x
     if not 0 < k_y <= Fraction(1, 2) <= k_x:
         raise ValueError("closed form requires the positive branch 0 < k_y <= 1/2 <= k_x")
-    s = sign_vector(x)
-    total = 0
-    for i, j in topology.pairs(len(s)):
-        prod = s[i] * s[j]
-        total += (prod - 1) ** 2 * ((k_y + k_x) * prod * prod + 2 * prod * (s[i] + s[j]))
-    return (k_y - k_x) * total
+    a, b = topology.neighbors(_signs(x).astype(np.int64))
+    prod = a * b
+    damp = (prod - 1) ** 2
+    quadratic = int(np.sum(damp * prod * prod))
+    linear = int(np.sum(damp * 2 * prod * (a + b)))
+    return (k_y - k_x) * ((k_y + k_x) * quadratic + linear)
 
 
 @dataclass(frozen=True)

@@ -15,18 +15,20 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .counting import as_vector, sign_vector
+from .counting import _signs, as_vector
 
 __all__ = [
     "Topology",
     "TransitionVector",
     "transition_component",
     "transition_map",
+    "pair_stats",
     "sign_changes",
     "pair_counts",
     "transition_norm_sq",
@@ -46,12 +48,22 @@ class Topology(enum.Enum):
     CIRCULAR = "circular"
     LINEAR = "linear"
 
-    def pairs(self, n: int) -> list[tuple[int, int]]:
-        if n < 1:
-            raise ValueError("dimension must be positive")
+    def neighbors(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b): the two ends of every adjacency pair along the last axis.
+
+        Works on one vector or a 2-D batch of them; the circular wrap pair
+        (n - 1, 0) comes last.
+        """
+        if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
+            raise ValueError("adjacency pairs need at least two components")
         if self is Topology.CIRCULAR:
-            return [(i, (i + 1) % n) for i in range(n)]
-        return [(i, i + 1) for i in range(n - 1)]
+            return arr, np.concatenate((arr[..., 1:], arr[..., :1]), axis=-1)
+        return arr[..., :-1], arr[..., 1:]
+
+    def pairs(self, n: int) -> list[tuple[int, int]]:
+        """Index pairs (i, j) of the adjacency, in the order of neighbors."""
+        a, b = self.neighbors(np.arange(n))
+        return list(zip(a.tolist(), b.tolist()))
 
     @classmethod
     def from_name(cls, name: str) -> "Topology":
@@ -62,7 +74,8 @@ class Topology(enum.Enum):
 
 
 def _check_weight(k) -> None:
-    if isinstance(k, float) and not math.isfinite(k):
+    # ints and Fractions are finite; converting one to float could overflow
+    if not isinstance(k, numbers.Rational) and not math.isfinite(k):
         raise ValueError("transition weight k must be finite")
 
 
@@ -89,31 +102,36 @@ class TransitionVector:
 
 
 def transition_map(x: Iterable[float], k, topology: Topology = Topology.CIRCULAR) -> TransitionVector:
-    s = sign_vector(x)
-    values = tuple(transition_component(s[i], s[j], k) for i, j in topology.pairs(len(s)))
+    a, b = topology.neighbors(_signs(x))
+    values = tuple(transition_component(p, q, k) for p, q in zip(a.tolist(), b.tolist()))
     return TransitionVector(values=values, k=k, topology=topology)
+
+
+def pair_stats(signs: np.ndarray, topology: Topology):
+    """(weak transitions, full flips) of one sign vector, or one entry per
+    row of a 2-D batch of them, as numpy integers.
+
+    A pair is weak when exactly one of its signs is zero and a full flip
+    when the signs are opposite; t = weak + flips counts the pairs that differ.
+    """
+    a, b = topology.neighbors(signs)
+    # without an axis count_nonzero is one C call, several times faster on short vectors
+    axis = None if signs.ndim == 1 else -1
+    flips = np.count_nonzero(a * b < 0, axis=axis)
+    weak = np.count_nonzero(a != b, axis=axis) - flips
+    return weak, flips
 
 
 def pair_counts(x: Iterable[float], topology: Topology = Topology.CIRCULAR) -> tuple[int, int]:
     """(weak transitions, full flips) over the adjacency pairs of x."""
-    s = sign_vector(x)
-    weak = 0
-    flips = 0
-    for i, j in topology.pairs(len(s)):
-        prod = s[i] * s[j]
-        if prod == -1:
-            flips += 1
-        elif prod == 0 and s[i] != s[j]:
-            weak += 1
-    return weak, flips
+    weak, flips = pair_stats(_signs(x), topology)
+    return int(weak), int(flips)
 
 
 def sign_changes(x: Iterable[float], topology: Topology = Topology.CIRCULAR) -> int:
     """Number of adjacent pairs whose componentwise signs differ."""
-    s = sign_vector(x)
-    if len(s) < 2:
-        raise ValueError("sign changes need at least two components")
-    return sum(1 for i, j in topology.pairs(len(s)) if s[i] != s[j])
+    weak, flips = pair_stats(_signs(x), topology)
+    return int(weak + flips)
 
 
 def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRCULAR):
@@ -135,8 +153,7 @@ def hadamard_norm_sq(x: Iterable[float], k) -> float:
     transition_norm_sq(x, k, CIRCULAR).
     """
     _check_weight(k)
-    s = np.asarray(sign_vector(x), dtype=float)
-    zs = np.roll(s, -1)
+    s, zs = Topology.CIRCULAR.neighbors(_signs(x).astype(float))
     prod = s * zs
     left = (s + zs + float(k) * prod) ** 2
     right = (prod - 1.0) ** 2
@@ -172,7 +189,7 @@ def smoothed_sign_changes(x: Iterable[float], eps, topology: Topology = Topology
     Monotonically nondecreasing as eps decreases, with limit sign_changes(x).
     """
     values = transition_map(x, 0.5, topology).values
-    return smoothed_count(np.asarray(values, dtype=float), eps) if values else 0.0
+    return smoothed_count(np.asarray(values, dtype=float), eps)
 
 
 @dataclass(frozen=True)

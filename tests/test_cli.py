@@ -47,6 +47,8 @@ def test_eval_deterministic(capsys):
         ("enum", "--n=20"),
         ("profile", "--x=1,-1", "--kx=1/4"),
         ("feascheck", "--z=1,5,0,0"),
+        ("check-1d", "--sigma=nan"),
+        ("check-1d", "--c1=inf"),
         ("nosuchcommand",),
     ],
 )

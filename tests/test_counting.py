@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,9 @@ def test_vector_validation():
         count_nonzero([[1.0, 2.0]])
     with pytest.raises(ValueError):
         count_nonzero([1.0, math.nan])
+    for bad in ([1, [2]], "abc", [-math.inf], [1 + 2j]):
+        with pytest.raises(ValueError):
+            count_nonzero(bad)
 
 
 @given(vectors, st.data())
@@ -142,3 +146,9 @@ def test_probe_validation():
         frechet_inequality_probe([1.0], [0.0], radius=0.0)
     with pytest.raises(ValueError):
         frechet_inequality_probe([1.0, 2.0], [0.0])
+
+
+def test_count_is_exact_beyond_float64():
+    assert count_nonzero([10**400]) == 1
+    assert count_nonzero([Fraction(1, 10**400), 0, -(10**400)]) == 2
+    assert sign_vector([Fraction(-1, 10**400), 10**400, 0]) == (-1, 1, 0)

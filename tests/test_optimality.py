@@ -35,6 +35,13 @@ def test_problem_constant_matches_candidate():
     assert float(problem.multiplier(problem.c1 + 1.0)) == pytest.approx(math.e, abs=1e-12)
 
 
+@pytest.mark.parametrize("field", ["c1", "sigma", "lower", "upper"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError):
+        OneDProblem(**{field: value})
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         OneDProblem(lower=1.0, upper=-1.0)

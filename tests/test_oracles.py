@@ -16,10 +16,9 @@ from signchange.oracles import (
     expected_double_eigenvalues,
     list_oracles,
     pattern_grid,
-    pattern_stats,
     run_oracle,
 )
-from signchange.transitions import Topology, pair_counts, sign_changes
+from signchange.transitions import Topology, pair_counts, pair_stats, sign_changes
 
 dims = st.integers(min_value=2, max_value=6)
 
@@ -46,7 +45,7 @@ def test_pattern_grid_bounds():
 @given(dims, st.sampled_from(list(Topology)))
 def test_pattern_stats_match_scalar_counts(n, topo):
     grid = pattern_grid(n)
-    weak, flips = pattern_stats(grid, topo)
+    weak, flips = pair_stats(grid, topo)
     for r in range(0, len(grid), max(1, len(grid) // 40)):
         pattern = tuple(int(v) for v in grid[r])
         assert (int(weak[r]), int(flips[r])) == pair_counts(pattern, topo)

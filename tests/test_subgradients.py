@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from signchange.oracles import SWEEP_WEIGHTS_EXACT, pattern_grid, pattern_stats
+from signchange.oracles import SWEEP_WEIGHTS_EXACT, pattern_grid
 from signchange.subgradients import (
     GapParams,
     GapProfile,
@@ -16,7 +16,7 @@ from signchange.subgradients import (
     profile_csv,
     zero_direction_gap,
 )
-from signchange.transitions import Topology, sign_changes
+from signchange.transitions import Topology, pair_stats, sign_changes
 
 signs = st.sampled_from((-1, 0, 1))
 patterns = st.lists(signs, min_size=2, max_size=6).map(tuple)
@@ -107,7 +107,7 @@ def test_zero_direction_matches_gap_at_zero(pattern, topo, weights):
 @given(patterns, topologies, weight_pairs)
 def test_zero_direction_reduction(pattern, topo, weights):
     k_y, k_x = weights
-    _, flips = pattern_stats(np.asarray([pattern], dtype=np.int8), topo)
+    _, flips = pair_stats(np.asarray([pattern], dtype=np.int8), topo)
     expected = 4 * (k_y * k_y - k_x * k_x) * int(flips[0])
     assert zero_direction_gap(pattern, GapParams(k_y, k_x), topo) == expected
 
@@ -117,7 +117,7 @@ def test_convex_blend_of_gaps_stays_subgradient():
     n = 4
     grid = pattern_grid(n)
     for topo in Topology:
-        weak, flips = pattern_stats(grid, topo)
+        weak, flips = pair_stats(grid, topo)
         t = (weak + flips).astype(float)
         lhs = t[None, :] - t[:, None]
         pairs = [(Fraction(1, 10), Fraction(2)), (Fraction(1, 2), Fraction(1, 2))]

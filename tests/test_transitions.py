@@ -210,3 +210,54 @@ def test_closed_form_eigenvalues_match_numpy(a11, a12, a22):
     assert hi == pytest.approx(float(ref[1]), abs=1e-9)
     assert lo == pytest.approx(float(ref[0]), abs=1e-9)
     assert hi >= lo
+
+
+TINY = [Fraction(1, 10**400), Fraction(-1, 10**400), 1]
+HUGE = [10**400, -1]
+
+
+def test_exact_signs_beyond_float64():
+    # both values round to 0.0 or overflow in float64; the signs must survive
+    assert sign_changes(TINY, Topology.LINEAR) == 2
+    assert sign_changes(HUGE) == 2
+    assert pair_counts(TINY, Topology.LINEAR) == (0, 2)
+    assert pair_counts(HUGE) == (0, 2)
+    for x, topo in ((TINY, Topology.LINEAR), (HUGE, Topology.CIRCULAR)):
+        assert transition_norm_sq(x, Fraction(1, 2), topo) == 2
+        value = transition_norm_sq(x, Fraction(1, 3), topo)
+        # two full flips: 4 * (1/9) * 2
+        assert value == Fraction(8, 9)
+        assert isinstance(value, Fraction)
+
+
+@pytest.mark.parametrize("k", [math.nan, np.float32("nan"), np.float32("-inf")])
+def test_weight_must_be_finite(k):
+    with pytest.raises(ValueError):
+        transition_norm_sq((1, -1, 0), k)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: sign_changes(x),
+        lambda x: pair_counts(x),
+        lambda x: transition_norm_sq(x, 0.5),
+        lambda x: transition_norm_sq(x, 0.5, Topology.LINEAR),
+        lambda x: hadamard_norm_sq(x, 0.5),
+        lambda x: transition_map(x, 0.5),
+        lambda x: smoothed_sign_changes(x, 1e-3),
+    ],
+    ids=[
+        "sign_changes",
+        "pair_counts",
+        "transition_norm_sq",
+        "transition_norm_sq_linear",
+        "hadamard_norm_sq",
+        "transition_map",
+        "smoothed_sign_changes",
+    ],
+)
+def test_pair_statistics_need_two_components(call):
+    for x in ([1.0], [0], np.array([-2.5])):
+        with pytest.raises(ValueError):
+            call(x)
