@@ -16,6 +16,7 @@ sphere; plugging the closed form back must annihilate the residual.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -181,7 +182,7 @@ def curves_csv_1d(problem: OneDProblem, grid_points: int = 1000) -> str:
 
 
 def _pair_weights(k, pairs: list[tuple[int, int]]):
-    if isinstance(k, (int, float)):
+    if isinstance(k, numbers.Real):
         return [float(k)] * len(pairs)
     weights = [float(v) for v in k]
     if len(weights) != len(pairs):

@@ -4,8 +4,9 @@ Everything here recomputes sign change statistics directly from integer
 pattern arrays, independently of the scalar library routines, so the
 registered oracles can confront the library with exhaustive desk-scale
 evidence: full pattern-pair subgradient sweeps, norm bound chains,
-Hadamard identity checks, the 2-D Hessian eigenvalue table and the exact
-zero-direction gap identity.
+Hadamard identity checks, the 2-D Hessian eigenvalue table, the exact
+zero-direction gap identity and the 4-D feasibility decision against
+exact elimination.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .counting import _signs, sign_minorant_gap
+from .polysys import finite_direction_feasibility, solve_rational_system
 from .subgradients import GapParams, decoupled_gap, zero_direction_gap
 from .transitions import (
     Hessian2,
@@ -551,6 +553,45 @@ def _oracle_signminor_random(seed: int = 20240817, count: int = 10000) -> Verify
     return _report(name, checks, None, f"minimum sampled gap = {worst:.3e}")
 
 
+def _oracle_feasibility_n4() -> VerifyReport:
+    """The pure-axis decision of finite_direction_feasibility against exact
+    Gauss-Jordan elimination on every n = 4 candidate, with the lattice rows
+    rebuilt here by enumeration and a per-pair loop."""
+    name = "feasibility_n4"
+    n = 4
+    checks = 0
+    for z in product((-1, 0, 1), repeat=n):
+        t = sum(_reference_pair_counts(z, Topology.CIRCULAR))
+        rows = [d for d in product(*[(-1 - zi, -zi, 1 - zi) for zi in z]) if any(d)]
+        rhs = []
+        for d in rows:
+            form = 0
+            for i in range(n):
+                a, b = d[i], d[(i + 1) % n]
+                form += (a + b) ** 2 * (a * b - 1) ** 2
+            rhs.append(t - form)
+        checks += 1
+        if solve_rational_system(rows, rhs)[0] != "infeasible":
+            return _report(name, checks, {"z": z, "elimination": "feasible"}, "")
+        result = finite_direction_feasibility(z)
+        cert = result.certificate
+        checks += 1
+        if result.feasible or (result.t, result.n_directions) != (t, len(rows)):
+            return _report(name, checks, {"z": z, "result": repr(result)}, "")
+        combined = [Fraction(0)] * n
+        value = Fraction(0)
+        for idx, coeff, direction in zip(cert.equation_indices, cert.coefficients, cert.directions):
+            if rows[idx] != direction:
+                return _report(name, checks, {"z": z, "equation": idx}, "")
+            combined = [c + coeff * v for c, v in zip(combined, direction)]
+            value += coeff * rhs[idx]
+        if any(combined) or value == 0 or value != cert.value:
+            return _report(name, checks, {"z": z, "certificate": repr(cert)}, "")
+    return _report(
+        name, checks, None, "elimination and lemma certificates agree: all 81 candidates infeasible"
+    )
+
+
 def _build_registry() -> dict[str, Callable[[], VerifyReport]]:
     registry: dict[str, Callable[[], VerifyReport]] = {}
     for n in range(2, 7):
@@ -563,6 +604,7 @@ def _build_registry() -> dict[str, Callable[[], VerifyReport]]:
     for n in range(2, 9):
         registry[f"bound_chain_n{n}"] = lambda n=n: _oracle_bound_chain(n)
         registry[f"hadamard_n{n}"] = lambda n=n: _oracle_hadamard(n)
+    registry["feasibility_n4"] = _oracle_feasibility_n4
     registry["hadamard_random"] = _oracle_hadamard_random
     registry["hessian_table"] = _oracle_hessian_table
     registry["signminor_random"] = _oracle_signminor_random

@@ -8,10 +8,11 @@ d4 = rho s1 s2 s3, and each circular adjacency contributes a term
 (d_i + d_j)^2 (d_i d_j - 1)^2.
 
 Restricting the direction to the integer lattice steps that keep z + d on
-the sign grid turns the ansatz into a linear system for the multipliers,
-decided here in exact rational arithmetic; infeasibility comes with a
-machine-checkable certificate (a rational combination of equations that
-reduces to 0 = nonzero).
+the sign grid turns the ansatz into a linear system for the multipliers.
+The pure-axis lemma decides it in O(n) exact rational operations;
+infeasibility comes with a machine-checkable certificate (a rational
+combination of two equations that reduces to 0 = nonzero).  The general
+Gauss-Jordan elimination stays as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -386,72 +387,59 @@ class FeasibilityResult:
     certificate: Certificate | None
 
 
-def _axis_conflict(
-    directions: list[tuple[int, ...]],
-    rhs: list[int],
-) -> Certificate | None:
-    """Look for one coordinate axis whose two pure steps force different
-    multiplier values; the 1/a and -1/b combination is a certificate."""
-    n = len(directions[0])
-    index_of = {d: i for i, d in enumerate(directions)}
-    for axis in range(n):
-        forced: list[tuple[tuple[int, ...], Fraction]] = []
-        for d in directions:
-            if d[axis] != 0 and all(d[i] == 0 for i in range(n) if i != axis):
-                forced.append((d, Fraction(rhs[index_of[d]], d[axis])))
-        for (d_a, f_a), (d_b, f_b) in zip(forced, forced[1:]):
-            if f_a != f_b:
-                ia, ib = index_of[d_a], index_of[d_b]
-                return Certificate(
-                    kind="axis_conflict",
-                    equation_indices=(ia, ib),
-                    coefficients=(Fraction(1, d_a[axis]), Fraction(-1, d_b[axis])),
-                    value=f_a - f_b,
-                    directions=(d_a, d_b),
-                    axis=axis,
-                    forced_values=(f_a, f_b),
-                )
-    return None
-
-
 def finite_direction_feasibility(z: Sequence[int]) -> FeasibilityResult:
     """Decide whether multipliers mu solve t(z) = <mu, d> + F(d) for every
-    admissible lattice direction d of z (exact rational arithmetic)."""
+    admissible lattice direction d of z.
+
+    Decided by the pure-axis lemma, without enumerating the 3^n - 1
+    directions: the two pure steps a*e_i, b*e_i on axis i force
+    mu_i = (t - F(a e_i)) / a and mu_i = (t - F(b e_i)) / b, and since
+    F(a e_i) = 2 a^2 on the circle, the pair (4 - t/2, 2 - t) for z_i = 1
+    (its negation for z_i = -1) never agrees, while the all-zero candidate
+    conflicts on axis 0 (mu_0 = 2 against -2).  So every candidate is
+    infeasible; the certificate names the first conflicting axis in index
+    order, with equation indices in lattice_directions' lexicographic order.
+    The registered oracle feasibility_n4 cross-checks this against exact
+    Gauss-Jordan elimination (solve_rational_system) over all directions.
+    """
     pattern = tuple(int(v) for v in z)
-    if len(pattern) != 4 or any(v not in (-1, 0, 1) for v in pattern):
+    n = len(pattern)
+    if n != 4 or any(v not in (-1, 0, 1) for v in pattern):
         raise ValueError("candidate must be a 4-component sign pattern")
     t = sign_changes(pattern, Topology.CIRCULAR)
-    directions = lattice_directions(pattern)
-    # lattice steps lie in {-2, ..., 2}^4, so int64 holds every F(d) exactly
-    rhs = (t - _pair_forms(np.array(directions, dtype=np.int64))).tolist()
-    outcome = solve_rational_system(directions, rhs)
-    if outcome[0] == "feasible":
+    # the two nonzero steps a < b per axis, axis by axis
+    steps = [a for zi in pattern for a in (-1 - zi, -zi, 1 - zi) if a]
+    pure = np.zeros((2 * n, n), dtype=np.int64)
+    pure[np.arange(2 * n), np.arange(2 * n) // 2] = steps
+    rhs = (t - _pair_forms(pure)).tolist()
+    # mixed-radix position of z + d in the sign grid; the zero step sits at `origin`
+    origin = sum((zi + 1) * 3 ** (n - 1 - k) for k, zi in enumerate(pattern))
+    for axis in range(n):
+        a, b = steps[2 * axis : 2 * axis + 2]
+        f_a = Fraction(rhs[2 * axis], a)
+        f_b = Fraction(rhs[2 * axis + 1], b)
+        if f_a == f_b:
+            continue
+        d_a, d_b = (tuple(step if k == axis else 0 for k in range(n)) for step in (a, b))
         return FeasibilityResult(
             candidate=pattern,
             t=t,
-            n_directions=len(directions),
-            feasible=True,
-            witness=tuple(outcome[1]),
-            certificate=None,
+            n_directions=3**n - 1,
+            feasible=False,
+            witness=None,
+            certificate=Certificate(
+                kind="axis_conflict",
+                equation_indices=tuple(
+                    origin + step * 3 ** (n - 1 - axis) - (step > 0) for step in (a, b)
+                ),
+                coefficients=(Fraction(1, a), Fraction(-1, b)),
+                value=f_a - f_b,
+                directions=(d_a, d_b),
+                axis=axis,
+                forced_values=(f_a, f_b),
+            ),
         )
-    _, combo, value = outcome
-    certificate = _axis_conflict(directions, rhs)
-    if certificate is None:
-        certificate = Certificate(
-            kind="elimination",
-            equation_indices=tuple(idx for idx, _ in combo),
-            coefficients=tuple(coeff for _, coeff in combo),
-            value=value,
-            directions=tuple(directions[idx] for idx, _ in combo),
-        )
-    return FeasibilityResult(
-        candidate=pattern,
-        t=t,
-        n_directions=len(directions),
-        feasible=False,
-        witness=None,
-        certificate=certificate,
-    )
+    raise AssertionError(f"pure-axis lemma found no conflicting axis for {pattern}")
 
 
 def feasibility_report(result: FeasibilityResult) -> dict:

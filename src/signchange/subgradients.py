@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import _signs, as_vector
+from .counting import _NOT_A_VECTOR, _signs, as_vector
 from .transitions import Topology, pair_counts, transition_norm_sq
 
 __all__ = [
@@ -48,6 +48,28 @@ def coupled_subgradient_value(y: Iterable[float], topology: Topology = Topology.
     return transition_norm_sq(y, 0.5, topology)
 
 
+def _displaced(x: Iterable[float], d: Iterable[float]):
+    """(x, x + d) for vectors of one length.
+
+    Two float arrays add in float64; every other input adds element by
+    element, so int and Fraction entries stay exact beyond float64 and the
+    signs taken from x + d downstream are the true ones.
+    """
+    if all(isinstance(v, np.ndarray) and v.dtype.kind == "f" for v in (x, d)):
+        base, step = as_vector(x), as_vector(d)
+    else:
+        # tolist() gives Python ints for integer arrays, which cannot overflow
+        base, step = (v.tolist() if isinstance(v, np.ndarray) else list(v) for v in (x, d))
+    if len(base) != len(step):
+        raise ValueError("dimension mismatch between point and displacement")
+    if isinstance(base, np.ndarray):
+        return base, base + step
+    try:
+        return base, [a + b for a, b in zip(base, step)]
+    except TypeError:
+        raise ValueError(_NOT_A_VECTOR) from None
+
+
 def decoupled_gap(
     x: Iterable[float],
     d: Iterable[float],
@@ -59,11 +81,8 @@ def decoupled_gap(
     Subgradient inequality: sign_changes(x + d) - sign_changes(x) dominates
     this value for every displacement d.
     """
-    base = as_vector(x)
-    step = as_vector(d)
-    if base.size != step.size:
-        raise ValueError("dimension mismatch between point and displacement")
-    return transition_norm_sq(base + step, params.k_y, topology) - transition_norm_sq(
+    base, moved = _displaced(x, d)
+    return transition_norm_sq(moved, params.k_y, topology) - transition_norm_sq(
         base, params.k_x, topology
     )
 
@@ -126,11 +145,8 @@ def gap_profile(
     """Gap at fixed displacement as an exact quadratic in the inner weight."""
     if not abs(k_x) >= Fraction(1, 2):
         raise ValueError("outer weight must satisfy |k_x| >= 1/2")
-    base = as_vector(x)
-    step = as_vector(d)
-    if base.size != step.size:
-        raise ValueError("dimension mismatch between point and displacement")
-    weak, flips = pair_counts(base + step, topology)
+    base, moved = _displaced(x, d)
+    weak, flips = pair_counts(moved, topology)
     return GapProfile(
         weak=weak,
         flips=flips,

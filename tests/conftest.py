@@ -10,13 +10,13 @@ settings.register_profile(
 settings.load_profile("sweep")
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
-_criterion_outcomes: dict[str, tuple[str, str]] = {}
+_criterion_outcomes: dict[str, tuple[str, str, float]] = {}
 
 
 def pytest_runtest_logreport(report):
     match = _CRITERION.search(report.nodeid)
     if match and report.when == "call":
-        _criterion_outcomes[match.group(1)] = (report.nodeid, report.outcome)
+        _criterion_outcomes[match.group(1)] = (report.nodeid, report.outcome, report.duration)
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -24,6 +24,8 @@ def pytest_terminal_summary(terminalreporter):
         return
     terminalreporter.write_sep("-", "acceptance criteria")
     for num in sorted(_criterion_outcomes):
-        nodeid, outcome = _criterion_outcomes[num]
+        nodeid, outcome, duration = _criterion_outcomes[num]
         name = nodeid.split("::")[-1]
-        terminalreporter.write_line(f"criterion {num}: {outcome.upper()} ({name})")
+        terminalreporter.write_line(
+            f"criterion {num}: {outcome.upper()} in {duration:.2f} s ({name})"
+        )

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,6 +117,14 @@ def test_lagrangian_residual_validation():
 def test_lagrangian_residual_accepts_per_pair_weights():
     value = lagrangian_residual((1, -1), (0.0, 0.0), [0.25, 0.5], (0.1, -0.2))
     assert isinstance(value, float)
+
+
+@pytest.mark.parametrize("k", [2, 0.5, Fraction(1, 2), np.int64(2)])
+def test_lagrangian_residual_scalar_weight_types(k):
+    assert lagrangian_residual((1, -1, 1), [0, 0, 0], k, [0, 0, 0]) == 2.0
+    lam, d = (1.0, -0.5, 2.0), (0.3, -1.2, 0.7)
+    per_pair = lagrangian_residual((1, -1, 1), lam, [float(k)] * 3, d)
+    assert lagrangian_residual((1, -1, 1), lam, k, d) == per_pair
 
 
 @given(angles)

@@ -199,6 +199,12 @@ def test_unknown_oracle_rejected():
         run_oracle("does_not_exist")
 
 
+def test_feasibility_oracle_covers_every_candidate():
+    report = run_oracle("feasibility_n4")
+    assert report.passed, report
+    assert report.checks == 81 * 2
+
+
 def test_grid_table_type():
     table = enumerate_grid(3, Topology.LINEAR)
     assert isinstance(table, GridTable)

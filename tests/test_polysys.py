@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from signchange import polysys
 from signchange.polysys import (
     ADMISSIBLE_RHO_SQUARED,
     build_4d_system,
@@ -236,6 +237,20 @@ def test_grid_summary_counts():
         "feasible": 0,
         "feasible_candidates": [],
     }
+
+
+def test_decision_neither_eliminates_nor_enumerates(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the pure-axis decision must not call this")
+
+    z = (1, -1, 1, -1)
+    directions = lattice_directions(z)
+    monkeypatch.setattr(polysys, "solve_rational_system", forbidden)
+    monkeypatch.setattr(polysys, "lattice_directions", forbidden)
+    assert grid_feasibility_summary()["infeasible"] == 81
+    cert = finite_direction_feasibility(z).certificate
+    assert cert.kind == "axis_conflict"
+    assert tuple(directions[i] for i in cert.equation_indices) == cert.directions
 
 
 def test_feasibility_validation():

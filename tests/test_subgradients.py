@@ -72,6 +72,19 @@ def test_decoupled_gap_dimension_mismatch():
         decoupled_gap((1, -1), (0, 0, 0), GapParams(0.5, 1.0))
 
 
+def test_gaps_are_exact_beyond_float64():
+    # both entries round to 0.0 in float64, which would erase the two flips
+    x = [Fraction(1, 10**400), Fraction(-1, 10**400), 1]
+    params = GapParams(Fraction(1, 4), Fraction(1))
+    expected = zero_direction_gap(x, params, Topology.LINEAR)
+    assert expected == Fraction(-15, 2)
+    assert decoupled_gap(x, [0, 0, 0], params, Topology.LINEAR) == expected
+    profile = gap_profile(x, [0, 0, 0], Fraction(1), Topology.LINEAR)
+    assert profile.value(Fraction(1, 4)) == expected
+    big = [10**400, -(10**400), 3]
+    assert decoupled_gap(big, np.zeros(3, dtype=np.int64), params, Topology.LINEAR) == expected
+
+
 @given(patterns, patterns, topologies, weight_pairs)
 def test_subgradient_inequality_on_pattern_pairs(base, displaced, topo, weights):
     if len(base) != len(displaced):
