@@ -11,13 +11,14 @@ slack at d = 0 with a short closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .counting import _NOT_A_VECTOR, _signs, as_vector
+from .counting import _NOT_A_VECTOR, _signs
 from .transitions import Topology, pair_counts, transition_norm_sq
 
 __all__ = [
@@ -48,24 +49,27 @@ def coupled_subgradient_value(y: Iterable[float], topology: Topology = Topology.
     return transition_norm_sq(y, 0.5, topology)
 
 
-def _displaced(x: Iterable[float], d: Iterable[float]):
-    """(x, x + d) for vectors of one length.
+def _exact_sum(a, b):
+    """a + b, where a float beside an int or Fraction counts at its exact value."""
+    if isinstance(a, float) == isinstance(b, float):
+        return a + b
+    if not math.isfinite(a if isinstance(a, float) else b):
+        raise ValueError("vector entries must be finite")
+    return Fraction(a) + Fraction(b)
 
-    Two float arrays add in float64; every other input adds element by
-    element, so int and Fraction entries stay exact beyond float64 and the
-    signs taken from x + d downstream are the true ones.
+
+def _displaced(x: Iterable[float], d: Iterable[float]) -> tuple[list, list]:
+    """(x, x + d) as lists for vectors of one length, added element by element.
+
+    Arrays go through tolist(), so integer entries become Python ints that
+    cannot overflow; int and Fraction entries stay exact beyond float64 and
+    the signs taken from x + d downstream are the true ones.
     """
-    if all(isinstance(v, np.ndarray) and v.dtype.kind == "f" for v in (x, d)):
-        base, step = as_vector(x), as_vector(d)
-    else:
-        # tolist() gives Python ints for integer arrays, which cannot overflow
-        base, step = (v.tolist() if isinstance(v, np.ndarray) else list(v) for v in (x, d))
-    if len(base) != len(step):
-        raise ValueError("dimension mismatch between point and displacement")
-    if isinstance(base, np.ndarray):
-        return base, base + step
     try:
-        return base, [a + b for a, b in zip(base, step)]
+        base, step = (v.tolist() if isinstance(v, np.ndarray) else list(v) for v in (x, d))
+        if len(base) != len(step):
+            raise ValueError("dimension mismatch between point and displacement")
+        return base, [_exact_sum(a, b) for a, b in zip(base, step)]
     except TypeError:
         raise ValueError(_NOT_A_VECTOR) from None
 

@@ -83,6 +83,11 @@ def test_gaps_are_exact_beyond_float64():
     assert profile.value(Fraction(1, 4)) == expected
     big = [10**400, -(10**400), 3]
     assert decoupled_gap(big, np.zeros(3, dtype=np.int64), params, Topology.LINEAR) == expected
+    # a float displacement is added at its exact value, not rounded into float64
+    for point in (x, big):
+        assert decoupled_gap(point, np.zeros(3), params, Topology.LINEAR) == expected
+        profile = gap_profile(point, [0.0, -0.0, 0.5], Fraction(1), Topology.LINEAR)
+        assert profile.flips == 2
 
 
 @given(patterns, patterns, topologies, weight_pairs)
