@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run every registered verification oracle and print a status table.
 
-Each row gives the oracle's check count and its wall time in seconds.
+Each row gives the oracle's check count, its wall time in seconds and its
+throughput in checks per second; the totals line sums them up.
 
 Exits 1 if any oracle fails, so the script doubles as a CI gate:
 
@@ -14,6 +15,10 @@ import sys
 import time
 
 from signchange.oracles import list_oracles, run_oracle
+
+
+def _rate(checks: int, seconds: float) -> str:
+    return f"{checks / max(seconds, 1e-9):>12,.0f} checks/s"
 
 
 def main() -> int:
@@ -37,11 +42,17 @@ def main() -> int:
         total_checks += report.checks
         status = "PASS" if report.passed else "FAIL"
         note = report.details if report.passed else f"counterexample: {report.counterexample}"
-        print(f"{name:<{width}}  {status}  {report.checks:>10,} checks  {seconds:7.3f} s  {note}")
+        print(
+            f"{name:<{width}}  {status}  {report.checks:>10,} checks  {seconds:7.3f} s"
+            f"  {_rate(report.checks, seconds)}  {note}"
+        )
         if not report.passed:
             failures += 1
     elapsed = time.perf_counter() - start
-    print(f"\n{len(names)} oracles, {total_checks:,} checks, {failures} failures, {elapsed:.1f} s")
+    print(
+        f"\n{len(names)} oracles, {total_checks:,} checks, {failures} failures, {elapsed:.1f} s,"
+        f" {_rate(total_checks, elapsed).strip()}"
+    )
     return 1 if failures else 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,21 +47,24 @@ _NOT_A_VECTOR = "expected a nonempty 1-D real vector"
 _FLOAT_TYPES = (float, np.floating)
 
 
-def _signs(x) -> np.ndarray:
+def _signs(x, batch: bool = False) -> np.ndarray:
     """Componentwise signs of a nonempty 1-D real vector as an int8 array.
 
     Float and integer arrays go through np.sign (floats after a finiteness
     check).  Anything else is signed element by element with comparisons
     against 0, so ints and Fractions never pass through float64 and keep
-    their signs beyond its range and resolution.
+    their signs beyond its range and resolution.  With batch=True, x must be
+    a 2-D array of such vectors (rows) and the result is 2-D.
     """
     if isinstance(x, np.ndarray):
-        if x.ndim != 1 or x.size == 0 or x.dtype.kind not in "fiubO":
+        if x.ndim != 1 + batch or x.shape[-1] == 0 or x.dtype.kind not in "fiubO":
             raise ValueError(_NOT_A_VECTOR)
         if x.dtype.kind == "f" and not np.isfinite(x).all():
             raise ValueError("vector entries must be finite")
         if x.dtype.kind in "fiu":
             return np.sign(x).astype(np.int8)
+        if batch:
+            return np.array([_signs(row) for row in x], dtype=np.int8).reshape(x.shape)
     try:
         values = x if isinstance(x, (list, tuple, np.ndarray)) else list(x)
         signs = [1 if v > 0 else -1 if v < 0 else 0 for v in values]
@@ -73,11 +77,24 @@ def _signs(x) -> np.ndarray:
     return np.array(signs, dtype=np.int8)
 
 
+def _is_batch(x) -> bool:
+    """Whether x is a 2-D array of vectors, one per row, rather than one vector."""
+    return isinstance(x, np.ndarray) and x.ndim == 2
+
+
 def as_vector(x: Iterable[float]) -> np.ndarray:
-    """Validate and convert to a 1-D float array with finite entries."""
-    arr = np.asarray(list(x) if not isinstance(x, (np.ndarray, list, tuple)) else x, dtype=float)
+    """Validate and convert to a 1-D float array with finite entries.
+
+    Entries beyond the float64 range raise ValueError, not OverflowError.
+    """
+    try:
+        arr = np.asarray(list(x) if not isinstance(x, (np.ndarray, list, tuple)) else x, dtype=float)
+    except TypeError:
+        raise ValueError(_NOT_A_VECTOR) from None
+    except OverflowError:
+        raise ValueError("vector entries must lie within the float64 range") from None
     if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a nonempty 1-D real vector")
+        raise ValueError(_NOT_A_VECTOR)
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector entries must be finite")
     return arr
@@ -123,13 +140,40 @@ def is_count_subgradient(x: Iterable[float], candidate: Iterable[float]) -> bool
     return bool(np.all(cand[signs != 0] == 0))
 
 
+def _unit_magnitudes(x) -> np.ndarray:
+    """|x| / 2^e as float64, with 2^e the power of two just above max |x|.
+
+    Scaling by a power of two is exact in binary floating point, so ratios of
+    norms are unchanged for float input.  Other entries are scaled at their
+    exact values before rounding, so none overflows float64 and a nonzero
+    vector never rounds to the origin.
+    """
+    if isinstance(x, np.ndarray) and x.dtype.kind == "f":
+        mags = np.abs(x)
+        return np.ldexp(mags, -math.frexp(mags.max())[1])
+    values = x.tolist() if isinstance(x, np.ndarray) else x
+    mags = [abs(Fraction(float(v) if isinstance(v, np.floating) else v)) for v in values]
+    top = max(mags)
+    scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length() - 1)
+    return np.array([float(m * scale) for m in mags])
+
+
 def sign_minorant_gap(x: Iterable[float]) -> float:
-    """count_nonzero(x) - |x|_1 / |x|_2, nonnegative for x != 0."""
-    arr = as_vector(x)
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
+    """count_nonzero(x) - |x|_1 / |x|_2, nonnegative for x != 0.
+
+    The count is taken exactly from x; the norm ratio is scale-free and is
+    computed on x scaled to unit magnitude, so int and Fraction entries beyond
+    float64 and float entries whose squares over- or underflow all work.
+    """
+    try:
+        x = x if isinstance(x, (np.ndarray, list, tuple)) else list(x)
+    except TypeError:
+        raise ValueError(_NOT_A_VECTOR) from None
+    count = count_nonzero(x)
+    if count == 0:
         raise ValueError("minorant gap is undefined at the origin")
-    return count_nonzero(arr) - float(np.sum(np.abs(arr))) / norm
+    mags = _unit_magnitudes(x)
+    return count - float(np.sum(mags)) / float(np.linalg.norm(mags))
 
 
 @dataclass(frozen=True)

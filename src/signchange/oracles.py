@@ -386,19 +386,26 @@ def _oracle_zero_set(n: int) -> VerifyReport:
 def _oracle_hadamard(n: int) -> VerifyReport:
     """Hadamard product form against the closed-form circular norm."""
     name = f"hadamard_n{n}"
-    checks = 0
-    worst = 0.0
-    for pattern in product((-1, 0, 1), repeat=n):
-        for k in (0.5, 1.0, 0.25):
-            checks += 1
-            delta = abs(
-                hadamard_norm_sq(pattern, k)
-                - float(transition_norm_sq(pattern, k, Topology.CIRCULAR))
+    patterns = pattern_grid(n)
+    ks = (0.5, 1.0, 0.25)
+    # one row per pattern, one column per weight: the scalar sweep's check order
+    deltas = np.stack(
+        [
+            np.abs(
+                hadamard_norm_sq(patterns, k)
+                - transition_norm_sq(patterns, k, Topology.CIRCULAR).astype(float)
             )
-            worst = max(worst, delta)
-            if delta > 1e-12:
-                return _report(name, checks, {"pattern": pattern, "k": k, "delta": delta}, "")
-    return _report(name, checks, None, f"max |difference| = {worst:.3e}")
+            for k in ks
+        ],
+        axis=1,
+    )
+    bad = np.flatnonzero(deltas > 1e-12)
+    if bad.size:
+        r, w = divmod(int(bad[0]), len(ks))
+        pattern = tuple(patterns[r].tolist())
+        delta = float(deltas[r, w])
+        return _report(name, int(bad[0]) + 1, {"pattern": pattern, "k": ks[w], "delta": delta}, "")
+    return _report(name, deltas.size, None, f"max |difference| = {float(deltas.max()):.3e}")
 
 
 def _oracle_hadamard_random(seed: int = 20240817, count: int = 1000) -> VerifyReport:
@@ -480,29 +487,38 @@ def _oracle_hessian_table() -> VerifyReport:
 
 def _oracle_qhat_identity(n: int) -> VerifyReport:
     """Zero-direction closed form equals the decoupled gap at d = 0 exactly
-    and reduces to 4(ky^2 - kx^2) * flips <= 0 (Fraction arithmetic)."""
+    and reduces to 4(ky^2 - kx^2) * flips <= 0 (Fraction arithmetic).
+
+    Each weight pair is one batch call over the pattern grid; failures are
+    reported in the order of a per-pattern sweep over the weights."""
     name = f"qhat_identity_n{n}"
     checks = 0
-    zero = [0] * n
+    patterns = pattern_grid(n)
+    zero = np.zeros_like(patterns)
     for topology in Topology:
-        for pattern in product((-1, 0, 1), repeat=n):
-            _, flips = pair_counts(pattern, topology)
-            for ky, kx in SWEEP_WEIGHTS_EXACT:
-                params = GapParams(k_y=ky, k_x=kx)
-                closed = zero_direction_gap(pattern, params, topology)
-                direct = decoupled_gap(pattern, zero, params, topology)
-                checks += 3
-                if closed != direct:
-                    return _report(
-                        name,
-                        checks,
-                        {"pattern": pattern, "weights": (str(ky), str(kx))},
-                        "",
-                    )
-                if closed != 4 * (ky * ky - kx * kx) * flips:
-                    return _report(name, checks, {"pattern": pattern, "reduction": True}, "")
-                if closed > 0:
-                    return _report(name, checks, {"pattern": pattern, "positive": True}, "")
+        _, flips = pair_stats(patterns, topology)
+        # failed[c, r, w]: check c (direct, reduction, sign) of pattern r at weight pair w
+        failed = np.zeros((3, len(patterns), len(SWEEP_WEIGHTS_EXACT)), dtype=bool)
+        for w, (ky, kx) in enumerate(SWEEP_WEIGHTS_EXACT):
+            params = GapParams(k_y=ky, k_x=kx)
+            closed = zero_direction_gap(patterns, params, topology)
+            direct = decoupled_gap(patterns, zero, params, topology)
+            by_flips = np.empty(n + 1, dtype=object)
+            by_flips[:] = [4 * (ky * ky - kx * kx) * f for f in range(n + 1)]
+            failed[:, :, w] = (closed != direct, closed != by_flips[flips], closed > 0)
+        bad = np.flatnonzero(failed.any(axis=0))
+        if bad.size:
+            r, w = divmod(int(bad[0]), len(SWEEP_WEIGHTS_EXACT))
+            checks += 3 * (int(bad[0]) + 1)
+            pattern = tuple(patterns[r].tolist())
+            ky, kx = SWEEP_WEIGHTS_EXACT[w]
+            counterexamples = (
+                {"pattern": pattern, "weights": (str(ky), str(kx))},
+                {"pattern": pattern, "reduction": True},
+                {"pattern": pattern, "positive": True},
+            )
+            return _report(name, checks, counterexamples[int(np.argmax(failed[:, r, w]))], "")
+        checks += 3 * failed[0].size
     return _report(name, checks, None, f"{checks} exact rational identities hold")
 
 
@@ -512,17 +528,33 @@ def _oracle_smoothing(n: int) -> VerifyReport:
     name = f"smoothing_n{n}"
     checks = 0
     eps_grid = (1e-1, 1e-3, 1e-6)
+    patterns = pattern_grid(n)
     for topology in Topology:
-        for pattern in product((-1, 0, 1), repeat=n):
-            t = sign_changes(pattern, topology)
-            values = [smoothed_sign_changes(pattern, e, topology) for e in eps_grid]
-            checks += len(values) + 2
-            if any(v > t for v in values):
-                return _report(name, checks, {"pattern": pattern, "above": True}, "")
-            if any(a > b for a, b in zip(values, values[1:])):
-                return _report(name, checks, {"pattern": pattern, "monotone": False}, "")
-            if abs(smoothed_sign_changes(pattern, 1e-9, topology) - t) > 1e-6:
-                return _report(name, checks, {"pattern": pattern, "limit": False}, "")
+        weak, flips = pair_stats(patterns, topology)
+        t = (weak + flips)[:, None]
+        values = np.stack([smoothed_sign_changes(patterns, e, topology) for e in eps_grid], axis=1)
+        limit = smoothed_sign_changes(patterns, 1e-9, topology)[:, None]
+        # failed[c, r]: check c (above, monotone, limit) of pattern r
+        failed = np.stack(
+            [
+                np.any(values > t, axis=1),
+                np.any(values[:, :-1] > values[:, 1:], axis=1),
+                np.any(np.abs(limit - t) > 1e-6, axis=1),
+            ]
+        )
+        per_pattern = len(eps_grid) + 2
+        bad = np.flatnonzero(failed.any(axis=0))
+        if bad.size:
+            r = int(bad[0])
+            checks += per_pattern * (r + 1)
+            pattern = tuple(patterns[r].tolist())
+            counterexamples = (
+                {"pattern": pattern, "above": True},
+                {"pattern": pattern, "monotone": False},
+                {"pattern": pattern, "limit": False},
+            )
+            return _report(name, checks, counterexamples[int(np.argmax(failed[:, r]))], "")
+        checks += per_pattern * len(patterns)
     return _report(name, checks, None, "smoothing is a monotone lower approximation")
 
 

@@ -18,8 +18,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import _NOT_A_VECTOR, _signs
-from .transitions import Topology, pair_counts, transition_norm_sq
+from .counting import _NOT_A_VECTOR, _is_batch, _signs
+from .transitions import (
+    Topology,
+    _check_weight,
+    _norm_sq,
+    _per_distinct,
+    pair_counts,
+    pair_stats,
+    transition_norm_sq,
+)
 
 __all__ = [
     "GapParams",
@@ -40,6 +48,7 @@ class GapParams:
     k_x: object
 
     def __post_init__(self) -> None:
+        _check_weight(self.k_x)  # the bounds below admit |k_x| = inf
         if not 0 < abs(self.k_y) <= Fraction(1, 2) <= abs(self.k_x):
             raise ValueError("gap weights must satisfy 0 < |k_y| <= 1/2 <= |k_x|")
 
@@ -74,6 +83,29 @@ def _displaced(x: Iterable[float], d: Iterable[float]) -> tuple[list, list]:
         raise ValueError(_NOT_A_VECTOR) from None
 
 
+def _moved_signs(x: np.ndarray, d) -> np.ndarray:
+    """Signs of x + d for a 2-D array x of points and d of the same shape.
+
+    Two integer arrays add in int64 unless a sum overflows, two float arrays
+    in float64; every other pair, and an overflowing one, adds row by row
+    through _displaced.  Each way the sums are those of the 1-D call.
+    """
+    d = np.asarray(d)
+    if d.shape != x.shape:
+        raise ValueError("dimension mismatch between point and displacement")
+    kinds = {x.dtype.kind, d.dtype.kind}
+    if kinds <= {"i", "u"} and np.can_cast(np.result_type(x, d), np.int64):
+        a, b = x.astype(np.int64), d.astype(np.int64)
+        total = a + b
+        if not np.any((a ^ total) & (b ^ total) < 0):
+            return _signs(total, batch=True)
+    elif kinds == {"f"} and max(x.dtype.itemsize, d.dtype.itemsize) <= 8:
+        with np.errstate(over="ignore"):
+            return _signs(x.astype(np.float64) + d.astype(np.float64), batch=True)
+    rows = [_signs(_displaced(p, q)[1]) for p, q in zip(x, d)]
+    return np.array(rows, dtype=np.int8).reshape(x.shape)
+
+
 def decoupled_gap(
     x: Iterable[float],
     d: Iterable[float],
@@ -83,8 +115,18 @@ def decoupled_gap(
     """|l(x + d; k_y)|^2 - |l(x; k_x)|^2.
 
     Subgradient inequality: sign_changes(x + d) - sign_changes(x) dominates
-    this value for every displacement d.
+    this value for every displacement d.  A 2-D array x of points (rows)
+    with d of the same shape gives an object array with one value per row,
+    equal in value and type to the call on that row.
     """
+    if _is_batch(x):
+        moved = pair_stats(_moved_signs(x, d), topology)
+        base = pair_stats(_signs(x, batch=True), topology)
+
+        def gap(weak_y, flips_y, weak_x, flips_x):
+            return _norm_sq(weak_y, flips_y, params.k_y) - _norm_sq(weak_x, flips_x, params.k_x)
+
+        return _per_distinct(gap, *moved, *base)
     base, moved = _displaced(x, d)
     return transition_norm_sq(moved, params.k_y, topology) - transition_norm_sq(
         base, params.k_x, topology
@@ -104,17 +146,25 @@ def zero_direction_gap(
     flips, where it contributes 4(k_y^2 - k_x^2) <= 0.  The sum runs over
     integer sign arrays in two weight-free parts; the weights enter only in
     the two closing rational operations, so the value is exact for
-    Fraction weights.
+    Fraction weights.  A 2-D array of vectors (rows) gives an object array
+    with one value per row, equal in value and type to the call on that row.
     """
     k_y, k_x = params.k_y, params.k_x
     if not 0 < k_y <= Fraction(1, 2) <= k_x:
         raise ValueError("closed form requires the positive branch 0 < k_y <= 1/2 <= k_x")
-    a, b = topology.neighbors(_signs(x).astype(np.int64))
+    batch = _is_batch(x)
+    a, b = topology.neighbors(_signs(x, batch).astype(np.int64))
     prod = a * b
     damp = (prod - 1) ** 2
-    quadratic = int(np.sum(damp * prod * prod))
-    linear = int(np.sum(damp * 2 * prod * (a + b)))
-    return (k_y - k_x) * ((k_y + k_x) * quadratic + linear)
+    quadratic = np.sum(damp * prod * prod, axis=-1)
+    linear = np.sum(damp * 2 * prod * (a + b), axis=-1)
+
+    def closing(quadratic: int, linear: int):
+        return (k_y - k_x) * ((k_y + k_x) * quadratic + linear)
+
+    if batch:
+        return _per_distinct(closing, quadratic, linear)
+    return closing(int(quadratic), int(linear))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import _signs, as_vector
+from .counting import _is_batch, _signs, as_vector
 
 __all__ = [
     "Topology",
@@ -88,8 +88,13 @@ def transition_component(sign_a: int, sign_b: int, k):
     if sign_a not in (-1, 0, 1) or sign_b not in (-1, 0, 1):
         raise ValueError("sign arguments must lie in {-1, 0, 1}")
     _check_weight(k)
-    prod = sign_a * sign_b
-    return (sign_a + sign_b + k * prod) * (prod - 1)
+    return _transition_values(sign_a, sign_b, k)
+
+
+def _transition_values(a, b, k):
+    """(a + b + k*a*b) * (a*b - 1) on signs or on arrays of signs."""
+    prod = a * b
+    return (a + b + k * prod) * (prod - 1)
 
 
 @dataclass(frozen=True)
@@ -134,15 +139,37 @@ def sign_changes(x: Iterable[float], topology: Topology = Topology.CIRCULAR) -> 
     return int(weak + flips)
 
 
+def _norm_sq(weak: int, flips: int, k):
+    return weak + 4 * k * k * flips
+
+
+def _per_distinct(formula, *columns: np.ndarray) -> np.ndarray:
+    """formula(*ints) for every row of the integer columns, as an object array.
+
+    The formula runs once per distinct tuple of column values and its result
+    is broadcast back to the rows, so exact weights cost a handful of rational
+    operations per batch however many rows it has.
+    """
+    keys, inverse = np.unique(np.stack(columns, axis=-1), axis=0, return_inverse=True)
+    values = np.empty(len(keys), dtype=object)
+    values[:] = [formula(*key) for key in keys.tolist()]
+    return values[inverse.reshape(-1)]
+
+
 def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRCULAR):
     """Squared norm of the transition vector, via weak + 4*k^2*flips.
 
     The closed form avoids accumulating squares, so the result is exact
     for int or Fraction k and reproduces sign_changes exactly at k = +-1/2.
+    A 2-D array of vectors (rows) gives an object array with one value per
+    row, equal in value and type to the call on that row.
     """
     _check_weight(k)
+    if _is_batch(x):
+        weak, flips = pair_stats(_signs(x, batch=True), topology)
+        return _per_distinct(lambda w, f: _norm_sq(w, f, k), weak, flips)
     weak, flips = pair_counts(x, topology)
-    return weak + 4 * k * k * flips
+    return _norm_sq(weak, flips, k)
 
 
 def hadamard_norm_sq(x: Iterable[float], k) -> float:
@@ -150,13 +177,17 @@ def hadamard_norm_sq(x: Iterable[float], k) -> float:
 
     <((I + Z)s + k(s o Zs))^o2, ((s o Zs) - e)^o2> with s the sign vector
     of x and Z the one-step circular shift; an independent route to
-    transition_norm_sq(x, k, CIRCULAR).
+    transition_norm_sq(x, k, CIRCULAR).  A 2-D array of vectors (rows)
+    gives a float64 array with one value per row.
     """
     _check_weight(k)
-    s, zs = Topology.CIRCULAR.neighbors(_signs(x).astype(float))
+    batch = _is_batch(x)
+    s, zs = Topology.CIRCULAR.neighbors(_signs(x, batch).astype(float))
     prod = s * zs
     left = (s + zs + float(k) * prod) ** 2
     right = (prod - 1.0) ** 2
+    if batch:
+        return np.einsum("ij,ij->i", left, right)
     return float(np.dot(left, right))
 
 
@@ -175,21 +206,29 @@ def _epsilon(eps) -> float:
     return SmoothingParams(float(eps)).epsilon
 
 
+def _smoothed_sum(values: np.ndarray, e: float):
+    sq = values * values
+    return np.sum(sq / (sq + e), axis=-1)
+
+
 def smoothed_count(y: Iterable[float], eps) -> float:
     """Smooth minorant of count_nonzero: sum of y_i^2 / (y_i^2 + eps)."""
     e = _epsilon(eps)
-    arr = as_vector(y)
-    sq = arr * arr
-    return float(np.sum(sq / (sq + e)))
+    return float(_smoothed_sum(as_vector(y), e))
 
 
 def smoothed_sign_changes(x: Iterable[float], eps, topology: Topology = Topology.CIRCULAR) -> float:
     """Smoothed count applied to the transition vector at k = 1/2.
 
     Monotonically nondecreasing as eps decreases, with limit sign_changes(x).
+    A 2-D array of vectors (rows) gives a float64 array with one value per
+    row, bit-identical to the call on that row.
     """
-    values = transition_map(x, 0.5, topology).values
-    return smoothed_count(np.asarray(values, dtype=float), eps)
+    e = _epsilon(eps)
+    batch = _is_batch(x)
+    a, b = topology.neighbors(_signs(x, batch))
+    total = _smoothed_sum(_transition_values(a, b, 0.5), e)
+    return total if batch else float(total)
 
 
 @dataclass(frozen=True)

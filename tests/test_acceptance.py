@@ -1,14 +1,17 @@
 """End-to-end acceptance checks, one test per numbered criterion.
 
 Each test states its claim directly and measures its own runtime where a
-budget applies.  Criteria 08 and 11 compute their expected values from
-closed forms (the residuals at x = 0 and at the objective's grid
-minimiser; the chromatic polynomial of the 4-cycle), never from the code
-under test.  The README derives them and records why they replace the
+budget applies.  The budgets live in CRITERION_BUDGETS_S; a budgeted test
+records the budget and the time it measured, and the acceptance summary
+printed by conftest.py shows the two side by side.  Criteria 08 and 11
+compute their expected values from closed forms (the residuals at x = 0
+and at the objective's grid minimiser; the chromatic polynomial of the
+4-cycle), never from the code under test.  The README derives them and records why they replace the
 reference values 2 and "all residuals nonnegative".
 """
 
 import math
+import re
 import time
 import timeit
 from fractions import Fraction
@@ -43,6 +46,33 @@ from signchange.transitions import (
 
 EXAMPLE_X = (-24.0, -30.0, 19.0, 14.0, 0.0)
 
+# seconds allowed for the span each budgeted criterion times
+CRITERION_BUDGETS_S = {
+    "01": 1e-3,  # one sign_changes call on the example, best of 50
+    "02": 10.0,  # the norm sweeps over n = 2..8 and the exact n <= 4 check
+    "04": 0.5,  # hadamard_n2..n8 and hadamard_random
+    "05": 1e-3,  # one closed-form pass over the eigenvalue table, best of 20
+    "06": 60.0,  # ft_inequality and coupled_equality, n = 2..6
+    "07": 1.0,  # qhat_identity_n2..n6
+    "08": 1.0,  # check_1d_condition on 10,000 grid points
+    "09": 1.0,  # the 2-D and 3-D multiplier grids
+    "10": 5.0,  # one feasibility decision and the 81-candidate summary
+}
+
+
+@pytest.fixture
+def within_budget(request, record_property):
+    """Assert that a measured span fits its criterion's budget, and record both."""
+    criterion = re.search(r"criterion_(\d+)", request.node.name).group(1)
+    budget = CRITERION_BUDGETS_S[criterion]
+    record_property("budget_s", budget)
+
+    def check(seconds: float, what: str) -> None:
+        record_property("measured_s", seconds)
+        assert seconds < budget, f"{what} took {seconds:.3g} s, budget {budget:g} s"
+
+    return check
+
 
 def _pair_arrays(patterns: np.ndarray, topology: Topology):
     if topology is Topology.CIRCULAR:
@@ -50,15 +80,15 @@ def _pair_arrays(patterns: np.ndarray, topology: Topology):
     return patterns[:, :-1], patterns[:, 1:]
 
 
-def test_criterion_01_count_example():
+def test_criterion_01_count_example(within_budget):
     assert sign_changes(EXAMPLE_X, Topology.CIRCULAR) == 3
     runtime = min(
         timeit.repeat(lambda: sign_changes(EXAMPLE_X, Topology.CIRCULAR), number=1, repeat=50)
     )
-    assert runtime < 1e-3, f"single evaluation took {runtime * 1e3:.3f} ms"
+    within_budget(runtime, "single evaluation")
 
 
-def test_criterion_02_norm_equality_and_bracket():
+def test_criterion_02_norm_equality_and_bracket(within_budget):
     start = time.perf_counter()
     for n in range(2, 9):
         patterns = pattern_grid(n)
@@ -87,8 +117,7 @@ def test_criterion_02_norm_equality_and_bracket():
                 t_row = sign_changes(row, topology)
                 assert transition_norm_sq(row, Fraction(1, 2), topology) == t_row
                 assert transition_norm_sq(row, Fraction(-1, 2), topology) == t_row
-    elapsed = time.perf_counter() - start
-    assert elapsed < 10.0, f"sweep took {elapsed:.1f} s"
+    within_budget(time.perf_counter() - start, "sweep")
 
 
 def test_criterion_03_transition_support_size():
@@ -107,14 +136,16 @@ def test_criterion_03_transition_support_size():
                 )
 
 
-def test_criterion_04_hadamard_identity():
+def test_criterion_04_hadamard_identity(within_budget):
     names = [f"hadamard_n{n}" for n in range(2, 9)] + ["hadamard_random"]
+    start = time.perf_counter()
     for name in names:
         report = run_oracle(name)
         assert report.passed, f"{name}: {report.counterexample}"
+    within_budget(time.perf_counter() - start, "hadamard oracles")
 
 
-def test_criterion_05_hessian_eigenvalue_table():
+def test_criterion_05_hessian_eigenvalue_table(within_budget):
     report = run_oracle("hessian_table")
     assert report.passed, report.counterexample
 
@@ -130,29 +161,30 @@ def test_criterion_05_hessian_eigenvalue_table():
 
     closed_form_pass()
     runtime = min(timeit.repeat(closed_form_pass, number=1, repeat=20))
-    assert runtime < 1e-3, f"table pass took {runtime * 1e3:.3f} ms"
+    within_budget(runtime, "table pass")
 
     assert expected_double_eigenvalues((0, 0), 0.5) == (1.0, -1.0)
     assert expected_double_eigenvalues((-1, -1), 0.5) == (-2.0 + 5.0, -2.0 - 5.0)
 
 
-def test_criterion_06_difference_inequality_sweep():
+def test_criterion_06_difference_inequality_sweep(within_budget):
     start = time.perf_counter()
     for n in range(2, 7):
         for prefix in ("ft_inequality", "coupled_equality"):
             report = run_oracle(f"{prefix}_n{n}")
             assert report.passed, f"{prefix}_n{n}: {report.counterexample}"
-    elapsed = time.perf_counter() - start
-    assert elapsed < 60.0, f"sweep took {elapsed:.1f} s"
+    within_budget(time.perf_counter() - start, "sweep")
 
 
-def test_criterion_07_zero_direction_identity():
+def test_criterion_07_zero_direction_identity(within_budget):
+    start = time.perf_counter()
     for n in range(2, 7):
         report = run_oracle(f"qhat_identity_n{n}")
         assert report.passed, f"qhat_identity_n{n}: {report.counterexample}"
+    within_budget(time.perf_counter() - start, "qhat_identity oracles")
 
 
-def test_criterion_08_interval_example():
+def test_criterion_08_interval_example(within_budget):
     problem = OneDProblem(c1=-4.8, sigma=1.0)
     assert abs(problem.K - 22.687) <= 1e-3
 
@@ -161,8 +193,7 @@ def test_criterion_08_interval_example():
 
     start = time.perf_counter()
     report = check_1d_condition(problem, grid_points=10000, tol=1e-6)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 1.0, f"grid check took {elapsed:.2f} s"
+    within_budget(time.perf_counter() - start, "grid check")
 
     # The residuals as defined cannot certify c1 = -4.8 on [-2 pi, 0].  At the
     # right endpoint x = 0 the bound term is -2 pi |c1| e^|c1| and f(0) = 0.
@@ -187,7 +218,7 @@ def test_criterion_08_interval_example():
     )
 
 
-def test_criterion_09_closed_form_multipliers():
+def test_criterion_09_closed_form_multipliers(within_budget):
     start = time.perf_counter()
     worst = 0.0
     for j in range(1, 361):
@@ -207,10 +238,10 @@ def test_criterion_09_closed_form_multipliers():
             )
     elapsed = time.perf_counter() - start
     assert worst <= 1e-10, f"max |residual| = {worst:.3e}"
-    assert elapsed < 1.0, f"grid evaluation took {elapsed:.2f} s"
+    within_budget(elapsed, "grid evaluation")
 
 
-def test_criterion_10_four_dim_feasibility():
+def test_criterion_10_four_dim_feasibility(within_budget):
     start = time.perf_counter()
     result = finite_direction_feasibility((1, -1, 1, -1))
     assert not result.feasible
@@ -225,7 +256,7 @@ def test_criterion_10_four_dim_feasibility():
     assert summary["grid_size"] == 81
     assert summary["infeasible"] == 81
     assert summary["feasible"] == 0
-    assert elapsed < 5.0, f"feasibility scan took {elapsed:.1f} s"
+    within_budget(elapsed, "feasibility scan")
 
 
 def test_criterion_11_grid_symmetry():

@@ -16,6 +16,7 @@ from signchange.counting import (
     sign_minorant_gap,
     sign_vector,
 )
+from signchange.optimality import lagrangian_residual
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 vectors = st.lists(finite_floats, min_size=1, max_size=12)
@@ -111,6 +112,29 @@ def test_minorant_gap_tight_on_single_support(value):
 def test_minorant_gap_undefined_at_origin():
     with pytest.raises(ValueError):
         sign_minorant_gap([0.0, 0.0, 0.0])
+
+
+def test_minorant_gap_beyond_float64():
+    # the count is taken from the exact entries, the scale-free norm ratio
+    # from x scaled to unit magnitude before any rounding
+    assert sign_minorant_gap([10**400, -1]) == pytest.approx(1.0)
+    assert sign_minorant_gap([Fraction(1, 10**400), -1]) == pytest.approx(1.0)
+    assert sign_minorant_gap([Fraction(1, 10**400), 0]) == 0.0
+    assert sign_minorant_gap(np.array([-(10**400), 10**400], dtype=object)) == pytest.approx(
+        2.0 - math.sqrt(2.0)
+    )
+    # float entries whose squares overflow or underflow
+    for x in ([1e200, 1e200], np.array([1e-200, -1e-200]), [1.5e308, -1.5e308]):
+        assert sign_minorant_gap(x) == pytest.approx(2.0 - math.sqrt(2.0))
+
+
+def test_float_conversion_beyond_range_is_value_error():
+    with pytest.raises(ValueError, match="float64 range"):
+        sign_vector([10**400, 1], tol=0.5)
+    with pytest.raises(ValueError, match="float64 range"):
+        lagrangian_residual((1, -1), [0, 0], 0.5, [10**400, 0])
+    with pytest.raises(ValueError):
+        sign_vector([1 + 2j, 1], tol=0.5)
 
 
 def test_probe_zero_candidate_nowhere_negative():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from signchange.oracles import SWEEP_WEIGHTS_EXACT, pattern_grid
+from batching import assert_rows_equal, batches, rowwise
+from signchange.oracles import SWEEP_WEIGHTS, SWEEP_WEIGHTS_EXACT, pattern_grid
 from signchange.subgradients import (
     GapParams,
     GapProfile,
@@ -22,6 +24,13 @@ signs = st.sampled_from((-1, 0, 1))
 patterns = st.lists(signs, min_size=2, max_size=6).map(tuple)
 topologies = st.sampled_from(list(Topology))
 weight_pairs = st.sampled_from(SWEEP_WEIGHTS_EXACT)
+# int, float and Fraction weights on the positive branch, then on either sign
+positive_branch = st.sampled_from(
+    SWEEP_WEIGHTS_EXACT + SWEEP_WEIGHTS + [(Fraction(1, 3), 1), (0.3, 3), (Fraction(1, 2), 0.75)]
+)
+any_branch = positive_branch | st.sampled_from(
+    [(-0.5, -2.0), (0.25, -0.5), (Fraction(-1, 4), 1), (Fraction(1, 5), -3)]
+)
 
 
 @pytest.mark.parametrize(
@@ -33,7 +42,10 @@ def test_gap_params_accepts_valid_weights(k_y, k_x):
     assert abs(params.k_y) <= Fraction(1, 2) <= abs(params.k_x)
 
 
-@pytest.mark.parametrize("k_y,k_x", [(0.6, 1.0), (0.3, 0.4), (0.0, 1.0), (0.5, 0.25)])
+@pytest.mark.parametrize(
+    "k_y,k_x",
+    [(0.6, 1.0), (0.3, 0.4), (0.0, 1.0), (0.5, 0.25), (0.25, math.inf), (0.25, -math.inf)],
+)
 def test_gap_params_rejects_invalid_weights(k_y, k_x):
     with pytest.raises(ValueError):
         GapParams(k_y=k_y, k_x=k_x)
@@ -222,3 +234,65 @@ def test_profile_csv_layout():
     assert lines[-1] == "0.5,-6.0"
     with pytest.raises(ValueError):
         profile_csv(profile, step=Fraction(0))
+
+
+@given(batches(), positive_branch, topologies)
+def test_zero_direction_batch_matches_rows(x, weights, topo):
+    params = GapParams(*weights)
+    expected = rowwise(lambda row: zero_direction_gap(row, params, topo), x)
+    assert_rows_equal(zero_direction_gap(x, params, topo), expected)
+
+
+@given(st.data(), any_branch, topologies)
+def test_decoupled_batch_matches_rows(data, weights, topo):
+    # x and d of independent kinds: int + int, float + float and every mix
+    x = data.draw(batches())
+    d = data.draw(batches(shape=x.shape))
+    params = GapParams(*weights)
+    expected = rowwise(lambda p, q: decoupled_gap(p, q, params, topo), x, d)
+    if expected is None:
+        with pytest.raises(ValueError):
+            decoupled_gap(x, d, params, topo)
+    else:
+        assert_rows_equal(decoupled_gap(x, d, params, topo), expected)
+
+
+def test_decoupled_batch_int64_overflow():
+    # both sums in row 0 wrap to -2^63 in int64; the true sums are positive
+    x = np.array([[2**62, -1, 2**63 - 1], [1, -1, 0]], dtype=np.int64)
+    d = np.array([[2**62, 0, 1], [0, 0, 0]], dtype=np.int64)
+    params = GapParams(Fraction(1, 4), Fraction(1))
+    expected = [decoupled_gap(p, q, params, Topology.LINEAR) for p, q in zip(x, d)]
+    assert expected[0] == Fraction(-15, 2)
+    assert_rows_equal(decoupled_gap(x, d, params, Topology.LINEAR), expected)
+
+
+def test_batch_gap_validation():
+    params = GapParams(Fraction(1, 4), Fraction(1))
+    x = pattern_grid(3)
+    with pytest.raises(ValueError):
+        decoupled_gap(x, np.zeros((len(x), 2)), params)
+    with pytest.raises(ValueError):
+        decoupled_gap(x, [0, 0, 0], params)
+    assert zero_direction_gap(np.zeros((0, 3)), params).shape == (0,)
+    assert decoupled_gap(np.zeros((0, 3)), np.zeros((0, 3)), params).shape == (0,)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_batch_gaps_match_scalar_sweep(n):
+    # the per-pattern loop that the qhat_identity oracles ran before they
+    # went over to one batch call per topology and weight pair
+    patterns = pattern_grid(n)
+    zero = np.zeros_like(patterns)
+    rows = [tuple(row) for row in patterns.tolist()]
+    for topo in Topology:
+        for ky, kx in SWEEP_WEIGHTS_EXACT:
+            params = GapParams(k_y=ky, k_x=kx)
+            assert_rows_equal(
+                zero_direction_gap(patterns, params, topo),
+                [zero_direction_gap(row, params, topo) for row in rows],
+            )
+            assert_rows_equal(
+                decoupled_gap(patterns, zero, params, topo),
+                [decoupled_gap(row, [0] * n, params, topo) for row in rows],
+            )

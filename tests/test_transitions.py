@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from batching import assert_rows_equal, batches, rowwise, weights
 from signchange.counting import count_nonzero
 from signchange.transitions import (
     Hessian2,
@@ -261,3 +262,43 @@ def test_pair_statistics_need_two_components(call):
     for x in ([1.0], [0], np.array([-2.5])):
         with pytest.raises(ValueError):
             call(x)
+
+
+@given(batches(), weights, topologies)
+def test_norm_batch_matches_rows(x, k, topo):
+    expected = rowwise(lambda row: transition_norm_sq(row, k, topo), x)
+    assert_rows_equal(transition_norm_sq(x, k, topo), expected)
+
+
+@given(batches(), weights)
+def test_hadamard_batch_matches_rows(x, k):
+    batch = hadamard_norm_sq(x, k)
+    expected = rowwise(lambda row: hadamard_norm_sq(row, k), x)
+    assert batch.dtype == np.float64 and batch.shape == (len(x),)
+    if (Fraction(k) * 8).denominator == 1:
+        # dyadic weights: every product and sum is exact, whatever the order
+        assert batch.tolist() == expected
+    else:
+        assert batch.tolist() == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@given(batches(), st.floats(1e-12, 10.0), topologies)
+def test_smoothed_batch_matches_rows(x, eps, topo):
+    batch = smoothed_sign_changes(x, eps, topo)
+    assert batch.dtype == np.float64
+    assert batch.tolist() == rowwise(lambda row: smoothed_sign_changes(row, eps, topo), x)
+
+
+BATCH_CALLS = [
+    lambda x: transition_norm_sq(x, Fraction(1, 3)),
+    lambda x: hadamard_norm_sq(x, 0.5),
+    lambda x: smoothed_sign_changes(x, 1e-3, Topology.LINEAR),
+]
+
+
+@pytest.mark.parametrize("call", BATCH_CALLS)
+def test_batch_validation(call):
+    assert call(np.zeros((0, 3))).shape == (0,)
+    for bad in (np.zeros((2, 1)), np.array([[1.0, math.nan]]), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            call(bad)
