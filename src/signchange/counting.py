@@ -143,13 +143,14 @@ def is_count_subgradient(x: Iterable[float], candidate: Iterable[float]) -> bool
 def _unit_magnitudes(x) -> np.ndarray:
     """|x| / 2^e as float64, with 2^e the power of two just above max |x|.
 
-    Scaling by a power of two is exact in binary floating point, so ratios of
-    norms are unchanged for float input.  Other entries are scaled at their
-    exact values before rounding, so none overflows float64 and a nonzero
-    vector never rounds to the origin.
+    Float arrays are scaled in float64 (other precisions are converted
+    first); scaling by a power of two is exact in binary floating point, so
+    ratios of norms are those of the float64 image.  Other entries are
+    scaled at their exact values before rounding, so none overflows float64
+    and a nonzero vector never rounds to the origin.
     """
     if isinstance(x, np.ndarray) and x.dtype.kind == "f":
-        mags = np.abs(x)
+        mags = np.abs(x if x.dtype == np.float64 else as_vector(x))
         return np.ldexp(mags, -math.frexp(mags.max())[1])
     values = x.tolist() if isinstance(x, np.ndarray) else x
     mags = [abs(Fraction(float(v) if isinstance(v, np.floating) else v)) for v in values]

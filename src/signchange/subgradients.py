@@ -86,9 +86,9 @@ def _displaced(x: Iterable[float], d: Iterable[float]) -> tuple[list, list]:
 def _moved_signs(x: np.ndarray, d) -> np.ndarray:
     """Signs of x + d for a 2-D array x of points and d of the same shape.
 
-    Two integer arrays add in int64 unless a sum overflows, two float arrays
-    in float64; every other pair, and an overflowing one, adds row by row
-    through _displaced.  Each way the sums are those of the 1-D call.
+    Two integer arrays add in int64 unless a sum overflows; every other pair,
+    and an overflowing one, adds row by row through _displaced.  Each way the
+    sums are those of the 1-D call.
     """
     d = np.asarray(d)
     if d.shape != x.shape:
@@ -99,9 +99,6 @@ def _moved_signs(x: np.ndarray, d) -> np.ndarray:
         total = a + b
         if not np.any((a ^ total) & (b ^ total) < 0):
             return _signs(total, batch=True)
-    elif kinds == {"f"} and max(x.dtype.itemsize, d.dtype.itemsize) <= 8:
-        with np.errstate(over="ignore"):
-            return _signs(x.astype(np.float64) + d.astype(np.float64), batch=True)
     rows = [_signs(_displaced(p, q)[1]) for p, q in zip(x, d)]
     return np.array(rows, dtype=np.int8).reshape(x.shape)
 

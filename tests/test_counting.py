@@ -128,6 +128,17 @@ def test_minorant_gap_beyond_float64():
         assert sign_minorant_gap(x) == pytest.approx(2.0 - math.sqrt(2.0))
 
 
+def test_minorant_gap_narrow_floats_match_float64():
+    # float16 and float32 input is widened before the sums, so the result is
+    # that of the float64 copy bit for bit, and float16 sums cannot overflow
+    x = np.array([1.0, 1e-3, 0.3, -2.5], dtype=np.float32)
+    assert sign_minorant_gap(x) == sign_minorant_gap(x.astype(np.float64))
+    near_one = np.full(70_000, 0.99, dtype=np.float16)  # float16 sum: inf
+    gap = sign_minorant_gap(near_one)
+    assert gap == sign_minorant_gap(near_one.astype(np.float64))
+    assert gap == pytest.approx(70_000 - math.sqrt(70_000))
+
+
 def test_float_conversion_beyond_range_is_value_error():
     with pytest.raises(ValueError, match="float64 range"):
         sign_vector([10**400, 1], tol=0.5)
