@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .counting import as_vector
-from .transitions import Topology, sign_changes
+from .transitions import Topology, _transition_values, sign_changes
 
 __all__ = [
     "OneDProblem",
@@ -181,15 +181,6 @@ def curves_csv_1d(problem: OneDProblem, grid_points: int = 1000) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pair_weights(k, pairs: list[tuple[int, int]]):
-    if isinstance(k, numbers.Real):
-        return [float(k)] * len(pairs)
-    weights = [float(v) for v in k]
-    if len(weights) != len(pairs):
-        raise ValueError("need one pair weight per adjacency pair")
-    return weights
-
-
 def lagrangian_residual(
     z: Sequence[int],
     multipliers: Iterable[float],
@@ -205,20 +196,17 @@ def lagrangian_residual(
     pattern = tuple(int(v) for v in z)
     if any(v not in (-1, 0, 1) for v in pattern):
         raise ValueError("candidate must be a sign pattern")
-    n = len(pattern)
     lam = as_vector(multipliers)
     dd = as_vector(d)
-    if lam.size != n or dd.size != n:
+    if lam.size != len(pattern) or dd.size != len(pattern):
         raise ValueError("multipliers and direction must match the candidate dimension")
-    pairs = topology.pairs(n)
-    weights = _pair_weights(k, pairs)
-    total = float(sign_changes(pattern, topology))
-    for i in range(n):
-        total += float(lam[i]) * float(dd[i]) * (1.0 - 3.0 * pattern[i] * pattern[i])
-    for (i, j), w in zip(pairs, weights):
-        prod = float(dd[i]) * float(dd[j])
-        total -= (float(dd[i]) + float(dd[j]) + w * prod) ** 2 * (prod - 1.0) ** 2
-    return total
+    a, b = topology.neighbors(dd)
+    weights = float(k) if isinstance(k, numbers.Real) else as_vector(k)
+    if np.ndim(weights) and weights.size != a.size:
+        raise ValueError("need one pair weight per adjacency pair")
+    stationarity = np.dot(lam * dd, 1.0 - 3.0 * np.square(pattern))
+    pair_terms = np.sum(_transition_values(a, b, weights) ** 2)
+    return float(sign_changes(pattern, topology) + stationarity - pair_terms)
 
 
 def _check_open_angle(phi: float) -> float:

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -153,9 +153,9 @@ def build_4d_system(z: Sequence[int], mu: Sequence[int] | None = None) -> PolySy
         else:
             term = _poly_scale(d[i], mu[i])
         main = _poly_add(main, term)
-    for i, j in Topology.CIRCULAR.pairs(4):
-        s = _poly_add(d[i], d[j])
-        p = _poly_add(_poly_mul(d[i], d[j]), _poly_scale(one, -1))
+    for di, dj in zip(d, d[1:] + d[:1]):
+        s = _poly_add(di, dj)
+        p = _poly_add(_poly_mul(di, dj), _poly_scale(one, -1))
         main = _poly_add(main, _poly_mul(_poly_mul(s, s), _poly_mul(p, p)))
     t = sign_changes(pattern, Topology.CIRCULAR)
     main = _poly_add(main, _poly_scale(one, -t))
@@ -383,8 +383,7 @@ class FeasibilityResult:
     t: int
     n_directions: int
     feasible: bool
-    witness: tuple[Fraction, ...] | None
-    certificate: Certificate | None
+    certificate: Certificate
 
 
 def finite_direction_feasibility(z: Sequence[int]) -> FeasibilityResult:
@@ -399,8 +398,9 @@ def finite_direction_feasibility(z: Sequence[int]) -> FeasibilityResult:
     conflicts on axis 0 (mu_0 = 2 against -2).  So every candidate is
     infeasible; the certificate names the first conflicting axis in index
     order, with equation indices in lattice_directions' lexicographic order.
-    The registered oracle feasibility_n4 cross-checks this against exact
-    Gauss-Jordan elimination (solve_rational_system) over all directions.
+    The registered oracle feasibility_n4 recombines every certificate on
+    independently enumerated directions and cross-checks one representative
+    candidate against exact Gauss-Jordan elimination (solve_rational_system).
     """
     pattern = tuple(int(v) for v in z)
     n = len(pattern)
@@ -426,7 +426,6 @@ def finite_direction_feasibility(z: Sequence[int]) -> FeasibilityResult:
             t=t,
             n_directions=3**n - 1,
             feasible=False,
-            witness=None,
             certificate=Certificate(
                 kind="axis_conflict",
                 equation_indices=tuple(
@@ -451,37 +450,28 @@ def feasibility_report(result: FeasibilityResult) -> dict:
         "feasible": result.feasible,
         "admissible_rho_squared": list(ADMISSIBLE_RHO_SQUARED),
     }
-    if result.witness is not None:
-        report["witness"] = [str(v) for v in result.witness]
-    if result.certificate is not None:
-        cert = result.certificate
-        payload = {
-            "kind": cert.kind,
-            "equations": list(cert.equation_indices),
-            "directions": [list(d) for d in cert.directions],
-            "coefficients": [str(c) for c in cert.coefficients],
-            "combination_value": str(cert.value),
-        }
-        if cert.axis is not None:
-            payload["axis"] = cert.axis
-            payload["forced_values"] = [str(v) for v in cert.forced_values]
-        report["certificate"] = payload
+    cert = result.certificate
+    payload = {
+        "kind": cert.kind,
+        "equations": list(cert.equation_indices),
+        "directions": [list(d) for d in cert.directions],
+        "coefficients": [str(c) for c in cert.coefficients],
+        "combination_value": str(cert.value),
+    }
+    if cert.axis is not None:
+        payload["axis"] = cert.axis
+        payload["forced_values"] = [str(v) for v in cert.forced_values]
+    report["certificate"] = payload
     return report
 
 
 def grid_feasibility_summary() -> dict:
     """Run the finite-direction check over the whole 4-D sign grid."""
-    feasible = []
-    infeasible = 0
-    for z in product((-1, 0, 1), repeat=4):
-        result = finite_direction_feasibility(z)
-        if result.feasible:
-            feasible.append(list(z))
-        else:
-            infeasible += 1
+    results = [finite_direction_feasibility(z) for z in product((-1, 0, 1), repeat=4)]
+    feasible = [list(r.candidate) for r in results if r.feasible]
     return {
         "grid_size": 3**4,
-        "infeasible": infeasible,
+        "infeasible": len(results) - len(feasible),
         "feasible": len(feasible),
         "feasible_candidates": feasible,
     }

@@ -23,7 +23,7 @@ from .transitions import (
     Topology,
     _check_weight,
     _norm_sq,
-    _per_distinct,
+    _per_row,
     pair_counts,
     pair_stats,
     transition_norm_sq,
@@ -83,13 +83,17 @@ def _displaced(x: Iterable[float], d: Iterable[float]) -> tuple[list, list]:
         raise ValueError(_NOT_A_VECTOR) from None
 
 
-def _moved_signs(x: np.ndarray, d) -> np.ndarray:
-    """Signs of x + d for a 2-D array x of points and d of the same shape.
+def _displaced_signs(x, d) -> tuple[np.ndarray, np.ndarray]:
+    """Signs of x and of x + d, for one vector or a 2-D array x of points with
+    d of the same shape.
 
-    Two integer arrays add in int64 unless a sum overflows; every other pair,
-    and an overflowing one, adds row by row through _displaced.  Each way the
-    sums are those of the 1-D call.
+    One vector adds through _displaced.  Two integer arrays add in int64
+    unless a sum overflows; every other pair of arrays, and an overflowing
+    one, adds row by row through _displaced.  Each way the sums are those of
+    the 1-D call.
     """
+    if not _is_batch(x):
+        return tuple(map(_signs, _displaced(x, d)))
     d = np.asarray(d)
     if d.shape != x.shape:
         raise ValueError("dimension mismatch between point and displacement")
@@ -98,9 +102,9 @@ def _moved_signs(x: np.ndarray, d) -> np.ndarray:
         a, b = x.astype(np.int64), d.astype(np.int64)
         total = a + b
         if not np.any((a ^ total) & (b ^ total) < 0):
-            return _signs(total, batch=True)
+            return _signs(x, batch=True), _signs(total, batch=True)
     rows = [_signs(_displaced(p, q)[1]) for p, q in zip(x, d)]
-    return np.array(rows, dtype=np.int8).reshape(x.shape)
+    return _signs(x, batch=True), np.array(rows, dtype=np.int8).reshape(x.shape)
 
 
 def decoupled_gap(
@@ -116,18 +120,12 @@ def decoupled_gap(
     with d of the same shape gives an object array with one value per row,
     equal in value and type to the call on that row.
     """
-    if _is_batch(x):
-        moved = pair_stats(_moved_signs(x, d), topology)
-        base = pair_stats(_signs(x, batch=True), topology)
+    base, moved = _displaced_signs(x, d)
 
-        def gap(weak_y, flips_y, weak_x, flips_x):
-            return _norm_sq(weak_y, flips_y, params.k_y) - _norm_sq(weak_x, flips_x, params.k_x)
+    def gap(weak_y, flips_y, weak_x, flips_x):
+        return _norm_sq(weak_y, flips_y, params.k_y) - _norm_sq(weak_x, flips_x, params.k_x)
 
-        return _per_distinct(gap, *moved, *base)
-    base, moved = _displaced(x, d)
-    return transition_norm_sq(moved, params.k_y, topology) - transition_norm_sq(
-        base, params.k_x, topology
-    )
+    return _per_row(gap, *pair_stats(moved, topology), *pair_stats(base, topology))
 
 
 def zero_direction_gap(
@@ -149,19 +147,12 @@ def zero_direction_gap(
     k_y, k_x = params.k_y, params.k_x
     if not 0 < k_y <= Fraction(1, 2) <= k_x:
         raise ValueError("closed form requires the positive branch 0 < k_y <= 1/2 <= k_x")
-    batch = _is_batch(x)
-    a, b = topology.neighbors(_signs(x, batch).astype(np.int64))
+    a, b = topology.neighbors(_signs(x, _is_batch(x)).astype(np.int64))
     prod = a * b
     damp = (prod - 1) ** 2
     quadratic = np.sum(damp * prod * prod, axis=-1)
     linear = np.sum(damp * 2 * prod * (a + b), axis=-1)
-
-    def closing(quadratic: int, linear: int):
-        return (k_y - k_x) * ((k_y + k_x) * quadratic + linear)
-
-    if batch:
-        return _per_distinct(closing, quadratic, linear)
-    return closing(int(quadratic), int(linear))
+    return _per_row(lambda q, l: (k_y - k_x) * ((k_y + k_x) * q + l), quadratic, linear)
 
 
 @dataclass(frozen=True)

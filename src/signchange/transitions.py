@@ -60,11 +60,6 @@ class Topology(enum.Enum):
             return arr, np.concatenate((arr[..., 1:], arr[..., :1]), axis=-1)
         return arr[..., :-1], arr[..., 1:]
 
-    def pairs(self, n: int) -> list[tuple[int, int]]:
-        """Index pairs (i, j) of the adjacency, in the order of neighbors."""
-        a, b = self.neighbors(np.arange(n))
-        return list(zip(a.tolist(), b.tolist()))
-
     @classmethod
     def from_name(cls, name: str) -> "Topology":
         try:
@@ -107,9 +102,10 @@ class TransitionVector:
 
 
 def transition_map(x: Iterable[float], k, topology: Topology = Topology.CIRCULAR) -> TransitionVector:
-    a, b = topology.neighbors(_signs(x))
-    values = tuple(transition_component(p, q, k) for p, q in zip(a.tolist(), b.tolist()))
-    return TransitionVector(values=values, k=k, topology=topology)
+    # Python-int signs: each value has transition_component's value and type
+    _check_weight(k)
+    a, b = topology.neighbors(_signs(x).astype(object))
+    return TransitionVector(values=tuple(_transition_values(a, b, k).tolist()), k=k, topology=topology)
 
 
 def pair_stats(signs: np.ndarray, topology: Topology):
@@ -143,13 +139,16 @@ def _norm_sq(weak: int, flips: int, k):
     return weak + 4 * k * k * flips
 
 
-def _per_distinct(formula, *columns: np.ndarray) -> np.ndarray:
-    """formula(*ints) for every row of the integer columns, as an object array.
+def _per_row(formula, *columns):
+    """formula(*ints) on the integer statistics of one vector (scalars),
+    or on every row of a batch's (1-D columns) as an object array.
 
-    The formula runs once per distinct tuple of column values and its result
-    is broadcast back to the rows, so exact weights cost a handful of rational
-    operations per batch however many rows it has.
+    On a batch the formula runs once per distinct tuple of column values and
+    its result is broadcast back to the rows, so exact weights cost a handful
+    of rational operations per batch however many rows it has.
     """
+    if not isinstance(columns[0], np.ndarray):
+        return formula(*(int(c) for c in columns))
     keys, inverse = np.unique(np.stack(columns, axis=-1), axis=0, return_inverse=True)
     values = np.empty(len(keys), dtype=object)
     values[:] = [formula(*key) for key in keys.tolist()]
@@ -165,11 +164,8 @@ def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRC
     row, equal in value and type to the call on that row.
     """
     _check_weight(k)
-    if _is_batch(x):
-        weak, flips = pair_stats(_signs(x, batch=True), topology)
-        return _per_distinct(lambda w, f: _norm_sq(w, f, k), weak, flips)
-    weak, flips = pair_counts(x, topology)
-    return _norm_sq(weak, flips, k)
+    weak, flips = pair_stats(_signs(x, _is_batch(x)), topology)
+    return _per_row(lambda w, f: _norm_sq(w, f, k), weak, flips)
 
 
 def hadamard_norm_sq(x: Iterable[float], k) -> float:

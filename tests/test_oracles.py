@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from signchange import oracles
+from signchange.counting import sign_minorant_gap
 from signchange.oracles import (
     EXPECTED_2EIG_UPPER,
     GridTable,
@@ -18,7 +21,17 @@ from signchange.oracles import (
     pattern_grid,
     run_oracle,
 )
-from signchange.transitions import Topology, pair_counts, pair_stats, sign_changes
+from signchange.polysys import finite_direction_feasibility
+from signchange.subgradients import zero_direction_gap
+from signchange.transitions import (
+    Topology,
+    hadamard_norm_sq,
+    pair_counts,
+    pair_stats,
+    sign_changes,
+    smoothed_sign_changes,
+    symmetric2_eigenvalues,
+)
 
 dims = st.integers(min_value=2, max_value=6)
 
@@ -210,3 +223,57 @@ def test_grid_table_type():
     assert isinstance(table, GridTable)
     assert table.t.max() <= 2
     assert sign_changes((1, -1, 1), Topology.LINEAR) == 2
+
+
+def _negated_flips(signs, topology):
+    weak, flips = pair_stats(signs, topology)
+    return weak, -flips
+
+
+def _nan_flips(signs, topology):
+    weak, flips = pair_stats(signs, topology)
+    return weak, flips * np.nan
+
+
+def _bent_certificate(z):
+    result = finite_direction_feasibility(z)
+    cert = result.certificate
+    return replace(result, certificate=replace(cert, value=cert.value + 1))
+
+
+# (oracle, name it calls from the library, a wrong stand-in, its passing check count)
+BROKEN_LIBRARY = [
+    ("library_crosscheck_n3", "pair_counts", lambda x, topology: (0, 0), 162),
+    ("ft_inequality_n3", "pair_stats", _negated_flips, 17496),
+    ("coupled_equality_n3", "pair_stats", _nan_flips, 1512),
+    ("bound_chain_n3", "pair_stats", _negated_flips, 594),
+    ("zero_set_n3", "pair_stats", _negated_flips, 270),
+    ("hadamard_n3", "hadamard_norm_sq", lambda x, k: hadamard_norm_sq(x, k) + 1.0, 81),
+    (
+        "qhat_identity_n3",
+        "zero_direction_gap",
+        lambda x, params, topology: zero_direction_gap(x, params, topology) + 1,
+        1944,
+    ),
+    (
+        "smoothing_n3",
+        "smoothed_sign_changes",
+        lambda x, eps, topology: smoothed_sign_changes(x, eps, topology) + 1.0,
+        270,
+    ),
+    ("feasibility_n4", "finite_direction_feasibility", _bent_certificate, 162),
+    ("hadamard_random", "hadamard_norm_sq", lambda x, k: hadamard_norm_sq(x, k) + 1.0, 1000),
+    ("hessian_table", "symmetric2_eigenvalues", lambda h: symmetric2_eigenvalues(h)[::-1], 72),
+    ("signminor_random", "sign_minorant_gap", lambda x: sign_minorant_gap(x) - 1.0, 10003),
+]
+
+
+@pytest.mark.parametrize(
+    "name,target,wrong,golden", BROKEN_LIBRARY, ids=[case[0] for case in BROKEN_LIBRARY]
+)
+def test_oracle_reports_a_wrong_library_value(monkeypatch, name, target, wrong, golden):
+    monkeypatch.setattr(oracles, target, wrong)
+    report = run_oracle(name)
+    assert report.passed is False
+    assert report.counterexample
+    assert 0 < report.checks <= golden

@@ -30,13 +30,6 @@ patterns = st.lists(signs, min_size=2, max_size=8).map(tuple)
 topologies = st.sampled_from(list(Topology))
 
 
-def test_pairs_layout():
-    assert Topology.CIRCULAR.pairs(4) == [(0, 1), (1, 2), (2, 3), (3, 0)]
-    assert Topology.LINEAR.pairs(4) == [(0, 1), (1, 2), (2, 3)]
-    with pytest.raises(ValueError):
-        Topology.CIRCULAR.pairs(0)
-
-
 def test_topology_from_name():
     assert Topology.from_name("circular") is Topology.CIRCULAR
     assert Topology.from_name("LINEAR") is Topology.LINEAR
@@ -69,6 +62,18 @@ def test_component_rejects_non_signs():
         transition_component(2, 0, 0.5)
     with pytest.raises(ValueError):
         transition_component(0, 1, math.inf)
+
+
+@pytest.mark.parametrize("k", [300, Fraction(1, 3), 0.5])
+@pytest.mark.parametrize("topo", list(Topology))
+def test_transition_map_matches_components(k, topo):
+    # 300 flips to 2k = 600, beyond int8; each value keeps the component's type
+    for pattern in product((-1, 0, 1), repeat=4):
+        n = len(pattern)
+        pairs = range(n if topo is Topology.CIRCULAR else n - 1)
+        expected = [transition_component(pattern[i], pattern[(i + 1) % n], k) for i in pairs]
+        values = transition_map(pattern, k, topo).values
+        assert [(type(v), v) for v in values] == [(type(v), v) for v in expected]
 
 
 def test_sign_change_example_vector():
