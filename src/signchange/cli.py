@@ -49,40 +49,18 @@ examples:
 """
 
 
-class UsageError(Exception):
-    """Bad flag values; reported on stderr with exit code 2."""
-
-
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        values = [float(part) for part in text.split(",")]
+        return np.asarray([float(part) for part in text.split(",")], dtype=float)
     except ValueError:
-        raise UsageError(f"not a comma-separated vector: {text!r}") from None
-    if not values:
-        raise UsageError("empty vector")
-    return np.asarray(values, dtype=float)
-
-
-def _parse_pattern(text: str) -> tuple[int, ...]:
-    vec = _parse_vector(text)
-    pattern = tuple(int(v) for v in vec)
-    if any(p != v for p, v in zip(pattern, vec)) or any(p not in (-1, 0, 1) for p in pattern):
-        raise UsageError(f"not a sign pattern (components in -1,0,1): {text!r}")
-    return pattern
+        raise ValueError(f"not a comma-separated vector: {text!r}") from None
 
 
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"not a rational number: {text!r}") from None
-
-
-def _parse_topology(name: str) -> Topology:
-    try:
-        return Topology.from_name(name)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(f"not a rational number: {text!r}") from None
 
 
 def _jsonable(obj):
@@ -116,7 +94,7 @@ def _emit_json(payload, path: str | None) -> None:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     x = _parse_vector(args.x)
-    topo = _parse_topology(args.topo)
+    topo = Topology.from_name(args.topo)
     k = _parse_fraction(args.k)
     signs = sign_vector(x)
     weak, flips = pair_counts(x, topo)
@@ -144,14 +122,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _emit("\n".join(oracles.list_oracles()), args.out)
         return 0
     if args.oracle is None:
-        raise UsageError("name an oracle, 'all', or pass --list")
+        raise ValueError("name an oracle, 'all', or pass --list")
     names = oracles.list_oracles() if args.oracle == "all" else [args.oracle]
-    reports = []
-    for name in names:
-        try:
-            reports.append(oracles.run_oracle(name))
-        except KeyError as exc:
-            raise UsageError(exc.args[0]) from None
+    try:
+        reports = [oracles.run_oracle(name) for name in names]
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
     payload = [dataclasses.asdict(r) for r in reports]
     _emit_json(payload if args.oracle == "all" else payload[0], args.out)
     return 0 if all(r.passed for r in reports) else 1
@@ -160,7 +136,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     x = _parse_vector(args.x)
     d = _parse_vector(args.d) if args.d is not None else np.zeros_like(x)
-    topo = _parse_topology(args.topo)
+    topo = Topology.from_name(args.topo)
     k_x = _parse_fraction(args.kx)
     step = _parse_fraction(args.step)
     profile = subgradients.gap_profile(x, d, k_x, topo)
@@ -183,7 +159,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_enum(args: argparse.Namespace) -> int:
-    topo = _parse_topology(args.topo)
+    topo = Topology.from_name(args.topo)
     table = oracles.enumerate_grid(args.n, topo)
     if args.format == "csv":
         first = None if args.first_component is None else int(args.first_component)
@@ -225,14 +201,8 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
 
 
 def _cmd_polysys(args: argparse.Namespace) -> int:
-    z = _parse_pattern(args.z)
-    mu = None
-    if args.mu is not None:
-        vec = _parse_vector(args.mu)
-        if any(v != int(v) for v in vec):
-            raise UsageError("multipliers must be integers for exact substitution")
-        mu = [int(v) for v in vec]
-    system = polysys.build_4d_system(z, mu=mu)
+    mu = None if args.mu is None else _parse_vector(args.mu)
+    system = polysys.build_4d_system(_parse_vector(args.z), mu=mu)
     _emit(polysys.export_system(system, fmt=args.format), args.out)
     return 0
 
@@ -241,8 +211,7 @@ def _cmd_feascheck(args: argparse.Namespace) -> int:
     if args.all:
         _emit_json(polysys.grid_feasibility_summary(), args.out)
         return 0
-    z = _parse_pattern(args.z)
-    result = polysys.finite_direction_feasibility(z)
+    result = polysys.finite_direction_feasibility(_parse_vector(args.z))
     _emit_json(polysys.feasibility_report(result), args.out)
     return 0
 
@@ -334,9 +303,6 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,8 @@ minorant |x|_1 / |x|_2 bounds the count from below away from the origin.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -30,12 +32,91 @@ __all__ = [
 ]
 
 
+_NOT_A_VECTOR = "expected a nonempty 1-D real vector"
+_FLOAT_TYPES = (float, np.floating)
+# the largest table the library builds: the 3^12 rows of the n = 12 pattern grid
+_MAX_ROWS = 3**12
+
+
+def _finite(value) -> bool:
+    """The one scalar rule: ints and Fractions are finite without a float
+    conversion (which could overflow); any other real must pass math.isfinite."""
+    return isinstance(value, numbers.Rational) or (
+        isinstance(value, numbers.Real) and math.isfinite(value)
+    )
+
+
+def _real(value, name: str) -> float:
+    """A float parameter: a finite real value, converted once to float64."""
+    if not (_finite(value) and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite real number within the float64 range")
+    return float(value)
+
+
+def _check_rows(rows: int, what: str, least: int = 1) -> None:
+    """Refuse, before any allocation, a table estimated outside least.._MAX_ROWS rows."""
+    if not least <= rows <= _MAX_ROWS:
+        raise ValueError(f"{what} would have {rows} rows; it needs {least} to {_MAX_ROWS}")
+
+
+def _vector(x, batch: bool = False):
+    """x read as a nonempty 1-D real vector (with batch=True, a 2-D array of
+    them): a numeric array as it is, any other iterable as a list or tuple.
+    Float entries must be finite; callers that compare or convert the other
+    entries turn a TypeError into ValueError(_NOT_A_VECTOR)."""
+    if isinstance(x, np.ndarray):
+        if x.ndim != 1 + batch or x.shape[-1] == 0 or x.dtype.kind not in "fiubO":
+            raise ValueError(_NOT_A_VECTOR)
+        if x.dtype.kind == "f" and not np.isfinite(x).all():
+            raise ValueError("vector entries must be finite")
+        if x.dtype.kind != "O":
+            return x
+        values = x.ravel()
+    else:
+        try:
+            x = values = x if isinstance(x, (list, tuple)) else list(x)
+        except TypeError:
+            raise ValueError(_NOT_A_VECTOR) from None
+        if not values:
+            raise ValueError(_NOT_A_VECTOR)
+    # a type test per entry, not an ABC test: this pass runs over every exact list
+    if any(isinstance(v, _FLOAT_TYPES) and not math.isfinite(v) for v in values):
+        raise ValueError("vector entries must be finite")
+    return x
+
+
+def _sign_pattern(z, length: int | None = None) -> tuple[int, ...]:
+    """z as a tuple of ints, once each entry equals -1, 0 or 1 and z has the given length."""
+    values = _vector(z)
+    signs = all(_finite(v) and v in (-1, 0, 1) for v in values)
+    if not signs or length not in (None, len(values)):
+        raise ValueError(f"expected a sign pattern (entries in -1, 0, 1) of length {length or 'n'}")
+    return tuple(int(v) for v in values)
+
+
+def _displaced(x, d) -> tuple[Sequence, list]:
+    """(x, x + d) for vectors of one length, added element by element.
+
+    Integer arrays become Python ints, which cannot overflow, and a float
+    beside an int or Fraction counts at its exact value, so the signs taken
+    from x + d downstream are the true ones, beyond float64 too.
+    """
+    base, step = (v.tolist() if isinstance(v, np.ndarray) else v for v in map(_vector, (x, d)))
+    if len(base) != len(step):
+        raise ValueError("dimension mismatch between point and displacement")
+    try:
+        return base, [
+            a + b if isinstance(a, float) == isinstance(b, float) else Fraction(a) + Fraction(b)
+            for a, b in zip(base, step)
+        ]
+    except TypeError:
+        raise ValueError(_NOT_A_VECTOR) from None
+
+
 def sign(value: float, tol: float = 0.0) -> int:
     """Componentwise sign in {-1, 0, +1}; |value| <= tol maps to 0."""
-    if not math.isfinite(value):
-        raise ValueError(f"sign is undefined for non-finite value {value!r}")
-    if tol < 0.0:
-        raise ValueError("tolerance must be nonnegative")
+    if not (_finite(value) and _finite(tol) and tol >= 0):
+        raise ValueError(f"sign needs finite value and tol >= 0, got {value!r}, {tol!r}")
     if value > tol:
         return 1
     if value < -tol:
@@ -43,38 +124,23 @@ def sign(value: float, tol: float = 0.0) -> int:
     return 0
 
 
-_NOT_A_VECTOR = "expected a nonempty 1-D real vector"
-_FLOAT_TYPES = (float, np.floating)
-
-
 def _signs(x, batch: bool = False) -> np.ndarray:
-    """Componentwise signs of a nonempty 1-D real vector as an int8 array.
+    """Componentwise signs of x, read by _vector, as an int8 array."""
+    return _sign_array(_vector(x, batch))
 
-    Float and integer arrays go through np.sign (floats after a finiteness
-    check).  Anything else is signed element by element with comparisons
-    against 0, so ints and Fractions never pass through float64 and keep
-    their signs beyond its range and resolution.  With batch=True, x must be
-    a 2-D array of such vectors (rows) and the result is 2-D.
-    """
-    if isinstance(x, np.ndarray):
-        if x.ndim != 1 + batch or x.shape[-1] == 0 or x.dtype.kind not in "fiubO":
-            raise ValueError(_NOT_A_VECTOR)
-        if x.dtype.kind == "f" and not np.isfinite(x).all():
-            raise ValueError("vector entries must be finite")
-        if x.dtype.kind in "fiu":
-            return np.sign(x).astype(np.int8)
-        if batch:
-            return np.array([_signs(row) for row in x], dtype=np.int8).reshape(x.shape)
+
+def _sign_array(values) -> np.ndarray:
+    """Signs of a vector or batch already read by _vector: np.sign on float
+    and integer arrays, else comparisons against 0 entry by entry, so ints and
+    Fractions never pass through float64 and keep their signs beyond it."""
+    is_array = isinstance(values, np.ndarray)
+    if is_array and values.dtype.kind in "fiu":
+        return np.sign(values).astype(np.int8)
     try:
-        values = x if isinstance(x, (list, tuple, np.ndarray)) else list(x)
-        signs = [1 if v > 0 else -1 if v < 0 else 0 for v in values]
+        signs = [1 if v > 0 else -1 if v < 0 else 0 for v in (values.ravel() if is_array else values)]
     except (TypeError, ValueError):
         raise ValueError(_NOT_A_VECTOR) from None
-    if not signs:
-        raise ValueError(_NOT_A_VECTOR)
-    if any(isinstance(v, _FLOAT_TYPES) and not math.isfinite(v) for v in values):
-        raise ValueError("vector entries must be finite")
-    return np.array(signs, dtype=np.int8)
+    return np.array(signs, dtype=np.int8).reshape(values.shape if is_array else -1)
 
 
 def _is_batch(x) -> bool:
@@ -83,27 +149,25 @@ def _is_batch(x) -> bool:
 
 
 def as_vector(x: Iterable[float]) -> np.ndarray:
-    """Validate and convert to a 1-D float array with finite entries.
-
-    Entries beyond the float64 range raise ValueError, not OverflowError.
-    """
+    """Read x as a vector and convert it to float64; entries beyond its range
+    raise ValueError, not OverflowError."""
     try:
-        arr = np.asarray(list(x) if not isinstance(x, (np.ndarray, list, tuple)) else x, dtype=float)
-    except TypeError:
-        raise ValueError(_NOT_A_VECTOR) from None
-    except OverflowError:
-        raise ValueError("vector entries must lie within the float64 range") from None
-    if arr.ndim != 1 or arr.size == 0:
+        arr = np.asarray(_vector(x), dtype=float)
+    except (TypeError, OverflowError):
+        arr = None
+    # a float wider than float64 can still overflow to inf
+    if arr is None or not np.isfinite(arr).all():
+        raise ValueError("vector entries must be real numbers within the float64 range")
+    if arr.ndim != 1:
         raise ValueError(_NOT_A_VECTOR)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector entries must be finite")
     return arr
 
 
 def sign_vector(x: Iterable[float], tol: float = 0.0) -> tuple[int, ...]:
+    """Componentwise signs; with tol != 0 each entry goes through sign(v, tol)."""
     if tol == 0.0:
         return tuple(_signs(x).tolist())
-    return tuple(sign(v, tol) for v in as_vector(x))
+    return tuple(sign(v, tol) for v in _vector(x))
 
 
 def count_nonzero(x: Iterable[float]) -> int:
@@ -166,11 +230,8 @@ def sign_minorant_gap(x: Iterable[float]) -> float:
     computed on x scaled to unit magnitude, so int and Fraction entries beyond
     float64 and float entries whose squares over- or underflow all work.
     """
-    try:
-        x = x if isinstance(x, (np.ndarray, list, tuple)) else list(x)
-    except TypeError:
-        raise ValueError(_NOT_A_VECTOR) from None
-    count = count_nonzero(x)
+    x = _vector(x)
+    count = int(np.count_nonzero(_sign_array(x)))
     if count == 0:
         raise ValueError("minorant gap is undefined at the origin")
     mags = _unit_magnitudes(x)
@@ -206,11 +267,13 @@ def frechet_inequality_probe(
         raise ValueError("dimension mismatch")
     if samples < 1:
         raise ValueError("need at least one sample")
+    radius = _real(radius, "radius")
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     n = arr.size
 
     m = max(1, math.ceil(math.log2(samples)))
+    _check_rows(2**m, "the Sobol draw")
     unit = qmc.Sobol(d=n, scramble=False).random_base2(m)[:samples]
     offsets = []
     for row in unit:

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counting import as_vector
+from .counting import _check_rows, _real, _sign_pattern, as_vector
 from .transitions import Topology, _transition_values, sign_changes
 
 __all__ = [
@@ -62,8 +62,8 @@ class OneDProblem:
     upper: float = TWO_PI
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.c1, self.sigma, self.lower, self.upper)):
-            raise ValueError("c1, sigma and the interval bounds must be finite")
+        for name in ("c1", "sigma", "lower", "upper"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (self.lower < self.upper):
             raise ValueError("empty interval")
         if self.sigma < 0.0:
@@ -115,8 +115,8 @@ def check_1d_condition(
     Passes when every grid minimum stays above -tol.  The behaviour over
     the full interval is reported alongside but does not enter the flag.
     """
-    if grid_points < 100:
-        raise ValueError("grid must have at least 100 points")
+    _check_rows(grid_points, "the grid", least=100)
+    tol = _real(tol, "tolerance")
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     grid = np.linspace(problem.lower, 0.0, grid_points)
@@ -150,8 +150,7 @@ def global_min_1d(grid_points: int = 10000, problem: OneDProblem | None = None) 
     the leftmost grid point, then three zoom rounds shrink the bracket
     around the incumbent.
     """
-    if grid_points < 100:
-        raise ValueError("grid must have at least 100 points")
+    _check_rows(grid_points, "the grid", least=100)
     p = problem or OneDProblem()
     lo, hi = p.lower, p.upper
     best = lo
@@ -169,8 +168,7 @@ def global_min_1d(grid_points: int = 10000, problem: OneDProblem | None = None) 
 
 def curves_csv_1d(problem: OneDProblem, grid_points: int = 1000) -> str:
     """CSV columns x,f,ineq_a,ineq_b,ineq_c over the full interval."""
-    if grid_points < 2:
-        raise ValueError("need at least two grid points")
+    _check_rows(grid_points, "the grid", least=2)
     grid = np.linspace(problem.lower, problem.upper, grid_points)
     f = objective_1d(grid)
     values = inequality_values_1d(problem, grid)
@@ -193,15 +191,13 @@ def lagrangian_residual(
     z must be a sign pattern; k is a scalar or one weight per adjacency
     pair.  At d = 0 the residual is t(z).
     """
-    pattern = tuple(int(v) for v in z)
-    if any(v not in (-1, 0, 1) for v in pattern):
-        raise ValueError("candidate must be a sign pattern")
+    pattern = _sign_pattern(z)
     lam = as_vector(multipliers)
     dd = as_vector(d)
     if lam.size != len(pattern) or dd.size != len(pattern):
         raise ValueError("multipliers and direction must match the candidate dimension")
     a, b = topology.neighbors(dd)
-    weights = float(k) if isinstance(k, numbers.Real) else as_vector(k)
+    weights = _real(k, "pair weight") if isinstance(k, numbers.Real) else as_vector(k)
     if np.ndim(weights) and weights.size != a.size:
         raise ValueError("need one pair weight per adjacency pair")
     stationarity = np.dot(lam * dd, 1.0 - 3.0 * np.square(pattern))
@@ -210,7 +206,7 @@ def lagrangian_residual(
 
 
 def _check_open_angle(phi: float) -> float:
-    phi = float(phi)
+    phi = _real(phi, "angle")
     if not 0.0 < phi < math.pi:
         raise ValueError("angles must lie in the open interval (0, pi)")
     return phi
@@ -251,6 +247,7 @@ def surface_csv(which: str, resolution: int = 360) -> str:
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
+    _check_rows(resolution**2 if which == "3d" else resolution, "the surface")
     angles = [math.pi * j / (resolution + 1) for j in range(1, resolution + 1)]
     if which == "2d":
         lines = ["phi1,lambda2"]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .counting import _signs, sign_minorant_gap
 from .polysys import finite_direction_feasibility, solve_rational_system
-from .subgradients import GapParams, decoupled_gap, zero_direction_gap
+from .subgradients import GapParams, coupled_subgradient_value, decoupled_gap, zero_direction_gap
 from .transitions import (
     Topology,
     hadamard_norm_sq,
@@ -107,7 +107,7 @@ class GridTable:
 
     def rows(self) -> Iterable[tuple[tuple[int, ...], int]]:
         for pattern, value in zip(self.patterns, self.t):
-            yield tuple(int(v) for v in pattern), int(value)
+            yield tuple(pattern.tolist()), int(value)
 
     def first_component_slices(self) -> dict[int, tuple[int, int]]:
         """Contiguous row ranges per leading component (lex-major order)."""
@@ -335,7 +335,8 @@ def _oracle_coupled_equality(n: int) -> VerifyReport:
         for topology in Topology:
             weak, flips = pair_stats(patterns, topology)
             t = weak + flips
-            coupled = weak + 4.0 * 0.25 * flips
+            # float64, so the 3^n x 3^n comparison below stays out of object arithmetic
+            coupled = coupled_subgradient_value(patterns, topology).astype(float)
             yield coupled != t, lambda r: {"pattern": tuple(patterns[r].tolist())}
             lhs = (t[None, :] - t[:, None]).astype(float)
             yield lhs != coupled[None, :] - coupled[:, None], lambda _: {"topology": topology.value}
@@ -357,7 +358,8 @@ def _oracle_bound_chain(n: int) -> VerifyReport:
                 for k in ks:
                     norm = weak + 4.0 * k * k * flips
                     yield beyond(norm, t), lambda r: {"pattern": tuple(patterns[r].tolist()), "k": k}
-            yield weak + flips != t, lambda _: {"topology": topology.value}
+            norm_half = transition_norm_sq(patterns, 0.5, topology)
+            yield norm_half != t, lambda r: {"pattern": tuple(patterns[r].tolist()), "k": 0.5}
 
     return _sweep(f"bound_chain_n{n}", blocks(), "norm bracket around the count holds at every pattern")
 

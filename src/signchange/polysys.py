@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .counting import _finite, _real, _sign_pattern, as_vector
 from .transitions import Topology, sign_changes
 
 __all__ = [
@@ -118,14 +119,10 @@ def build_4d_system(z: Sequence[int], mu: Sequence[int] | None = None) -> PolySy
     otherwise the given values are substituted.  Coefficients are kept
     integral, so only integer multipliers are accepted here.
     """
-    pattern = tuple(int(v) for v in z)
-    if len(pattern) != 4 or any(v not in (-1, 0, 1) for v in pattern):
-        raise ValueError("candidate must be a 4-component sign pattern")
+    pattern = _sign_pattern(z, 4)
     if mu is not None:
-        if len(mu) != 4:
-            raise ValueError("need four multiplier values")
-        if any(v != int(v) for v in mu):
-            raise ValueError("multiplier substitution requires integers")
+        if len(mu) != 4 or not all(_finite(v) and v == int(v) for v in mu):
+            raise ValueError("multiplier substitution requires four integers")
         mu = [int(v) for v in mu]
         variables = SPHERICAL_VARIABLES
     else:
@@ -264,12 +261,10 @@ def evaluate_system(system: PolySystem, assignment: dict[str, float]) -> list:
 
 def spherical_to_cartesian(rho: float, phis: Sequence[float]) -> np.ndarray:
     """(rho c1, rho c2 s1, rho c3 s1 s2, rho s1 s2 s3) with ci = cos(phi_i)."""
-    if rho < 0:
-        raise ValueError("radius must be nonnegative")
-    if len(phis) != 3:
-        raise ValueError("need exactly three angles")
-    c = np.cos(np.asarray(phis, dtype=float))
-    s = np.sin(np.asarray(phis, dtype=float))
+    rho, phis = _real(rho, "radius"), as_vector(phis)
+    if rho < 0 or phis.size != 3:
+        raise ValueError("need a nonnegative radius and exactly three angles")
+    c, s = np.cos(phis), np.sin(phis)
     return np.array(
         [
             rho * c[0],
@@ -283,9 +278,7 @@ def spherical_to_cartesian(rho: float, phis: Sequence[float]) -> np.ndarray:
 def lattice_directions(z: Sequence[int]) -> list[tuple[int, ...]]:
     """Nonzero integer steps d with z + d still on the sign grid, in
     lexicographic order (3^n - 1 of them)."""
-    pattern = tuple(int(v) for v in z)
-    if any(v not in (-1, 0, 1) for v in pattern):
-        raise ValueError("candidate must be a sign pattern")
+    pattern = _sign_pattern(z)
     options = [tuple(v - zi for v in (-1, 0, 1)) for zi in pattern]
     return [d for d in product(*options) if any(d)]
 
@@ -402,10 +395,8 @@ def finite_direction_feasibility(z: Sequence[int]) -> FeasibilityResult:
     independently enumerated directions and cross-checks one representative
     candidate against exact Gauss-Jordan elimination (solve_rational_system).
     """
-    pattern = tuple(int(v) for v in z)
+    pattern = _sign_pattern(z, 4)
     n = len(pattern)
-    if n != 4 or any(v not in (-1, 0, 1) for v in pattern):
-        raise ValueError("candidate must be a 4-component sign pattern")
     t = sign_changes(pattern, Topology.CIRCULAR)
     # the two nonzero steps a < b per axis, axis by axis
     steps = [a for zi in pattern for a in (-1 - zi, -zi, 1 - zi) if a]

@@ -11,14 +11,13 @@ slack at d = 0 with a short closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .counting import _NOT_A_VECTOR, _is_batch, _signs
+from .counting import _check_rows, _displaced, _is_batch, _signs
 from .transitions import (
     Topology,
     _check_weight,
@@ -54,33 +53,12 @@ class GapParams:
 
 
 def coupled_subgradient_value(y: Iterable[float], topology: Topology = Topology.CIRCULAR):
-    """|l(y; 1/2)|^2, which equals sign_changes(y) exactly."""
-    return transition_norm_sq(y, 0.5, topology)
+    """|l(y; 1/2)|^2, which equals sign_changes(y) exactly.
 
-
-def _exact_sum(a, b):
-    """a + b, where a float beside an int or Fraction counts at its exact value."""
-    if isinstance(a, float) == isinstance(b, float):
-        return a + b
-    if not math.isfinite(a if isinstance(a, float) else b):
-        raise ValueError("vector entries must be finite")
-    return Fraction(a) + Fraction(b)
-
-
-def _displaced(x: Iterable[float], d: Iterable[float]) -> tuple[list, list]:
-    """(x, x + d) as lists for vectors of one length, added element by element.
-
-    Arrays go through tolist(), so integer entries become Python ints that
-    cannot overflow; int and Fraction entries stay exact beyond float64 and
-    the signs taken from x + d downstream are the true ones.
+    A 2-D array of vectors (rows) gives an object array with one value per
+    row, as transition_norm_sq does.
     """
-    try:
-        base, step = (v.tolist() if isinstance(v, np.ndarray) else list(v) for v in (x, d))
-        if len(base) != len(step):
-            raise ValueError("dimension mismatch between point and displacement")
-        return base, [_exact_sum(a, b) for a, b in zip(base, step)]
-    except TypeError:
-        raise ValueError(_NOT_A_VECTOR) from None
+    return transition_norm_sq(y, 0.5, topology)
 
 
 def _displaced_signs(x, d) -> tuple[np.ndarray, np.ndarray]:
@@ -202,6 +180,7 @@ def profile_csv(profile: GapProfile, step: Fraction = Fraction(1, 200)) -> str:
     step = Fraction(step)
     if not 0 < step <= Fraction(1, 2):
         raise ValueError("step must lie in (0, 1/2]")
+    _check_rows(Fraction(1, 2) // step, "the profile")
     lines = ["k,gap"]
     k = step
     while k <= Fraction(1, 2):

@@ -50,6 +50,9 @@ def test_eval_deterministic(capsys):
         ("check-1d", "--sigma=nan"),
         ("check-1d", "--c1=inf"),
         ("nosuchcommand",),
+        ("feascheck", "--z=0.5,1,1,1"),
+        ("polysys", "--z=1,-1,1,-1", "--mu=inf,0,0,0"),
+        ("sphere", "--which=3d", "--resolution=730"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

@@ -22,7 +22,7 @@ from signchange.oracles import (
     run_oracle,
 )
 from signchange.polysys import finite_direction_feasibility
-from signchange.subgradients import zero_direction_gap
+from signchange.subgradients import coupled_subgradient_value, zero_direction_gap
 from signchange.transitions import (
     Topology,
     hadamard_norm_sq,
@@ -31,6 +31,7 @@ from signchange.transitions import (
     sign_changes,
     smoothed_sign_changes,
     symmetric2_eigenvalues,
+    transition_norm_sq,
 )
 
 dims = st.integers(min_value=2, max_value=6)
@@ -246,7 +247,19 @@ BROKEN_LIBRARY = [
     ("library_crosscheck_n3", "pair_counts", lambda x, topology: (0, 0), 162),
     ("ft_inequality_n3", "pair_stats", _negated_flips, 17496),
     ("coupled_equality_n3", "pair_stats", _nan_flips, 1512),
+    (
+        "coupled_equality_n3",
+        "coupled_subgradient_value",
+        lambda y, topology: coupled_subgradient_value(y, topology) + 1,
+        1512,
+    ),
     ("bound_chain_n3", "pair_stats", _negated_flips, 594),
+    (
+        "bound_chain_n3",
+        "transition_norm_sq",
+        lambda x, k, topology: transition_norm_sq(x, k, topology) + 1,
+        594,
+    ),
     ("zero_set_n3", "pair_stats", _negated_flips, 270),
     ("hadamard_n3", "hadamard_norm_sq", lambda x, k: hadamard_norm_sq(x, k) + 1.0, 81),
     (
@@ -268,9 +281,13 @@ BROKEN_LIBRARY = [
 ]
 
 
-@pytest.mark.parametrize(
-    "name,target,wrong,golden", BROKEN_LIBRARY, ids=[case[0] for case in BROKEN_LIBRARY]
-)
+# an oracle's first row is named after the oracle, any further row after its target too
+BROKEN_IDS = []
+for name, target, *_ in BROKEN_LIBRARY:
+    BROKEN_IDS.append(name if name not in BROKEN_IDS else f"{name}-{target}")
+
+
+@pytest.mark.parametrize("name,target,wrong,golden", BROKEN_LIBRARY, ids=BROKEN_IDS)
 def test_oracle_reports_a_wrong_library_value(monkeypatch, name, target, wrong, golden):
     monkeypatch.setattr(oracles, target, wrong)
     report = run_oracle(name)
