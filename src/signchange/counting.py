@@ -94,6 +94,15 @@ def _sign_pattern(z, length: int | None = None) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
+def _integer_vector(d, length: int | None = None) -> tuple[int, ...]:
+    """d as a tuple of ints, once each entry is an integral value and d has the given length."""
+    values = _vector(d)
+    integral = all(_finite(v) and v == int(v) for v in values)
+    if not integral or length not in (None, len(values)):
+        raise ValueError(f"expected an integer vector of length {length or 'n'}")
+    return tuple(int(v) for v in values)
+
+
 def _displaced(x, d) -> tuple[Sequence, list]:
     """(x, x + d) for vectors of one length, added element by element.
 
@@ -205,17 +214,21 @@ def is_count_subgradient(x: Iterable[float], candidate: Iterable[float]) -> bool
 
 
 def _unit_magnitudes(x) -> np.ndarray:
-    """|x| / 2^e as float64, with 2^e the power of two just above max |x|.
+    """|x| / 2^e as float64, with 2^e the power of two just above max |x|,
+    for one vector or for each row of a 2-D array of them.
 
     Float arrays are scaled in float64 (other precisions are converted
-    first); scaling by a power of two is exact in binary floating point, so
-    ratios of norms are those of the float64 image.  Other entries are
-    scaled at their exact values before rounding, so none overflows float64
-    and a nonzero vector never rounds to the origin.
+    first), all rows in one pass; scaling by a power of two is exact in
+    binary floating point, so ratios of norms are those of the float64
+    image.  Other entries are scaled at their exact values before rounding,
+    row by row, so none overflows float64 and a nonzero vector never rounds
+    to the origin.
     """
     if isinstance(x, np.ndarray) and x.dtype.kind == "f":
-        mags = np.abs(x if x.dtype == np.float64 else as_vector(x))
-        return np.ldexp(mags, -math.frexp(mags.max())[1])
+        mags = np.abs(x if x.dtype == np.float64 else as_vector(x.ravel()).reshape(x.shape))
+        return np.ldexp(mags, -np.frexp(mags.max(axis=-1, keepdims=True))[1])
+    if _is_batch(x):
+        return np.array([_unit_magnitudes(row) for row in x.tolist()])
     values = x.tolist() if isinstance(x, np.ndarray) else x
     mags = [abs(Fraction(float(v) if isinstance(v, np.floating) else v)) for v in values]
     top = max(mags)
@@ -229,13 +242,20 @@ def sign_minorant_gap(x: Iterable[float]) -> float:
     The count is taken exactly from x; the norm ratio is scale-free and is
     computed on x scaled to unit magnitude, so int and Fraction entries beyond
     float64 and float entries whose squares over- or underflow all work.
+    A 2-D array of vectors (rows) gives a float64 array with one value per
+    row, bit-identical to the call on that row; every row must be nonzero.
     """
-    x = _vector(x)
-    count = int(np.count_nonzero(_sign_array(x)))
-    if count == 0:
-        raise ValueError("minorant gap is undefined at the origin")
+    batch = _is_batch(x)
+    x = _vector(x, batch)
+    count = np.count_nonzero(_sign_array(x), axis=-1)
+    if not (count.size and count.all()):
+        raise ValueError("minorant gap is undefined at the origin and on an empty batch")
     mags = _unit_magnitudes(x)
-    return count - float(np.sum(mags)) / float(np.linalg.norm(mags))
+    # a (1 x n) @ (n x 1) product per row runs the BLAS dot that np.linalg.norm
+    # runs on one vector; norm(axis=1) and einsum round differently
+    norm = np.sqrt((mags[..., None, :] @ mags[..., :, None])[..., 0, 0])
+    gap = count - mags.sum(axis=-1) / norm
+    return gap if batch else float(gap)
 
 
 @dataclass(frozen=True)

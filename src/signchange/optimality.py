@@ -42,9 +42,21 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
+def _float_array(x) -> np.ndarray:
+    """x as a float64 array of any shape; entries that are not finite in
+    float64, such as ints beyond its range, raise ValueError."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, OverflowError):
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise ValueError("entries must be real numbers within the float64 range")
+    return arr
+
+
 def objective_1d(x):
     """x^2 cos(2x), elementwise."""
-    arr = np.asarray(x, dtype=float)
+    arr = _float_array(x)
     return arr * arr * np.cos(2.0 * arr)
 
 
@@ -76,13 +88,13 @@ class OneDProblem:
 
     def multiplier(self, x):
         """lambda1(x) = |x - c1| exp|x - c1| (left bound multiplier)."""
-        gap = np.abs(np.asarray(x, dtype=float) - self.c1)
+        gap = np.abs(_float_array(x) - self.c1)
         return gap * np.exp(gap)
 
 
 def inequality_values_1d(problem: OneDProblem, x) -> dict[str, np.ndarray]:
     """The three dependent inequality residuals; 'a' = 'b' + 'c'."""
-    arr = np.asarray(x, dtype=float)
+    arr = _float_array(x)
     f = objective_1d(arr)
     K = problem.K
     bound_term = -problem.multiplier(arr) * (arr - problem.lower)

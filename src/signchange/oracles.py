@@ -6,8 +6,9 @@ registered oracles can confront the library with exhaustive desk-scale
 evidence: full pattern-pair subgradient sweeps, norm bound chains,
 Hadamard identity checks, the 2-D Hessian eigenvalue table, the exact
 zero-direction gap identity and the 4-D feasibility certificates, with
-exact elimination on one candidate.  Every pattern-grid oracle reports
-through _sweep: its first failed check in sweep order, or its check count.
+exact elimination on one candidate.  Every pattern-grid oracle, and the
+random minorant sample, reports through _sweep: its first failed check in
+sweep order, or its check count.
 """
 
 from __future__ import annotations
@@ -549,31 +550,40 @@ def _oracle_smoothing(n: int) -> VerifyReport:
     return _sweep(f"smoothing_n{n}", blocks(), "smoothing is a monotone lower approximation")
 
 
+def _minorant_sample(seed: int, count: int):
+    """count random nonzero vectors as the rows of a (count x 10) float64
+    array, with each row's length and scale.
+
+    A vector has a length n uniform on 1..10 and N(0, scale^2) entries for
+    a scale drawn from {0.01, 1, 100}, each zeroed with probability 0.25; a
+    vector left all zero gets one N(0, 1) entry (1.0 if that draw is 0) at a
+    uniform position.  Entries past column n are zero padding, which leaves
+    the count and both norms unchanged.
+    """
+    width = 10
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, width + 1, size=count)
+    scales = rng.choice([0.01, 1.0, 100.0], size=count)
+    x = rng.normal(size=(count, width)) * scales[:, None]
+    x[(rng.random(x.shape) < 0.25) | (np.arange(width) >= lengths[:, None])] = 0.0
+    empty = np.flatnonzero(~x.any(axis=1))
+    fill = rng.normal(size=empty.size)
+    x[empty, rng.integers(lengths[empty])] = np.where(fill == 0.0, 1.0, fill)
+    return x, lengths, scales
+
+
 def _oracle_signminor_random(seed: int = 20240817, count: int = 10000) -> VerifyReport:
     """Minorant gap nonnegative on random nonzero vectors, zero on
     single-support ones."""
-    name = "signminor_random"
-    rng = np.random.default_rng(seed)
-    checks = 0
-    worst = math.inf
-    for _ in range(count):
-        n = int(rng.integers(1, 11))
-        x = rng.normal(scale=rng.choice([0.01, 1.0, 100.0]), size=n)
-        x[rng.random(n) < 0.25] = 0.0
-        if not np.any(x):
-            x[int(rng.integers(n))] = float(rng.normal() or 1.0)
-        gap = sign_minorant_gap(x)
-        checks += 1
-        worst = min(worst, gap)
-        if gap < -1e-12:
-            return _report(name, checks, {"x": x.tolist(), "gap": gap}, "")
-    for value in (3.0, -0.5, 1e-8):
-        single = np.zeros(4)
-        single[1] = value
-        checks += 1
-        if sign_minorant_gap(single) != 0.0:
-            return _report(name, checks, {"x": single.tolist()}, "")
-    return _report(name, checks, None, f"minimum sampled gap = {worst:.3e}")
+    x, lengths, _ = _minorant_sample(seed, count)
+    gaps = sign_minorant_gap(x)
+    single = np.zeros((3, 4))
+    single[:, 1] = (3.0, -0.5, 1e-8)
+    blocks = [
+        (gaps < -1e-12, lambda i: {"x": x[i, : lengths[i]].tolist(), "gap": float(gaps[i])}),
+        (sign_minorant_gap(single) != 0.0, lambda i: {"x": single[i].tolist()}),
+    ]
+    return _sweep("signminor_random", blocks, f"minimum sampled gap = {gaps.min():.3e}")
 
 
 def _oracle_feasibility_n4() -> VerifyReport:

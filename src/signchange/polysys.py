@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import _finite, _real, _sign_pattern, as_vector
+from .counting import _integer_vector, _real, _sign_pattern, as_vector
 from .transitions import Topology, sign_changes
 
 __all__ = [
@@ -121,9 +121,7 @@ def build_4d_system(z: Sequence[int], mu: Sequence[int] | None = None) -> PolySy
     """
     pattern = _sign_pattern(z, 4)
     if mu is not None:
-        if len(mu) != 4 or not all(_finite(v) and v == int(v) for v in mu):
-            raise ValueError("multiplier substitution requires four integers")
-        mu = [int(v) for v in mu]
+        mu = _integer_vector(mu, 4)
         variables = SPHERICAL_VARIABLES
     else:
         variables = SPHERICAL_VARIABLES + MULTIPLIER_VARIABLES
@@ -292,9 +290,10 @@ def _pair_forms(steps: np.ndarray):
 def pair_form_value(d: Sequence[int]) -> int:
     """F(d) = sum over circular pairs of (d_i + d_j)^2 (d_i d_j - 1)^2.
 
-    Summed over Python ints (an object array), so any integer step is exact.
+    Summed over Python ints (an object array), so any integer step is exact;
+    a step with a non-integer entry raises ValueError.
     """
-    return int(_pair_forms(np.array([int(v) for v in d], dtype=object)))
+    return int(_pair_forms(np.array(_integer_vector(d), dtype=object)))
 
 
 def solve_rational_system(

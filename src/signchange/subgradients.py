@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import _check_rows, _displaced, _is_batch, _signs
+from .counting import _check_rows, _displaced, _finite, _is_batch, _signs
 from .transitions import (
     Topology,
     _check_weight,
@@ -47,7 +47,9 @@ class GapParams:
     k_x: object
 
     def __post_init__(self) -> None:
-        _check_weight(self.k_x)  # the bounds below admit |k_x| = inf
+        # the bounds below admit |k_x| = inf and cannot compare a non-number
+        _check_weight(self.k_y)
+        _check_weight(self.k_x)
         if not 0 < abs(self.k_y) <= Fraction(1, 2) <= abs(self.k_x):
             raise ValueError("gap weights must satisfy 0 < |k_y| <= 1/2 <= |k_x|")
 
@@ -151,7 +153,7 @@ class GapProfile:
         return 4 * self.flips
 
     def value(self, k):
-        if not 0 < k <= Fraction(1, 2):
+        if not (_finite(k) and 0 < k <= Fraction(1, 2)):
             raise ValueError("profile weight must lie in (0, 1/2]")
         return self.weak + self.quad_coeff * k * k + self.offset
 
@@ -163,7 +165,7 @@ def gap_profile(
     topology: Topology = Topology.CIRCULAR,
 ) -> GapProfile:
     """Gap at fixed displacement as an exact quadratic in the inner weight."""
-    if not abs(k_x) >= Fraction(1, 2):
+    if not (_finite(k_x) and abs(k_x) >= Fraction(1, 2)):
         raise ValueError("outer weight must satisfy |k_x| >= 1/2")
     base, moved = _displaced(x, d)
     weak, flips = pair_counts(moved, topology)

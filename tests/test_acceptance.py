@@ -57,6 +57,7 @@ CRITERION_BUDGETS_S = {
     "08": 1.0,  # check_1d_condition on 10,000 grid points
     "09": 1.0,  # the 2-D and 3-D multiplier grids
     "10": 5.0,  # one feasibility decision and the 81-candidate summary
+    "12": 0.25,  # the signminor_random oracle
 }
 
 
@@ -287,8 +288,10 @@ def test_criterion_11_grid_symmetry():
     assert full_support == alternating
 
 
-def test_criterion_12_minorant_gap():
+def test_criterion_12_minorant_gap(within_budget):
+    start = time.perf_counter()
     report = run_oracle("signminor_random")
+    within_budget(time.perf_counter() - start, "signminor_random oracle")
     assert report.passed, report.counterexample
     assert report.checks >= 10000
     assert sign_minorant_gap([0.0, -2.5, 0.0]) == 0.0

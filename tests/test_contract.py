@@ -19,6 +19,7 @@ import signchange
 from batching import ENTRIES, EXACT_EDGES
 from signchange import (
     GapParams,
+    GapProfile,
     OneDProblem,
     build_4d_system,
     check_1d_condition,
@@ -33,9 +34,11 @@ from signchange import (
     global_min_1d,
     hadamard_norm_sq,
     index_sets,
+    inequality_values_1d,
     is_count_subgradient,
     lagrangian_residual,
     lattice_directions,
+    objective_1d,
     pair_counts,
     profile_csv,
     sign,
@@ -101,8 +104,10 @@ EXEMPT = {
     "center_symmetry_check": "takes a GridTable",
     "run_oracle": "an oracle name",
     "list_oracles": "no argument",
-    "objective_1d": "elementwise float formula on an array of any shape",
-    "inequality_values_1d": "elementwise float formula on an array of any shape",
+    "objective_1d": "elementwise float formula on an array of any shape, covered by "
+    "test_scalar_rule_cases",
+    "inequality_values_1d": "elementwise float formula on an array of any shape, covered by "
+    "test_scalar_rule_cases",
     "check_1d_condition": "a OneDProblem, a grid size and a tolerance",
     "global_min_1d": "a grid size and a OneDProblem",
     "curves_csv_1d": "a OneDProblem and a grid size",
@@ -112,7 +117,7 @@ EXEMPT = {
     "export_system": "takes a PolySystem",
     "parse_system": "JSON text",
     "evaluate_system": "a PolySystem and a variable assignment",
-    "pair_form_value": "an integer lattice step, not a real vector",
+    "pair_form_value": "an integer lattice step, not a real vector, covered in test_polysys.py",
     "solve_rational_system": "a rational matrix and right-hand side",
     "feasibility_report": "takes a FeasibilityResult",
     "grid_feasibility_summary": "no argument",
@@ -179,8 +184,22 @@ def test_scalar_rule_cases():
         smoothed_count([1.0, 0.0], 10**400)
     with pytest.raises(ValueError, match="float64 range"):
         frechet_inequality_probe([1.0], [0.0], radius=10**400)
-    with pytest.raises(ValueError, match="integer"):
+    with pytest.raises(ValueError, match="finite"):
         build_4d_system((1, -1, 1, -1), mu=[math.inf, 0, 0, 0])
+    # gap weights and array entries: ValueError, not TypeError or OverflowError
+    for call in (
+        lambda: GapParams(k_y="a", k_x=1),
+        lambda: GapParams(k_y=Fraction(1, 4), k_x="a"),
+        lambda: gap_profile((1, -1), (0, 0), "a"),
+        lambda: GapProfile(0, 1, 0, 1).value("a"),
+        lambda: GapProfile(0, 1, 0, 1).value(math.nan),
+        lambda: objective_1d(10**400),
+        lambda: objective_1d([1.0, 10**400]),
+        lambda: inequality_values_1d(OneDProblem(), 10**400),
+        lambda: OneDProblem().multiplier(10**400),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

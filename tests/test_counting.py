@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from batching import batches, rowwise
 from signchange.counting import (
     IndexSets,
     count_nonzero,
@@ -137,6 +138,29 @@ def test_minorant_gap_narrow_floats_match_float64():
     gap = sign_minorant_gap(near_one)
     assert gap == sign_minorant_gap(near_one.astype(np.float64))
     assert gap == pytest.approx(70_000 - math.sqrt(70_000))
+
+
+@given(batches())
+def test_minorant_batch_matches_rows(x):
+    expected = rowwise(sign_minorant_gap, x)
+    if expected is None:  # some row is all zero
+        with pytest.raises(ValueError):
+            sign_minorant_gap(x)
+        return
+    batch = sign_minorant_gap(x)
+    assert batch.dtype == np.float64 and batch.shape == (len(x),)
+    # bit for bit, so -0.0 and 0.0 differ here
+    assert batch.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([[1.0, -2.0], [0.0, 0.0]]), np.ones((2, 2, 2)), np.zeros((0, 3)), np.zeros((2, 0))],
+    ids=["zero_row", "3d", "no_rows", "empty_rows"],
+)
+def test_minorant_batch_validation(bad):
+    with pytest.raises(ValueError):
+        sign_minorant_gap(bad)
 
 
 def test_float_conversion_beyond_range_is_value_error():

@@ -219,6 +219,29 @@ def test_feasibility_oracle_covers_every_candidate():
     assert report.checks == 81 * 2
 
 
+def test_minorant_sample_keeps_the_per_vector_distribution(monkeypatch):
+    # the batch draw must deliver what one draw per vector did: no fewer or easier samples
+    draw = oracles._minorant_sample
+    samples = []
+
+    def record(*args):
+        samples.append(draw(*args))
+        return samples[-1]
+
+    monkeypatch.setattr(oracles, "_minorant_sample", record)
+    report = run_oracle("signminor_random")
+    assert report.passed and report.checks == 10003
+    assert report.details == "minimum sampled gap = 0.000e+00"
+    [(x, lengths, scales)] = samples
+    assert x.shape == (10000, 10) and x.dtype == np.float64
+    assert set(lengths.tolist()) == set(range(1, 11))
+    assert set(scales.tolist()) == {0.01, 1.0, 100.0}
+    inside = np.arange(10) < lengths[:, None]
+    assert not x[~inside].any(), "entries past a vector's length are zero padding"
+    assert x.any(axis=1).all(), "every vector is nonzero"
+    assert abs(np.mean(x[inside] == 0.0) - 0.25) <= 0.02
+
+
 def test_grid_table_type():
     table = enumerate_grid(3, Topology.LINEAR)
     assert isinstance(table, GridTable)

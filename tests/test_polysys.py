@@ -157,6 +157,21 @@ def test_pair_form_values(d, expected):
     assert pair_form_value(d) == expected
 
 
+def test_pair_form_value_reads_integer_steps():
+    assert pair_form_value((2.0, 0, Fraction(0), 0)) == pair_form_value((2, 0, 0, 0)) == 8
+    assert pair_form_value(np.array([-1, 2, -1, 2])) == 36
+    # Python ints, so a step beyond int64 stays exact
+    big = 10**20
+    assert pair_form_value((big, 0, 0, 0)) == 2 * big**2
+
+
+@pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), math.inf, math.nan, "a"])
+def test_pair_form_value_rejects_non_integer_steps(bad):
+    # (0.5, 1, 1, 1) used to truncate to (0, 1, 1, 1), whose value is 2
+    with pytest.raises(ValueError):
+        pair_form_value((bad, 1, 1, 1))
+
+
 def test_solver_feasible_witness():
     outcome = solve_rational_system([[1, 0], [0, 2], [1, 2]], [3, 4, 7])
     assert outcome[0] == "feasible"
