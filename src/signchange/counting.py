@@ -157,16 +157,22 @@ def _is_batch(x) -> bool:
     return isinstance(x, np.ndarray) and x.ndim == 2
 
 
-def as_vector(x: Iterable[float]) -> np.ndarray:
-    """Read x as a vector and convert it to float64; entries beyond its range
-    raise ValueError, not OverflowError."""
+def _float_array(x) -> np.ndarray:
+    """x as a float64 array of any shape; entries that are not finite in
+    float64, such as ints beyond its range, raise ValueError, not OverflowError."""
     try:
-        arr = np.asarray(_vector(x), dtype=float)
+        arr = np.asarray(x, dtype=float)
     except (TypeError, OverflowError):
         arr = None
     # a float wider than float64 can still overflow to inf
     if arr is None or not np.isfinite(arr).all():
-        raise ValueError("vector entries must be real numbers within the float64 range")
+        raise ValueError("entries must be real numbers within the float64 range")
+    return arr
+
+
+def as_vector(x: Iterable[float]) -> np.ndarray:
+    """Read x as a vector and convert it to float64 through _float_array."""
+    arr = _float_array(_vector(x))
     if arr.ndim != 1:
         raise ValueError(_NOT_A_VECTOR)
     return arr
@@ -225,10 +231,10 @@ def _unit_magnitudes(x) -> np.ndarray:
     to the origin.
     """
     if isinstance(x, np.ndarray) and x.dtype.kind == "f":
-        mags = np.abs(x if x.dtype == np.float64 else as_vector(x.ravel()).reshape(x.shape))
+        mags = np.abs(_float_array(x))
         return np.ldexp(mags, -np.frexp(mags.max(axis=-1, keepdims=True))[1])
     if _is_batch(x):
-        return np.array([_unit_magnitudes(row) for row in x.tolist()])
+        return np.array([_unit_magnitudes(row) for row in x.tolist()], dtype=float).reshape(x.shape)
     values = x.tolist() if isinstance(x, np.ndarray) else x
     mags = [abs(Fraction(float(v) if isinstance(v, np.floating) else v)) for v in values]
     top = max(mags)
@@ -243,13 +249,14 @@ def sign_minorant_gap(x: Iterable[float]) -> float:
     computed on x scaled to unit magnitude, so int and Fraction entries beyond
     float64 and float entries whose squares over- or underflow all work.
     A 2-D array of vectors (rows) gives a float64 array with one value per
-    row, bit-identical to the call on that row; every row must be nonzero.
+    row, bit-identical to the call on that row; every row must be nonzero,
+    and a batch with no rows gives an empty array.
     """
     batch = _is_batch(x)
     x = _vector(x, batch)
     count = np.count_nonzero(_sign_array(x), axis=-1)
-    if not (count.size and count.all()):
-        raise ValueError("minorant gap is undefined at the origin and on an empty batch")
+    if not count.all():
+        raise ValueError("minorant gap is undefined at the origin")
     mags = _unit_magnitudes(x)
     # a (1 x n) @ (n x 1) product per row runs the BLAS dot that np.linalg.norm
     # runs on one vector; norm(axis=1) and einsum round differently

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counting import _check_rows, _real, _sign_pattern, as_vector
+from .counting import _check_rows, _float_array, _real, _sign_pattern, as_vector
 from .transitions import Topology, _transition_values, sign_changes
 
 __all__ = [
@@ -40,18 +40,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-
-def _float_array(x) -> np.ndarray:
-    """x as a float64 array of any shape; entries that are not finite in
-    float64, such as ints beyond its range, raise ValueError."""
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, OverflowError):
-        arr = None
-    if arr is None or not np.isfinite(arr).all():
-        raise ValueError("entries must be real numbers within the float64 range")
-    return arr
 
 
 def objective_1d(x):

@@ -18,6 +18,8 @@ Gauss-Jordan elimination stays as the independent cross-check.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -54,6 +56,18 @@ MULTIPLIER_VARIABLES = ("mu1", "mu2", "mu3", "mu4")
 # 4a + b with a twos and b ones, a + b <= 4
 ADMISSIBLE_RHO_SQUARED = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16)
 
+# the spherical factors of each direction component, d_i = rho * prod(factors),
+# in the order spherical_to_cartesian multiplies them
+DIRECTION = (("c1",), ("c2", "s1"), ("c3", "s1", "s2"), ("s3", "s1", "s2"))
+
+# (d_i + d_j)^2 (d_i d_j - 1)^2 = (d_i^2 + 2 d_i d_j + d_j^2)(d_i^2 d_j^2 - 2 d_i d_j + 1)
+# as {(a, b): c} over its terms c d_i^a d_j^b
+PAIR_TERMS = {
+    (4, 2): 1, (3, 3): 2, (2, 4): 1,
+    (3, 1): -2, (2, 2): -4, (1, 3): -2,
+    (2, 0): 1, (1, 1): 2, (0, 2): 1,
+}
+
 # term = (integer coefficient, {variable: positive exponent})
 Term = tuple[int, dict[str, int]]
 
@@ -65,38 +79,6 @@ class PolySystem:
     variables: tuple[str, ...]
     equations: tuple[tuple[Term, ...], ...]
     metadata: dict
-
-
-def _mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict[tuple[int, ...], int] = {}
-    for ma, ca in p.items():
-        for mb, cb in q.items():
-            m = _mono_mul(ma, mb)
-            c = out.get(m, 0) + ca * cb
-            if c:
-                out[m] = c
-            elif m in out:
-                del out[m]
-    return out
-
-
-def _poly_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for m, c in q.items():
-        s = out.get(m, 0) + c
-        if s:
-            out[m] = s
-        elif m in out:
-            del out[m]
-    return out
-
-
-def _poly_scale(p: dict, factor: int) -> dict:
-    return {m: c * factor for m, c in p.items()} if factor else {}
 
 
 def _normalize(poly: dict, variables: tuple[str, ...]) -> tuple[Term, ...]:
@@ -112,6 +94,11 @@ def _normalize(poly: dict, variables: tuple[str, ...]) -> tuple[Term, ...]:
     return tuple(terms)
 
 
+def _exponents(names: tuple[str, ...], variables: tuple[str, ...]) -> tuple[int, ...]:
+    """Exponent tuple, over variables, of the product of the named variables."""
+    return tuple(map(names.count, variables))
+
+
 def build_4d_system(z: Sequence[int], mu: Sequence[int] | None = None) -> PolySystem:
     """Stationarity equation plus Pythagorean identities for candidate z.
 
@@ -125,42 +112,27 @@ def build_4d_system(z: Sequence[int], mu: Sequence[int] | None = None) -> PolySy
         variables = SPHERICAL_VARIABLES
     else:
         variables = SPHERICAL_VARIABLES + MULTIPLIER_VARIABLES
-    nvars = len(variables)
-    vidx = {name: i for i, name in enumerate(variables)}
-
-    def mono(**powers) -> dict:
-        m = [0] * nvars
-        for name, e in powers.items():
-            m[vidx[name]] += e
-        return {tuple(m): 1}
-
-    one = {(0,) * nvars: 1}
-    d = [
-        mono(rho=1, c1=1),
-        mono(rho=1, c2=1, s1=1),
-        mono(rho=1, c3=1, s1=1, s2=1),
-        mono(rho=1, s1=1, s2=1, s3=1),
-    ]
-    main: dict = {}
-    for i in range(4):
-        if mu is None:
-            term = _poly_mul(mono(**{MULTIPLIER_VARIABLES[i]: 1}), d[i])
-        else:
-            term = _poly_scale(d[i], mu[i])
-        main = _poly_add(main, term)
-    for di, dj in zip(d, d[1:] + d[:1]):
-        s = _poly_add(di, dj)
-        p = _poly_add(_poly_mul(di, dj), _poly_scale(one, -1))
-        main = _poly_add(main, _poly_mul(_poly_mul(s, s), _poly_mul(p, p)))
+    d = [_exponents(("rho", *factors), variables) for factors in DIRECTION]
     t = sign_changes(pattern, Topology.CIRCULAR)
-    main = _poly_add(main, _poly_scale(one, -t))
 
-    equations = [_normalize(main, variables)]
+    main: Counter = Counter()
+    for i, factors in enumerate(DIRECTION):
+        if mu is None:
+            main[_exponents((MULTIPLIER_VARIABLES[i], "rho", *factors), variables)] += 1
+        else:
+            main[d[i]] += mu[i]
+    for di, dj in zip(d, d[1:] + d[:1]):
+        for (a, b), coeff in PAIR_TERMS.items():
+            main[tuple(a * p + b * q for p, q in zip(di, dj))] += coeff
+    main[_exponents((), variables)] -= t
+
+    equations = [_normalize({mono: c for mono, c in main.items() if c}, variables)]
     for i in (1, 2, 3):
-        pyth = _poly_add(
-            _poly_add(mono(**{f"c{i}": 2}), mono(**{f"s{i}": 2})),
-            _poly_scale(one, -1),
-        )
+        pyth = {
+            _exponents((f"c{i}", f"c{i}"), variables): 1,
+            _exponents((f"s{i}", f"s{i}"), variables): 1,
+            _exponents((), variables): -1,
+        }
         equations.append(_normalize(pyth, variables))
 
     return PolySystem(
@@ -258,19 +230,13 @@ def evaluate_system(system: PolySystem, assignment: dict[str, float]) -> list:
 
 
 def spherical_to_cartesian(rho: float, phis: Sequence[float]) -> np.ndarray:
-    """(rho c1, rho c2 s1, rho c3 s1 s2, rho s1 s2 s3) with ci = cos(phi_i)."""
+    """(rho c1, rho c2 s1, rho c3 s1 s2, rho s3 s1 s2) with ci = cos(phi_i),
+    si = sin(phi_i): rho times the DIRECTION factors, multiplied in that order."""
     rho, phis = _real(rho, "radius"), as_vector(phis)
     if rho < 0 or phis.size != 3:
         raise ValueError("need a nonnegative radius and exactly three angles")
-    c, s = np.cos(phis), np.sin(phis)
-    return np.array(
-        [
-            rho * c[0],
-            rho * c[1] * s[0],
-            rho * c[2] * s[0] * s[1],
-            rho * s[2] * s[0] * s[1],
-        ]
-    )
+    trig = dict(zip(SPHERICAL_VARIABLES[1:], np.concatenate([np.cos(phis), np.sin(phis)])))
+    return np.array([math.prod((trig[f] for f in factors), start=rho) for factors in DIRECTION])
 
 
 def lattice_directions(z: Sequence[int]) -> list[tuple[int, ...]]:

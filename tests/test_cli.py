@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,23 @@ def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# exit code and stdout sha256 of each README example, recorded with the benchmark
+CLI_GOLDENS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text()
+)["cli"]
+
+
+def test_readme_examples_match_goldens(capsys):
+    mismatched = []
+    for golden in CLI_GOLDENS:
+        code, out, _ = run_cli(capsys, *golden["args"])
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        if (code, digest) != (golden["exit"], golden["stdout_sha256"]):
+            mismatched.append(golden["args"])
+    assert len(CLI_GOLDENS) == 11
+    assert mismatched == []
 
 
 def test_eval_example(capsys):

@@ -81,12 +81,10 @@ def test_json_export_round_trip():
 @given(sign_patterns, st.integers(0, 10_000))
 def test_main_equation_matches_direct_evaluation(z, seed):
     rng = np.random.default_rng(seed)
-    system = build_4d_system(z)
     rho = float(rng.uniform(0.2, 2.5))
     phis = rng.uniform(0.05, 3.1, size=3)
-    mu = rng.uniform(-4.0, 4.0, size=4)
     d = spherical_to_cartesian(rho, phis)
-    assignment = {
+    angles = {
         "rho": rho,
         "c1": math.cos(phis[0]),
         "c2": math.cos(phis[1]),
@@ -94,18 +92,21 @@ def test_main_equation_matches_direct_evaluation(z, seed):
         "s1": math.sin(phis[0]),
         "s2": math.sin(phis[1]),
         "s3": math.sin(phis[2]),
-        "mu1": mu[0],
-        "mu2": mu[1],
-        "mu3": mu[2],
-        "mu4": mu[3],
     }
-    values = evaluate_system(system, assignment)
     pairs = [(0, 3), (0, 1), (1, 2), (2, 3)]
-    direct = float(mu @ d)
-    direct += sum((d[i] + d[j]) ** 2 * (d[i] * d[j] - 1.0) ** 2 for i, j in pairs)
-    direct -= sign_changes(z, Topology.CIRCULAR)
-    assert values[0] == pytest.approx(direct, abs=1e-9)
-    assert max(abs(v) for v in values[1:]) < 1e-12
+    forms = sum((d[i] + d[j]) ** 2 * (d[i] * d[j] - 1.0) ** 2 for i, j in pairs)
+    forms -= sign_changes(z, Topology.CIRCULAR)
+    mu = rng.uniform(-4.0, 4.0, size=4)
+    symbolic = dict(angles, mu1=mu[0], mu2=mu[1], mu3=mu[2], mu4=mu[3])
+    integer_mu = rng.integers(-4, 5, size=4)
+    # symbolic multipliers, and integer ones substituted into the coefficients
+    for system, assignment, weights in (
+        (build_4d_system(z), symbolic, mu),
+        (build_4d_system(z, integer_mu), angles, integer_mu),
+    ):
+        values = evaluate_system(system, assignment)
+        assert values[0] == pytest.approx(float(weights @ d) + forms, abs=1e-9)
+        assert max(abs(v) for v in values[1:]) < 1e-12
 
 
 def test_evaluate_requires_full_assignment():

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
