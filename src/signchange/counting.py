@@ -53,10 +53,18 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
-def _check_rows(rows: int, what: str, least: int = 1) -> None:
-    """Refuse, before any allocation, a table estimated outside least.._MAX_ROWS rows."""
+def _integral(value) -> bool:
+    """The one integer rule: a finite value equal to its int."""
+    return _finite(value) and value == int(value)
+
+
+def _check_rows(rows, what: str, least: int = 1) -> int:
+    """rows read as an int count in least.._MAX_ROWS, checked before any allocation."""
+    if not _integral(rows):
+        raise ValueError(f"{what} needs an integer count, got {rows!r}")
     if not least <= rows <= _MAX_ROWS:
         raise ValueError(f"{what} would have {rows} rows; it needs {least} to {_MAX_ROWS}")
+    return int(rows)
 
 
 def _vector(x, batch: bool = False):
@@ -97,8 +105,7 @@ def _sign_pattern(z, length: int | None = None) -> tuple[int, ...]:
 def _integer_vector(d, length: int | None = None) -> tuple[int, ...]:
     """d as a tuple of ints, once each entry is an integral value and d has the given length."""
     values = _vector(d)
-    integral = all(_finite(v) and v == int(v) for v in values)
-    if not integral or length not in (None, len(values)):
+    if not all(map(_integral, values)) or length not in (None, len(values)):
         raise ValueError(f"expected an integer vector of length {length or 'n'}")
     return tuple(int(v) for v in values)
 
@@ -283,56 +290,43 @@ def frechet_inequality_probe(
 ) -> ProbeReport:
     """Sample (c(y) - c(x) - <candidate, y - x>) / |y - x| over y near x.
 
-    Uses an unscrambled Sobol sample of the radius box (deterministic)
-    plus every axis-aligned +-radius probe.  A markedly negative minimum
-    is evidence against candidate being a Frechet subgradient; the probe
-    is one-sided and cannot certify membership.
+    Uses an unscrambled Sobol sample of the radius box (deterministic),
+    then every axis-aligned +-radius probe; the first minimum wins.  A
+    markedly negative minimum is evidence against candidate being a
+    Frechet subgradient; the probe is one-sided and cannot certify membership.
     """
     arr = as_vector(x)
     cand = as_vector(candidate)
     if arr.size != cand.size:
         raise ValueError("dimension mismatch")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    samples = _check_rows(samples, "the probe sample")
     radius = _real(radius, "radius")
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     n = arr.size
 
     m = max(1, math.ceil(math.log2(samples)))
-    _check_rows(2**m, "the Sobol draw")
-    unit = qmc.Sobol(d=n, scramble=False).random_base2(m)[:samples]
-    offsets = []
-    for row in unit:
-        off = radius * (2.0 * row - 1.0)
-        norm = float(np.linalg.norm(off))
-        if norm > radius:
-            # project box corners back onto the sphere so no budget is lost
-            off = off * (radius / norm)
-        offsets.append(off)
-    for i in range(n):
-        for s in (radius, -radius):
-            probe = np.zeros(n)
-            probe[i] = s
-            offsets.append(probe)
+    _check_rows(2**m * n, "the Sobol draw, one entry per row,")
+    box = 2.0 * qmc.Sobol(d=n, scramble=False).random_base2(m)[:samples] - 1.0
+    lengths = np.linalg.norm(box, axis=1)
+    # the box centre is the one offset of zero norm; rows outside the unit
+    # ball are projected onto its sphere, so every other draw is used
+    box, lengths = box[lengths > 0.0], lengths[lengths > 0.0]
+    scale = radius / np.maximum(lengths, 1.0)
+    offsets = box * scale[:, None]
+    counts = np.count_nonzero(_signs(arr + offsets, batch=True), axis=1)
+    sampled = (counts - count_nonzero(arr) - offsets @ cand) / (lengths * scale)
+    # +-radius e_i moves entry i alone, changing the count by [x_i +- r != 0] - [x_i != 0]
+    steps = np.array([radius, -radius])
+    change = (arr[:, None] + steps != 0.0).astype(int) - (arr != 0.0)[:, None]
+    quotients = np.concatenate([sampled, ((change - cand[:, None] * steps) / radius).ravel()])
 
-    base = count_nonzero(arr)
-    best = math.inf
-    worst = None
-    used = 0
-    for off in offsets:
-        norm = float(np.linalg.norm(off))
-        if norm == 0.0 or norm > radius + 1e-15:
-            continue
-        used += 1
-        quotient = (count_nonzero(arr + off) - base - float(np.dot(cand, off))) / norm
-        if quotient < best:
-            best = quotient
-            worst = off
-    assert worst is not None
+    k = int(np.argmin(quotients))
+    axis, side = divmod(k - len(offsets), 2)
+    worst = offsets[k] if k < len(offsets) else np.where(np.arange(n) == axis, steps[side], 0.0)
     return ProbeReport(
-        min_quotient=best,
-        worst_offset=tuple(float(v) for v in worst),
-        samples_used=used,
+        min_quotient=float(quotients[k]),
+        worst_offset=tuple(worst.tolist()),
+        samples_used=quotients.size,
         radius=radius,
     )

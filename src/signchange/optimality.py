@@ -115,7 +115,7 @@ def check_1d_condition(
     Passes when every grid minimum stays above -tol.  The behaviour over
     the full interval is reported alongside but does not enter the flag.
     """
-    _check_rows(grid_points, "the grid", least=100)
+    grid_points = _check_rows(grid_points, "the grid", least=100)
     tol = _real(tol, "tolerance")
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -150,7 +150,7 @@ def global_min_1d(grid_points: int = 10000, problem: OneDProblem | None = None) 
     the leftmost grid point, then three zoom rounds shrink the bracket
     around the incumbent.
     """
-    _check_rows(grid_points, "the grid", least=100)
+    grid_points = _check_rows(grid_points, "the grid", least=100)
     p = problem or OneDProblem()
     lo, hi = p.lower, p.upper
     best = lo
@@ -168,7 +168,7 @@ def global_min_1d(grid_points: int = 10000, problem: OneDProblem | None = None) 
 
 def curves_csv_1d(problem: OneDProblem, grid_points: int = 1000) -> str:
     """CSV columns x,f,ineq_a,ineq_b,ineq_c over the full interval."""
-    _check_rows(grid_points, "the grid", least=2)
+    grid_points = _check_rows(grid_points, "the grid", least=2)
     grid = np.linspace(problem.lower, problem.upper, grid_points)
     f = objective_1d(grid)
     values = inequality_values_1d(problem, grid)
@@ -245,8 +245,7 @@ def surface_csv(which: str, resolution: int = 360) -> str:
     rows (phi1, phi2, lambda3).  Grid points pi*j/(resolution + 1),
     j = 1..resolution, stay clear of the singular boundary.
     """
-    if resolution < 16:
-        raise ValueError("resolution must be at least 16")
+    resolution = _check_rows(resolution, "one side of the surface", least=16)
     _check_rows(resolution**2 if which == "3d" else resolution, "the surface")
     angles = [math.pi * j / (resolution + 1) for j in range(1, resolution + 1)]
     if which == "2d":

@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .counting import _signs, sign_minorant_gap
+from .counting import _check_rows, _signs, sign_minorant_gap
 from .polysys import finite_direction_feasibility, solve_rational_system
 from .subgradients import GapParams, coupled_subgradient_value, decoupled_gap, zero_direction_gap
 from .transitions import (
@@ -53,14 +53,12 @@ __all__ = [
 MAX_GRID_DIM = 12
 
 # weight pairs (inner, outer) satisfying 0 < inner <= 1/2 <= outer
-SWEEP_WEIGHTS = [
-    (ky, kx) for ky in (0.1, 0.25, 0.5) for kx in (0.5, 0.75, 1.0, 2.0)
-]
 SWEEP_WEIGHTS_EXACT = [
     (ky, kx)
     for ky in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2))
     for kx in (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2))
 ]
+SWEEP_WEIGHTS = [(float(ky), float(kx)) for ky, kx in SWEEP_WEIGHTS_EXACT]
 
 
 def pattern_grid(n: int) -> np.ndarray:
@@ -171,11 +169,13 @@ class Label(enum.Enum):
     NEITHER = "Neither"
 
 
+# where x has zero and nonzero entries, completions arbitrarily near x lower t,
+# so no v is a regular subgradient (README: "Regular subdifferential of t")
 _FRECHET_NOTES = {
     Label.NO_ZERO_STATIONARY: "frechet subdifferential = {0}",
-    Label.NEITHER: "frechet subdifferential = {0}",
-    Label.LOCAL_MAX: "frechet subdifferential contained in the zero-support subspace of x",
-    Label.LOCAL_MIN: "frechet subdifferential combinatorial (not enumerated here)",
+    Label.NEITHER: "frechet subdifferential is empty",
+    Label.LOCAL_MAX: "frechet subdifferential is empty",
+    Label.LOCAL_MIN: "frechet subdifferential = {0}",
 }
 
 
@@ -198,6 +198,7 @@ def classify_point(x: Iterable[float], topology: Topology = Topology.CIRCULAR) -
     """
     s = _signs(x)
     t_x = int(sum(pair_stats(s, topology)))
+    _check_rows(3 ** int(np.count_nonzero(s == 0)), "the completions of x")
     options = [(si,) if si != 0 else (-1, 0, 1) for si in s.tolist()]
     patterns = list(product(*options))
     weak, flips = pair_stats(np.array(patterns, dtype=np.int8), topology)

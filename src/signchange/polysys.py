@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .counting import _integer_vector, _real, _sign_pattern, as_vector
-from .transitions import Topology, sign_changes
+from .transitions import Topology, _transition_values, sign_changes
 
 __all__ = [
     "SPHERICAL_VARIABLES",
@@ -250,7 +250,7 @@ def lattice_directions(z: Sequence[int]) -> list[tuple[int, ...]]:
 def _pair_forms(steps: np.ndarray):
     """F of one integer step, or of every row of a 2-D array of steps."""
     a, b = Topology.CIRCULAR.neighbors(steps)
-    return np.sum((a + b) ** 2 * (a * b - 1) ** 2, axis=-1)
+    return np.sum(_transition_values(a, b, 0) ** 2, axis=-1)
 
 
 def pair_form_value(d: Sequence[int]) -> int:

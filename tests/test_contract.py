@@ -3,7 +3,8 @@
 A vector is read the same way everywhere: an exact result, or ValueError,
 never OverflowError or TypeError.  A sign pattern is a vector whose entries
 equal -1, 0 or 1.  Float parameters are finite and within the float64 range,
-and every table stays under one row ceiling.
+count parameters are integral values, and every table stays under one row
+ceiling.
 """
 
 import inspect
@@ -227,9 +228,43 @@ CEILING = 3**12
         lambda: global_min_1d(grid_points=CEILING + 1),
         # the Sobol draw rounds the sample count up to a power of two
         lambda: frechet_inequality_probe([1.0], [0.0], samples=2 ** (CEILING.bit_length() - 1) + 1),
+        # and holds that many rows of n entries: 64 x 20000 entries
+        lambda: frechet_inequality_probe(np.ones(20000), np.zeros(20000), samples=64),
+        # 3^13 completions of 13 zeros
+        lambda: classify_point([0.0] * 13),
     ],
-    ids=["surface_2d", "surface_3d", "profile", "check_1d", "curves_1d", "global_min_1d", "probe"],
+    ids=[
+        "surface_2d",
+        "surface_3d",
+        "profile",
+        "check_1d",
+        "curves_1d",
+        "global_min_1d",
+        "probe",
+        "probe_entries",
+        "classify",
+    ],
 )
 def test_row_ceiling_refuses_the_next_size(call):
     with pytest.raises(ValueError, match=f"rows; it needs .* to {CEILING}"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda count: frechet_inequality_probe([1.0, 0.0], [0.0, 0.0], samples=count),
+        lambda count: check_1d_condition(OneDProblem(), grid_points=count),
+        lambda count: global_min_1d(grid_points=count),
+        lambda count: curves_csv_1d(OneDProblem(), grid_points=count),
+        lambda count: surface_csv("2d", resolution=count),
+    ],
+    ids=["probe", "check_1d", "global_min_1d", "curves_1d", "surface_2d"],
+)
+def test_count_parameters_read_integral_values(call):
+    # an integral value counts as its int; anything else is ValueError, not TypeError
+    assert call(200.0) == call(200)
+    assert call(Fraction(200)) == call(200)
+    for bad in (2.5, 16.5, 100.5, math.nan, math.inf, "20", None, 1 + 2j):
+        with pytest.raises(ValueError, match="integer count"):
+            call(bad)

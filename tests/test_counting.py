@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
 from batching import batches, rowwise
 from signchange.counting import (
@@ -203,6 +204,21 @@ def test_probe_deterministic():
     a = frechet_inequality_probe([1.0, 0.0, -1.0], [0.0, 0.2, 0.0], samples=256)
     b = frechet_inequality_probe([1.0, 0.0, -1.0], [0.0, 0.2, 0.0], samples=256)
     assert a == b
+
+
+@pytest.mark.parametrize("radius", [1e-3, 0.1, 10.0, 100.0, 1e4])
+@pytest.mark.parametrize("samples", [1, 100, 512])
+def test_probe_uses_every_offset_but_the_origin(samples, radius):
+    # projected rows lie on the sphere at any radius; only Sobol's centre
+    # point (1/2, ..., 1/2), an offset of zero norm, is left out
+    x = [1.0, 0.0, -1.0, 2.0, 0.0]
+    m = max(1, math.ceil(math.log2(samples)))
+    unit = qmc.Sobol(d=len(x), scramble=False).random_base2(m)[:samples]
+    centre = int(np.all(unit == 0.5, axis=1).sum())
+    report = frechet_inequality_probe(x, [0.3, 0.0, -0.2, 0.1, 0.0], samples=samples, radius=radius)
+    assert report.samples_used == samples + 2 * len(x) - centre
+    assert centre == (samples > 1)
+    assert 0.0 < math.hypot(*report.worst_offset) <= radius * (1 + 1e-12)
 
 
 def test_probe_validation():

@@ -147,7 +147,37 @@ def test_classify_local_max_with_reachable_set():
     assert result.t_at_x == 2
     reachable = dict(result.reachable)
     assert reachable == {(1, -1): 2, (1, 0): 2, (1, 1): 0}
-    assert "zero-support subspace" in result.frechet_note
+    # the completion (1, 1) lowers t, so the regular subdifferential is empty
+    assert _lower_completion((1, 0), Topology.CIRCULAR) == (1, 1)
+    assert result.frechet_note == "frechet subdifferential is empty"
+
+
+def _brute_t(signs, topology):
+    """Sign changes by a loop over the adjacency pairs."""
+    n = len(signs)
+    pairs = range(n) if topology is Topology.CIRCULAR else range(n - 1)
+    return sum(signs[i] != signs[(i + 1) % n] for i in pairs)
+
+
+def _lower_completion(signs, topology):
+    """The first completion of the zeros of signs with lower t, or None."""
+    options = [(-1, 0, 1) if s == 0 else (s,) for s in signs]
+    t_x = _brute_t(signs, topology)
+    return next((y for y in product(*options) if _brute_t(y, topology) < t_x), None)
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_frechet_notes_match_brute_force(n, topology):
+    # completions arbitrarily near x that lower t drive the Frechet quotient
+    # to -infinity for every v; without one the set is {0}
+    for signs in product((-1, 0, 1), repeat=n):
+        lower = _lower_completion(signs, topology)
+        result = classify_point(signs, topology)
+        assert (lower is not None) == (0 in signs and any(signs)), signs
+        assert (lower is not None) == (result.label in (Label.LOCAL_MAX, Label.NEITHER)), signs
+        expected = "is empty" if lower is not None else "= {0}"
+        assert result.frechet_note == f"frechet subdifferential {expected}", signs
 
 
 def test_classify_origin_local_min():
