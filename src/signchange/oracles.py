@@ -16,13 +16,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .counting import _check_rows, _signs, sign_minorant_gap
+from .counting import _check_rows, _finite, _signs, sign_minorant_gap
 from .polysys import finite_direction_feasibility, solve_rational_system
 from .subgradients import GapParams, coupled_subgradient_value, decoupled_gap, zero_direction_gap
 from .transitions import (
@@ -59,6 +60,11 @@ SWEEP_WEIGHTS_EXACT = [
     for kx in (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2))
 ]
 SWEEP_WEIGHTS = [(float(ky), float(kx)) for ky, kx in SWEEP_WEIGHTS_EXACT]
+
+# the draws of the hadamard_random and signminor_random oracles
+_RANDOM_SEED = 20240817
+_HADAMARD_RANDOM_COUNT = 1000
+_SIGNMINOR_RANDOM_COUNT = 10000
 
 
 def pattern_grid(n: int) -> np.ndarray:
@@ -158,6 +164,8 @@ def center_symmetry_check(table: GridTable, threshold: int) -> bool:
     Lexicographic ordering maps negation to index reversal, so the
     selected mask must be a palindrome.
     """
+    if not _finite(threshold):
+        raise ValueError(f"symmetry threshold must be finite, got {threshold!r}")
     sel = table.t > threshold
     return bool(np.array_equal(sel, sel[::-1]))
 
@@ -181,42 +189,50 @@ _FRECHET_NOTES = {
 
 @dataclass(frozen=True)
 class LocalClass:
-    """Local behaviour of the count over sign patterns reachable from x."""
+    """Local behaviour of the count near x, with the sign pattern of x."""
 
     label: Label
     t_at_x: int
-    reachable: tuple[tuple[tuple[int, ...], int], ...]
     frechet_note: str
+    pattern: tuple[int, ...]
+    topology: Topology
+
+    @cached_property
+    def reachable(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The patterns reachable from x, every completion of its zeros, with
+        their t in lexicographic order: built on first read, under the row ceiling."""
+        _check_rows(3 ** self.pattern.count(0), "the completions of x")
+        options = [(si,) if si != 0 else (-1, 0, 1) for si in self.pattern]
+        patterns = list(product(*options))
+        weak, flips = pair_stats(np.array(patterns, dtype=np.int8), self.topology)
+        return tuple(zip(patterns, (weak + flips).tolist()))
 
 
 def classify_point(x: Iterable[float], topology: Topology = Topology.CIRCULAR) -> LocalClass:
-    """Compare t over every pattern reachable by perturbing zeros of x.
+    """Classify x by how the completions of its zeros move t.
 
     Nonzero components keep their sign under small perturbations while
-    zeros may move anywhere, so the reachable patterns determine whether
-    x is a local extremum of the count.
+    zeros may take any sign. A completion lowers t wherever x has both zero
+    and nonzero entries, and raises it exactly when two zeros are adjacent
+    (README: "Regular subdifferential of t").
     """
     s = _signs(x)
-    t_x = int(sum(pair_stats(s, topology)))
-    _check_rows(3 ** int(np.count_nonzero(s == 0)), "the completions of x")
-    options = [(si,) if si != 0 else (-1, 0, 1) for si in s.tolist()]
-    patterns = list(product(*options))
-    weak, flips = pair_stats(np.array(patterns, dtype=np.int8), topology)
-    values = weak + flips
-    reachable = tuple(zip(patterns, values.tolist()))
-    if np.all(s != 0):
+    zero = s == 0
+    a, b = topology.neighbors(zero)
+    if not zero.any():
         label = Label.NO_ZERO_STATIONARY
-    elif np.all(values <= t_x):
-        label = Label.LOCAL_MAX
-    elif np.all(values >= t_x):
+    elif zero.all():
         label = Label.LOCAL_MIN
-    else:
+    elif np.any(a & b):
         label = Label.NEITHER
+    else:
+        label = Label.LOCAL_MAX
     return LocalClass(
         label=label,
-        t_at_x=t_x,
-        reachable=reachable,
+        t_at_x=int(sum(pair_stats(s, topology))),
         frechet_note=_FRECHET_NOTES[label],
+        pattern=tuple(s.tolist()),
+        topology=topology,
     )
 
 
@@ -410,12 +426,12 @@ def _oracle_hadamard(n: int) -> VerifyReport:
     )
 
 
-def _oracle_hadamard_random(seed: int = 20240817, count: int = 1000) -> VerifyReport:
+def _oracle_hadamard_random() -> VerifyReport:
     name = "hadamard_random"
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_RANDOM_SEED)
     checks = 0
     worst = 0.0
-    for _ in range(count):
+    for _ in range(_HADAMARD_RANDOM_COUNT):
         n = int(rng.integers(2, 11))
         x = rng.normal(scale=10.0, size=n)
         x[rng.random(n) < 0.3] = 0.0
@@ -425,7 +441,7 @@ def _oracle_hadamard_random(seed: int = 20240817, count: int = 1000) -> VerifyRe
         worst = max(worst, delta)
         if delta > 1e-12:
             return _report(name, checks, {"x": x.tolist(), "k": k, "delta": delta}, "")
-    return _report(name, checks, None, f"{count} random vectors, max |difference| = {worst:.3e}")
+    return _report(name, checks, None, f"{checks} random vectors, max |difference| = {worst:.3e}")
 
 
 _SQRT26 = math.sqrt(26.0)
@@ -573,10 +589,10 @@ def _minorant_sample(seed: int, count: int):
     return x, lengths, scales
 
 
-def _oracle_signminor_random(seed: int = 20240817, count: int = 10000) -> VerifyReport:
+def _oracle_signminor_random() -> VerifyReport:
     """Minorant gap nonnegative on random nonzero vectors, zero on
     single-support ones."""
-    x, lengths, _ = _minorant_sample(seed, count)
+    x, lengths, _ = _minorant_sample(_RANDOM_SEED, _SIGNMINOR_RANDOM_COUNT)
     gaps = sign_minorant_gap(x)
     single = np.zeros((3, 4))
     single[:, 1] = (3.0, -0.5, 1e-8)

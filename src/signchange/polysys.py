@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import _integer_vector, _real, _sign_pattern, as_vector
+from .counting import _check_rows, _integer_vector, _real, _sign_pattern, as_vector
 from .transitions import Topology, _transition_values, sign_changes
 
 __all__ = [
@@ -241,8 +241,9 @@ def spherical_to_cartesian(rho: float, phis: Sequence[float]) -> np.ndarray:
 
 def lattice_directions(z: Sequence[int]) -> list[tuple[int, ...]]:
     """Nonzero integer steps d with z + d still on the sign grid, in
-    lexicographic order (3^n - 1 of them)."""
+    lexicographic order (3^n - 1 of them, under the row ceiling)."""
     pattern = _sign_pattern(z)
+    _check_rows(3 ** len(pattern) - 1, "the lattice directions of z")
     options = [tuple(v - zi for v in (-1, 0, 1)) for zi in pattern]
     return [d for d in product(*options) if any(d)]
 

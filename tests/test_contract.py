@@ -23,12 +23,14 @@ from signchange import (
     GapProfile,
     OneDProblem,
     build_4d_system,
+    center_symmetry_check,
     check_1d_condition,
     classify_point,
     count_nonzero,
     coupled_subgradient_value,
     curves_csv_1d,
     decoupled_gap,
+    enumerate_grid,
     finite_direction_feasibility,
     frechet_inequality_probe,
     gap_profile,
@@ -198,6 +200,9 @@ def test_scalar_rule_cases():
         lambda: objective_1d([1.0, 10**400]),
         lambda: inequality_values_1d(OneDProblem(), 10**400),
         lambda: OneDProblem().multiplier(10**400),
+        # a symmetry threshold: ValueError, not a NaN token or a vacuous True
+        lambda: enumerate_grid(3).json_summary(threshold=math.nan),
+        lambda: center_symmetry_check(enumerate_grid(3), math.inf),
     ):
         with pytest.raises(ValueError):
             call()
@@ -230,8 +235,10 @@ CEILING = 3**12
         lambda: frechet_inequality_probe([1.0], [0.0], samples=2 ** (CEILING.bit_length() - 1) + 1),
         # and holds that many rows of n entries: 64 x 20000 entries
         lambda: frechet_inequality_probe(np.ones(20000), np.zeros(20000), samples=64),
-        # 3^13 completions of 13 zeros
-        lambda: classify_point([0.0] * 13),
+        # 3^13 completions of 13 zeros, counted when they are read
+        lambda: classify_point([0.0] * 13).reachable,
+        # 3^13 - 1 steps from a pattern of length 13
+        lambda: lattice_directions((1,) * 13),
     ],
     ids=[
         "surface_2d",
@@ -243,6 +250,7 @@ CEILING = 3**12
         "probe",
         "probe_entries",
         "classify",
+        "lattice_directions",
     ],
 )
 def test_row_ceiling_refuses_the_next_size(call):

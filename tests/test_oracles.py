@@ -89,6 +89,20 @@ def test_enumerate_grid_n4_circular_census():
     assert sorted(zero_change) == [(-1, -1, -1, -1), (0, 0, 0, 0), (1, 1, 1, 1)]
 
 
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_census_matches_the_transfer_matrix_closed_form(n, topology):
+    # the transfer matrix (1 - y) I + y J has eigenvalues 1 + 2y and 1 - y (twice),
+    # so the y^t coefficient of (1 + 2y)^n + 2 (1 - y)^n counts the circle and
+    # that of 3 (1 + 2y)^(n - 1) the path
+    if topology is Topology.CIRCULAR:
+        counts = [math.comb(n, t) * (2**t + 2 * (-1) ** t) for t in range(n + 1)]
+    else:
+        counts = [3 * math.comb(n - 1, t) * 2**t for t in range(n)]
+    expected = {t: c for t, c in enumerate(counts) if c}
+    assert enumerate_grid(n, topology).histogram() == expected
+
+
 @pytest.mark.parametrize(
     "n,threshold",
     [(4, 3), (2, 0), (3, 1)],
@@ -159,24 +173,42 @@ def _brute_t(signs, topology):
     return sum(signs[i] != signs[(i + 1) % n] for i in pairs)
 
 
+def _completions(signs, topology):
+    """Every completion of the zeros of signs with its t, in product order."""
+    options = [(-1, 0, 1) if s == 0 else (s,) for s in signs]
+    return tuple((y, _brute_t(y, topology)) for y in product(*options))
+
+
 def _lower_completion(signs, topology):
     """The first completion of the zeros of signs with lower t, or None."""
-    options = [(-1, 0, 1) if s == 0 else (s,) for s in signs]
     t_x = _brute_t(signs, topology)
-    return next((y for y in product(*options) if _brute_t(y, topology) < t_x), None)
+    return next((y for y, t in _completions(signs, topology) if t < t_x), None)
 
 
 @pytest.mark.parametrize("topology", list(Topology))
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_frechet_notes_match_brute_force(n, topology):
     # completions arbitrarily near x that lower t drive the Frechet quotient
     # to -infinity for every v; without one the set is {0}
     for signs in product((-1, 0, 1), repeat=n):
-        lower = _lower_completion(signs, topology)
+        reachable = _completions(signs, topology)
+        t_x = _brute_t(signs, topology)
+        values = [t for _, t in reachable]
+        if 0 not in signs:
+            label = Label.NO_ZERO_STATIONARY
+        elif max(values) <= t_x:
+            label = Label.LOCAL_MAX
+        elif min(values) >= t_x:
+            label = Label.LOCAL_MIN
+        else:
+            label = Label.NEITHER
         result = classify_point(signs, topology)
-        assert (lower is not None) == (0 in signs and any(signs)), signs
-        assert (lower is not None) == (result.label in (Label.LOCAL_MAX, Label.NEITHER)), signs
-        expected = "is empty" if lower is not None else "= {0}"
+        assert (result.label, result.t_at_x) == (label, t_x), signs
+        assert result.reachable == reachable, signs
+        lower = min(values) < t_x
+        assert lower == (0 in signs and any(signs)), signs
+        assert lower == (label in (Label.LOCAL_MAX, Label.NEITHER)), signs
+        expected = "is empty" if lower else "= {0}"
         assert result.frechet_note == f"frechet subdifferential {expected}", signs
 
 
