@@ -33,17 +33,28 @@ __all__ = [
 
 
 _NOT_A_VECTOR = "expected a nonempty 1-D real vector"
-_FLOAT_TYPES = (float, np.floating)
+_NOT_FINITE = "vector entries must be finite"
 # the largest table the library builds: the 3^12 rows of the n = 12 pattern grid
 _MAX_ROWS = 3**12
 
 
 def _finite(value) -> bool:
     """The one scalar rule: ints and Fractions are finite without a float
-    conversion (which could overflow); any other real must pass math.isfinite."""
+    conversion (which could overflow); any other real must pass math.isfinite.
+    A float is tested first, with a type test rather than the slower ABC ones."""
+    if isinstance(value, float):
+        return math.isfinite(value)
     return isinstance(value, numbers.Rational) or (
         isinstance(value, numbers.Real) and math.isfinite(value)
     )
+
+
+def _check_finite(values) -> None:
+    """Raise ValueError(_NOT_FINITE) if an entry is a real that fails the scalar
+    rule; readers that refuse an entry call this first, so nan and inf are
+    named as such, whatever the reader's own message."""
+    if any(isinstance(v, numbers.Real) and not _finite(v) for v in values):
+        raise ValueError(_NOT_FINITE)
 
 
 def _real(value, name: str) -> float:
@@ -70,26 +81,20 @@ def _check_rows(rows, what: str, least: int = 1) -> int:
 def _vector(x, batch: bool = False):
     """x read as a nonempty 1-D real vector (with batch=True, a 2-D array of
     them): a numeric array as it is, any other iterable as a list or tuple.
-    Float entries must be finite; callers that compare or convert the other
-    entries turn a TypeError into ValueError(_NOT_A_VECTOR)."""
+    Float arrays must be finite.  The entries of lists, tuples and object
+    arrays are checked by the reader that takes them: _sign_array for signs."""
     if isinstance(x, np.ndarray):
         if x.ndim != 1 + batch or x.shape[-1] == 0 or x.dtype.kind not in "fiubO":
             raise ValueError(_NOT_A_VECTOR)
         if x.dtype.kind == "f" and not np.isfinite(x).all():
-            raise ValueError("vector entries must be finite")
-        if x.dtype.kind != "O":
-            return x
-        values = x.ravel()
-    else:
-        try:
-            x = values = x if isinstance(x, (list, tuple)) else list(x)
-        except TypeError:
-            raise ValueError(_NOT_A_VECTOR) from None
-        if not values:
-            raise ValueError(_NOT_A_VECTOR)
-    # a type test per entry, not an ABC test: this pass runs over every exact list
-    if any(isinstance(v, _FLOAT_TYPES) and not math.isfinite(v) for v in values):
-        raise ValueError("vector entries must be finite")
+            raise ValueError(_NOT_FINITE)
+        return x
+    try:
+        x = x if isinstance(x, (list, tuple)) else list(x)
+    except TypeError:
+        raise ValueError(_NOT_A_VECTOR) from None
+    if not x:
+        raise ValueError(_NOT_A_VECTOR)
     return x
 
 
@@ -98,6 +103,7 @@ def _sign_pattern(z, length: int | None = None) -> tuple[int, ...]:
     values = _vector(z)
     signs = all(_finite(v) and v in (-1, 0, 1) for v in values)
     if not signs or length not in (None, len(values)):
+        _check_finite(values)
         raise ValueError(f"expected a sign pattern (entries in -1, 0, 1) of length {length or 'n'}")
     return tuple(int(v) for v in values)
 
@@ -106,18 +112,31 @@ def _integer_vector(d, length: int | None = None) -> tuple[int, ...]:
     """d as a tuple of ints, once each entry is an integral value and d has the given length."""
     values = _vector(d)
     if not all(map(_integral, values)) or length not in (None, len(values)):
+        _check_finite(values)
         raise ValueError(f"expected an integer vector of length {length or 'n'}")
     return tuple(int(v) for v in values)
+
+
+def _python_scalar(v):
+    """A numpy integer or float scalar as the Python int or float of its value,
+    which a sum cannot wrap and a Fraction can hold; any other value as it is."""
+    if isinstance(v, np.integer):
+        return int(v)
+    return float(v) if isinstance(v, np.floating) else v
 
 
 def _displaced(x, d) -> tuple[Sequence, list]:
     """(x, x + d) for vectors of one length, added element by element.
 
-    Integer arrays become Python ints, which cannot overflow, and a float
-    beside an int or Fraction counts at its exact value, so the signs taken
-    from x + d downstream are the true ones, beyond float64 too.
+    Integer arrays and numpy integer entries become Python ints, which cannot
+    overflow, and a float beside an int or Fraction counts at its exact value,
+    so the signs taken from x + d downstream are the true ones, beyond float64 too.
     """
-    base, step = (v.tolist() if isinstance(v, np.ndarray) else v for v in map(_vector, (x, d)))
+    base, step = (
+        v.tolist() if isinstance(v, np.ndarray) and v.dtype.kind != "O"
+        else list(map(_python_scalar, v))
+        for v in map(_vector, (x, d))
+    )
     if len(base) != len(step):
         raise ValueError("dimension mismatch between point and displacement")
     try:
@@ -125,7 +144,10 @@ def _displaced(x, d) -> tuple[Sequence, list]:
             a + b if isinstance(a, float) == isinstance(b, float) else Fraction(a) + Fraction(b)
             for a, b in zip(base, step)
         ]
-    except TypeError:
+    except (TypeError, ValueError, ArithmeticError):
+        # Fraction(nan) and Fraction(inf) fail before any sign is read
+        _check_finite(base)
+        _check_finite(step)
         raise ValueError(_NOT_A_VECTOR) from None
 
 
@@ -145,17 +167,41 @@ def _signs(x, batch: bool = False) -> np.ndarray:
     return _sign_array(_vector(x, batch))
 
 
+def _entry_sign(v) -> int:
+    """Sign of a list entry that is not an int, a Fraction or a finite float,
+    once it passes the scalar rule."""
+    if not _finite(v):
+        raise ValueError(_NOT_FINITE if isinstance(v, numbers.Real) else _NOT_A_VECTOR)
+    return 1 if v > 0 else -1 if v < 0 else 0
+
+
 def _sign_array(values) -> np.ndarray:
-    """Signs of a vector or batch already read by _vector: np.sign on float
-    and integer arrays, else comparisons against 0 entry by entry, so ints and
-    Fractions never pass through float64 and keep their signs beyond it."""
+    """Signs of a vector or batch read by _vector, as an int8 array.
+
+    Float and integer arrays go through np.sign and bool arrays through one
+    cast.  Lists, tuples and object arrays take one pass that reads and checks
+    each entry: an int by comparison, a Fraction by its numerator (its
+    denominator is positive), a finite float by comparison, anything else
+    through _entry_sign.  So ints and Fractions never pass through float64
+    and keep their signs beyond it.
+    """
     is_array = isinstance(values, np.ndarray)
     if is_array and values.dtype.kind in "fiu":
         return np.sign(values).astype(np.int8)
-    try:
-        signs = [1 if v > 0 else -1 if v < 0 else 0 for v in (values.ravel() if is_array else values)]
-    except (TypeError, ValueError):
-        raise ValueError(_NOT_A_VECTOR) from None
+    if is_array and values.dtype.kind == "b":
+        return values.astype(np.int8)
+    # one comprehension with exact type tests and no call for int, Fraction
+    # and float entries: the conditional form is faster than (v > 0) - (v < 0)
+    signs = [
+        (1 if v > 0 else -1 if v < 0 else 0)
+        if type(v) is int
+        else (1 if (p := v.numerator) > 0 else -1 if p < 0 else 0)
+        if type(v) is Fraction
+        else (1 if v > 0 else -1 if v < 0 else 0)
+        if type(v) is float and math.isfinite(v)
+        else _entry_sign(v)
+        for v in (values.ravel().tolist() if is_array else values)
+    ]
     return np.array(signs, dtype=np.int8).reshape(values.shape if is_array else -1)
 
 
@@ -173,7 +219,7 @@ def _float_array(x) -> np.ndarray:
         arr = None
     # a float wider than float64 can still overflow to inf
     if arr is None or not np.isfinite(arr).all():
-        raise ValueError("entries must be real numbers within the float64 range")
+        raise ValueError("entries must be finite real numbers within the float64 range")
     return arr
 
 
@@ -243,7 +289,7 @@ def _unit_magnitudes(x) -> np.ndarray:
     if _is_batch(x):
         return np.array([_unit_magnitudes(row) for row in x.tolist()], dtype=float).reshape(x.shape)
     values = x.tolist() if isinstance(x, np.ndarray) else x
-    mags = [abs(Fraction(float(v) if isinstance(v, np.floating) else v)) for v in values]
+    mags = [abs(Fraction(_python_scalar(v))) for v in values]
     top = max(mags)
     scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length() - 1)
     return np.array([float(m * scale) for m in mags])

@@ -24,12 +24,31 @@ ENTRIES = {
     ),
 }
 DTYPES = {"int": np.int64, "float": np.float64, "exact": object}
+# every kind of entry a list may hold: Python ints, Fractions and floats,
+# the exact edges beyond float64, numpy integers and floats, and bools
+LIST_ENTRIES = st.one_of(
+    ENTRIES["int"],
+    ENTRIES["float"],
+    ENTRIES["exact"],
+    st.sampled_from(EXACT_EDGES),
+    st.integers(-3, 3).map(np.int64),
+    st.sampled_from(INT64_EDGES).map(np.int64),
+    st.floats(-1e6, 1e6, width=32).map(np.float32),
+    st.booleans(),
+)
 
 weights = st.one_of(
     st.integers(-3, 3),
     st.floats(-4, 4),
     st.fractions(-3, 3, max_denominator=9),
 )
+
+
+def object_array(values):
+    """values as a 1-D object array, each entry kept as it is."""
+    arr = np.empty(len(values), dtype=object)
+    arr[:] = values
+    return arr
 
 
 @st.composite

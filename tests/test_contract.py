@@ -1,14 +1,16 @@
 """The input contract of the public entry points.
 
 A vector is read the same way everywhere: an exact result, or ValueError,
-never OverflowError or TypeError.  A sign pattern is a vector whose entries
-equal -1, 0 or 1.  Float parameters are finite and within the float64 range,
-count parameters are integral values, and every table stays under one row
-ceiling.
+never OverflowError or TypeError, and its entries follow the scalar rule of
+sign, so nan or inf at any position is refused as such.  A sign pattern is
+a vector whose entries equal -1, 0 or 1.  Float parameters are finite and
+within the float64 range, count parameters are integral values, and every
+table stays under one row ceiling.
 """
 
 import inspect
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import signchange
-from batching import ENTRIES, EXACT_EDGES
+from batching import LIST_ENTRIES, object_array
 from signchange import (
     GapParams,
     GapProfile,
@@ -138,19 +140,12 @@ def test_every_public_function_is_covered_or_exempt():
     )
 
 
-def _object_array(values):
-    arr = np.empty(len(values), dtype=object)
-    arr[:] = values
-    return arr
-
-
-entries = st.one_of(ENTRIES["int"], ENTRIES["float"], ENTRIES["exact"], st.sampled_from(EXACT_EDGES))
-containers = st.sampled_from([list, tuple, _object_array])
+containers = st.sampled_from([list, tuple, object_array])
 
 
 # entries near the float64 limit overflow when smoothed_count squares them
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@given(st.lists(entries, min_size=2, max_size=6), containers)
+@given(st.lists(LIST_ENTRIES, min_size=2, max_size=6), containers)
 def test_vector_entry_points_are_exact_or_value_error(values, container):
     signs = [1 if v > 0 else -1 if v < 0 else 0 for v in values]
     for name, call in ENTRY_POINTS.items():
@@ -163,6 +158,50 @@ def test_vector_entry_points_are_exact_or_value_error(values, container):
         elif name in PATTERN_ENTRY_POINTS:
             assert values == signs, name
             assert result == call(tuple(signs)), name
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+# int, Fraction and float entries; length 4 is the length the 4-D pattern readers need
+MIXED = (1, Fraction(-1, 2), 0.5, -3)
+# the lambda in FLOAT_ENTRY_POINTS passes only the first two entries on
+ENTRIES_READ = {"transition_hessian_2d": 2}
+
+
+@pytest.mark.parametrize("container", [list, tuple, object_array], ids=["list", "tuple", "object"])
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_non_finite_entries_are_refused_at_every_position(name, container):
+    for bad in NON_FINITE:
+        for i in range(ENTRIES_READ.get(name, len(MIXED))):
+            values = list(MIXED)
+            values[i] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ENTRY_POINTS[name](container(values))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_displacement_sums_refuse_non_finite_entries(bad):
+    # an exact entry beside a float one adds through Fraction, which holds no nan or inf
+    pairs = [
+        ([bad, 1], [Fraction(1), 0]),
+        ([1, 0], [bad, Fraction(1)]),
+        ([Fraction(1, 3), 1], [1, bad]),
+    ]
+    for x, d in pairs:
+        for call in (
+            lambda: decoupled_gap(x, d, PARAMS),
+            lambda: gap_profile(x, d, 1),
+            # a batch of object rows adds row by row
+            lambda: decoupled_gap(np.array([x, x], dtype=object), np.array([d, d], dtype=object), PARAMS),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+
+def test_numpy_integer_entries_count_at_their_python_values():
+    # 2^62 + 2^62 wraps in int64, and a Fraction of an np.int64 has no bit_length
+    big = np.int64(2**62)
+    assert decoupled_gap([1, big], [1, big], PARAMS) == decoupled_gap([1, 1], [1, 1], PARAMS)
+    assert sign_minorant_gap([np.int64(3), 1]) == sign_minorant_gap([3, 1])
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.7, math.nan, "a"])
@@ -203,6 +242,11 @@ def test_scalar_rule_cases():
         # a symmetry threshold: ValueError, not a NaN token or a vacuous True
         lambda: enumerate_grid(3).json_summary(threshold=math.nan),
         lambda: center_symmetry_check(enumerate_grid(3), math.inf),
+        # vector entries follow the scalar rule: a Decimal is no numbers.Real, as for sign
+        lambda: sign(Decimal(1)),
+        lambda: count_nonzero([Decimal(1), 1]),
+        lambda: count_nonzero([Decimal("NaN"), 1]),
+        lambda: decoupled_gap([Decimal("sNaN"), 1], [1, 0], PARAMS),
     ):
         with pytest.raises(ValueError):
             call()

@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
-from batching import batches, rowwise
+from batching import LIST_ENTRIES, batches, object_array, rowwise
 from signchange.counting import (
     IndexSets,
+    _signs,
     count_nonzero,
     frechet_inequality_probe,
     index_sets,
@@ -63,6 +64,30 @@ def test_index_sets_partition(x):
     assert sets.zeros | sets.support == frozenset(range(len(x)))
     assert sets.zeros & sets.support == frozenset()
     assert len(sets.support) == count_nonzero(x)
+
+
+@given(
+    st.lists(LIST_ENTRIES, min_size=1, max_size=8),
+    st.sampled_from([list, tuple, object_array]),
+)
+def test_sign_reader_matches_scalar_sign(values, container):
+    signs = _signs(container(values))
+    assert signs.dtype == np.int8
+    assert signs.tolist() == [sign(v) for v in values]
+
+
+@given(st.integers(1, 4), st.integers(1, 8), st.data())
+def test_sign_reader_matches_scalar_sign_on_object_batches(rows, n, data):
+    values = data.draw(st.lists(LIST_ENTRIES, min_size=rows * n, max_size=rows * n))
+    signs = _signs(object_array(values).reshape(rows, n), batch=True)
+    assert signs.dtype == np.int8 and signs.shape == (rows, n)
+    assert signs.ravel().tolist() == [sign(v) for v in values]
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=8))
+def test_sign_reader_takes_bool_arrays_as_zero_and_one(values):
+    assert _signs(np.array(values)).tolist() == [sign(v) for v in values]
+    assert count_nonzero(np.array(values)) == count_nonzero(np.array(values, dtype=float))
 
 
 def test_vector_validation():

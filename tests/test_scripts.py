@@ -41,3 +41,16 @@ def test_run_verifications_match_exits_zero(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "hessian_table  PASS" in out
     assert "1 oracles" in out
+
+
+def test_run_verifications_json_prints_one_record_per_oracle(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["run_verifications.py", "--match", "hadamard", "--json"])
+    script = load_script("run_verifications")
+    assert script.main() == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    names = [n for n in script.list_oracles() if "hadamard" in n]
+    assert [r["name"] for r in records] == names
+    for record in records:
+        assert set(record) == {"name", "passed", "checks", "seconds", "checks_per_s"}
+        assert record["passed"] is True and record["checks"] > 0
+        assert record["checks_per_s"] == record["checks"] / max(record["seconds"], 1e-9)
