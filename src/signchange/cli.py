@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import oracles, optimality, polysys, subgradients
-from .counting import count_nonzero, sign_minorant_gap, sign_vector
+from .counting import _real, count_nonzero, sign_minorant_gap, sign_vector
 from .transitions import (
     Topology,
     hadamard_norm_sq,
@@ -58,9 +58,12 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a rational number: {text!r}") from None
+    # the reports print it as a float
+    _real(value, f"the rational {text!r}")
+    return value
 
 
 def _jsonable(obj):

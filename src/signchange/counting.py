@@ -14,7 +14,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.stats import qmc
@@ -49,14 +49,6 @@ def _finite(value) -> bool:
     )
 
 
-def _check_finite(values) -> None:
-    """Raise ValueError(_NOT_FINITE) if an entry is a real that fails the scalar
-    rule; readers that refuse an entry call this first, so nan and inf are
-    named as such, whatever the reader's own message."""
-    if any(isinstance(v, numbers.Real) and not _finite(v) for v in values):
-        raise ValueError(_NOT_FINITE)
-
-
 def _real(value, name: str) -> float:
     """A float parameter: a finite real value, converted once to float64."""
     if not (_finite(value) and abs(value) <= sys.float_info.max):
@@ -82,7 +74,7 @@ def _vector(x, batch: bool = False):
     """x read as a nonempty 1-D real vector (with batch=True, a 2-D array of
     them): a numeric array as it is, any other iterable as a list or tuple.
     Float arrays must be finite.  The entries of lists, tuples and object
-    arrays are checked by the reader that takes them: _sign_array for signs."""
+    arrays are checked by the reader that takes them, through _entries."""
     if isinstance(x, np.ndarray):
         if x.ndim != 1 + batch or x.shape[-1] == 0 or x.dtype.kind not in "fiubO":
             raise ValueError(_NOT_A_VECTOR)
@@ -98,81 +90,66 @@ def _vector(x, batch: bool = False):
     return x
 
 
+def _entries(values) -> list:
+    """The entries of a vector or batch read by _vector, flat, as Python reals.
+
+    The one entry rule: a numpy integer or float becomes the Python int or
+    float of its value, which a sum cannot wrap and a Fraction can hold, and
+    any other finite numbers.Real is kept as it is.  A real that is not
+    finite raises ValueError naming finiteness; any other entry is no real.
+    """
+    reals = [
+        int(v) if isinstance(v, np.integer) else float(v) if isinstance(v, np.floating) else v
+        for v in (values.ravel().tolist() if isinstance(values, np.ndarray) else values)
+    ]
+    if not all(map(_finite, reals)):
+        real = any(isinstance(v, numbers.Real) and not _finite(v) for v in reals)
+        raise ValueError(_NOT_FINITE if real else _NOT_A_VECTOR)
+    return reals
+
+
 def _sign_pattern(z, length: int | None = None) -> tuple[int, ...]:
     """z as a tuple of ints, once each entry equals -1, 0 or 1 and z has the given length."""
-    values = _vector(z)
-    signs = all(_finite(v) and v in (-1, 0, 1) for v in values)
-    if not signs or length not in (None, len(values)):
-        _check_finite(values)
+    values = _entries(_vector(z))
+    if not all(v in (-1, 0, 1) for v in values) or length not in (None, len(values)):
         raise ValueError(f"expected a sign pattern (entries in -1, 0, 1) of length {length or 'n'}")
-    return tuple(int(v) for v in values)
+    return tuple(map(int, values))
 
 
 def _integer_vector(d, length: int | None = None) -> tuple[int, ...]:
     """d as a tuple of ints, once each entry is an integral value and d has the given length."""
-    values = _vector(d)
+    values = _entries(_vector(d))
     if not all(map(_integral, values)) or length not in (None, len(values)):
-        _check_finite(values)
         raise ValueError(f"expected an integer vector of length {length or 'n'}")
-    return tuple(int(v) for v in values)
+    return tuple(map(int, values))
 
 
-def _python_scalar(v):
-    """A numpy integer or float scalar as the Python int or float of its value,
-    which a sum cannot wrap and a Fraction can hold; any other value as it is."""
-    if isinstance(v, np.integer):
-        return int(v)
-    return float(v) if isinstance(v, np.floating) else v
-
-
-def _displaced(x, d) -> tuple[Sequence, list]:
+def _displaced(x, d) -> tuple[list, list]:
     """(x, x + d) for vectors of one length, added element by element.
 
-    Integer arrays and numpy integer entries become Python ints, which cannot
-    overflow, and a float beside an int or Fraction counts at its exact value,
-    so the signs taken from x + d downstream are the true ones, beyond float64 too.
+    The entries are read by _entries, so numpy integers add as Python ints,
+    which cannot overflow, and a float beside an int or Fraction counts at its
+    exact value: the signs of x + d are the true ones, beyond float64 too.
     """
-    base, step = (
-        v.tolist() if isinstance(v, np.ndarray) and v.dtype.kind != "O"
-        else list(map(_python_scalar, v))
-        for v in map(_vector, (x, d))
-    )
+    base, step = (_entries(_vector(v)) for v in (x, d))
     if len(base) != len(step):
         raise ValueError("dimension mismatch between point and displacement")
-    try:
-        return base, [
-            a + b if isinstance(a, float) == isinstance(b, float) else Fraction(a) + Fraction(b)
-            for a, b in zip(base, step)
-        ]
-    except (TypeError, ValueError, ArithmeticError):
-        # Fraction(nan) and Fraction(inf) fail before any sign is read
-        _check_finite(base)
-        _check_finite(step)
-        raise ValueError(_NOT_A_VECTOR) from None
+    return base, [
+        a + b if isinstance(a, float) == isinstance(b, float) else Fraction(a) + Fraction(b)
+        for a, b in zip(base, step)
+    ]
 
 
 def sign(value: float, tol: float = 0.0) -> int:
-    """Componentwise sign in {-1, 0, +1}; |value| <= tol maps to 0."""
-    if not (_finite(value) and _finite(tol) and tol >= 0):
-        raise ValueError(f"sign needs finite value and tol >= 0, got {value!r}, {tol!r}")
-    if value > tol:
-        return 1
-    if value < -tol:
-        return -1
-    return 0
+    """Sign in {-1, 0, +1} of one value, as sign_vector gives it."""
+    if not _finite(value):
+        raise ValueError(f"sign needs a finite real value, got {value!r}")
+    return sign_vector((value,), tol)[0]
 
 
 def _signs(x, batch: bool = False) -> np.ndarray:
     """Componentwise signs of x, read by _vector, as an int8 array."""
     return _sign_array(_vector(x, batch))
-
-
-def _entry_sign(v) -> int:
-    """Sign of a list entry that is not an int, a Fraction or a finite float,
-    once it passes the scalar rule."""
-    if not _finite(v):
-        raise ValueError(_NOT_FINITE if isinstance(v, numbers.Real) else _NOT_A_VECTOR)
-    return 1 if v > 0 else -1 if v < 0 else 0
 
 
 def _sign_array(values) -> np.ndarray:
@@ -181,9 +158,9 @@ def _sign_array(values) -> np.ndarray:
     Float and integer arrays go through np.sign and bool arrays through one
     cast.  Lists, tuples and object arrays take one pass that reads and checks
     each entry: an int by comparison, a Fraction by its numerator (its
-    denominator is positive), a finite float by comparison, anything else
-    through _entry_sign.  So ints and Fractions never pass through float64
-    and keep their signs beyond it.
+    denominator is positive), a finite float by comparison.  Any other entry
+    sends the vector through _entries and one more pass.  So ints and
+    Fractions never pass through float64 and keep their signs beyond it.
     """
     is_array = isinstance(values, np.ndarray)
     if is_array and values.dtype.kind in "fiu":
@@ -191,7 +168,9 @@ def _sign_array(values) -> np.ndarray:
     if is_array and values.dtype.kind == "b":
         return values.astype(np.int8)
     # one comprehension with exact type tests and no call for int, Fraction
-    # and float entries: the conditional form is faster than (v > 0) - (v < 0)
+    # and float entries: the conditional form is faster than (v > 0) - (v < 0);
+    # any other entry sets other, and the vector is then read through _entries
+    other = False
     signs = [
         (1 if v > 0 else -1 if v < 0 else 0)
         if type(v) is int
@@ -199,9 +178,11 @@ def _sign_array(values) -> np.ndarray:
         if type(v) is Fraction
         else (1 if v > 0 else -1 if v < 0 else 0)
         if type(v) is float and math.isfinite(v)
-        else _entry_sign(v)
+        else (other := True)
         for v in (values.ravel().tolist() if is_array else values)
     ]
+    if other:
+        signs = [(v > 0) - (v < 0) for v in _entries(values)]
     return np.array(signs, dtype=np.int8).reshape(values.shape if is_array else -1)
 
 
@@ -211,16 +192,19 @@ def _is_batch(x) -> bool:
 
 
 def _float_array(x) -> np.ndarray:
-    """x as a float64 array of any shape; entries that are not finite in
-    float64, such as ints beyond its range, raise ValueError, not OverflowError."""
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, OverflowError):
-        arr = None
-    # a float wider than float64 can still overflow to inf
-    if arr is None or not np.isfinite(arr).all():
-        raise ValueError("entries must be finite real numbers within the float64 range")
-    return arr
+    """x as a float64 array of any shape: object entries through _entries and
+    _real, numeric arrays cast whole; any other dtype (strings, complex) or an
+    entry not finite in float64, such as a wider float beyond it, raises ValueError."""
+    arr = np.asarray(x)
+    if arr.dtype.kind == "O":
+        return np.array([_real(v, "an entry") for v in _entries(arr)]).reshape(arr.shape)
+    if arr.dtype.kind in "fiub":
+        # a float wider than float64 can still overflow to inf
+        with np.errstate(over="ignore"):
+            arr = arr.astype(float, copy=False)
+        if np.isfinite(arr).all():
+            return arr
+    raise ValueError("entries must be finite real numbers within the float64 range")
 
 
 def as_vector(x: Iterable[float]) -> np.ndarray:
@@ -232,10 +216,16 @@ def as_vector(x: Iterable[float]) -> np.ndarray:
 
 
 def sign_vector(x: Iterable[float], tol: float = 0.0) -> tuple[int, ...]:
-    """Componentwise signs; with tol != 0 each entry goes through sign(v, tol)."""
-    if tol == 0.0:
-        return tuple(_signs(x).tolist())
-    return tuple(sign(v, tol) for v in _vector(x))
+    """Componentwise signs in {-1, 0, +1}; |v| <= tol maps to 0, compared
+    exactly, with numpy scalars read as Python reals: np.float32(1) < 10**400."""
+    if not (_finite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite real >= 0, got {tol!r}")
+    values = _vector(x)
+    signs = _sign_array(values)
+    if tol:
+        (tol,) = _entries((tol,))
+        signs[[abs(v) <= tol for v in _entries(values)]] = 0
+    return tuple(signs.tolist())
 
 
 def count_nonzero(x: Iterable[float]) -> int:
@@ -272,6 +262,13 @@ def is_count_subgradient(x: Iterable[float], candidate: Iterable[float]) -> bool
     return bool(np.all(cand[signs != 0] == 0))
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray):
+    """<a, b> for one vector, or per row of two 2-D arrays by (1 x n) @ (n x 1)
+    products: the BLAS dot that np.dot runs on one vector, so each row is
+    bit-identical to the 1-D call (einsum and norm(axis=1) round differently)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _unit_magnitudes(x) -> np.ndarray:
     """|x| / 2^e as float64, with 2^e the power of two just above max |x|,
     for one vector or for each row of a 2-D array of them.
@@ -288,8 +285,7 @@ def _unit_magnitudes(x) -> np.ndarray:
         return np.ldexp(mags, -np.frexp(mags.max(axis=-1, keepdims=True))[1])
     if _is_batch(x):
         return np.array([_unit_magnitudes(row) for row in x.tolist()], dtype=float).reshape(x.shape)
-    values = x.tolist() if isinstance(x, np.ndarray) else x
-    mags = [abs(Fraction(_python_scalar(v))) for v in values]
+    mags = [abs(Fraction(v)) for v in _entries(x)]
     top = max(mags)
     scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length() - 1)
     return np.array([float(m * scale) for m in mags])
@@ -311,9 +307,7 @@ def sign_minorant_gap(x: Iterable[float]) -> float:
     if not count.all():
         raise ValueError("minorant gap is undefined at the origin")
     mags = _unit_magnitudes(x)
-    # a (1 x n) @ (n x 1) product per row runs the BLAS dot that np.linalg.norm
-    # runs on one vector; norm(axis=1) and einsum round differently
-    norm = np.sqrt((mags[..., None, :] @ mags[..., :, None])[..., 0, 0])
+    norm = np.sqrt(_row_dot(mags, mags))
     gap = count - mags.sum(axis=-1) / norm
     return gap if batch else float(gap)
 

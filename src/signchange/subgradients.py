@@ -179,9 +179,9 @@ def gap_profile(
 
 def profile_csv(profile: GapProfile, step: Fraction = Fraction(1, 200)) -> str:
     """CSV rows 'k,gap' for k = step, 2*step, ... up to 1/2."""
-    step = Fraction(step)
-    if not 0 < step <= Fraction(1, 2):
+    if not (_finite(step) and 0 < step <= Fraction(1, 2)):
         raise ValueError("step must lie in (0, 1/2]")
+    step = Fraction(step)
     _check_rows(Fraction(1, 2) // step, "the profile")
     lines = ["k,gap"]
     k = step

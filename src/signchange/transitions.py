@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import _finite, _is_batch, _real, _sign_pattern, _signs, as_vector
+from .counting import _finite, _is_batch, _real, _row_dot, _sign_pattern, _signs, as_vector
 
 __all__ = [
     "Topology",
@@ -173,7 +173,8 @@ def hadamard_norm_sq(x: Iterable[float], k) -> float:
     <((I + Z)s + k(s o Zs))^o2, ((s o Zs) - e)^o2> with s the sign vector
     of x and Z the one-step circular shift; an independent route to
     transition_norm_sq(x, k, CIRCULAR).  A 2-D array of vectors (rows)
-    gives a float64 array with one value per row.
+    gives a float64 array with one value per row, bit-identical to the call
+    on that row.
     """
     k = _real(k, "transition weight k")
     batch = _is_batch(x)
@@ -181,9 +182,8 @@ def hadamard_norm_sq(x: Iterable[float], k) -> float:
     prod = s * zs
     left = (s + zs + k * prod) ** 2
     right = (prod - 1.0) ** 2
-    if batch:
-        return np.einsum("ij,ij->i", left, right)
-    return float(np.dot(left, right))
+    value = _row_dot(left, right)
+    return value if batch else float(value)
 
 
 @dataclass(frozen=True)

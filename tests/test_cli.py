@@ -72,6 +72,9 @@ def test_eval_deterministic(capsys):
         ("feascheck", "--z=0.5,1,1,1"),
         ("polysys", "--z=1,-1,1,-1", "--mu=inf,0,0,0"),
         ("sphere", "--which=3d", "--resolution=730"),
+        # rationals the reports would print as floats beyond float64
+        ("eval", "--x=1,-1", "--k=1e400"),
+        ("profile", "--x=1,-1", "--kx=1e400", "--format=json"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

@@ -128,6 +128,15 @@ EXEMPT = {
     "grid_feasibility_summary": "no argument",
 }
 ENTRY_POINTS = {**SIGN_ENTRY_POINTS, **FLOAT_ENTRY_POINTS, **PATTERN_ENTRY_POINTS}
+# every reader of float64 entries: the table above and the elementwise 1-D formulas
+FLOAT_READERS = {
+    **FLOAT_ENTRY_POINTS,
+    "objective_1d": objective_1d,
+    "inequality_values_1d": lambda x: inequality_values_1d(OneDProblem(), x),
+    "multiplier": OneDProblem().multiplier,
+}
+# a numpy float tolerance meets an int beyond float64
+TOLERANCES = (0.5, Fraction(1, 3), 10**400, np.float32(0.25))
 
 
 def test_every_public_function_is_covered_or_exempt():
@@ -158,6 +167,9 @@ def test_vector_entry_points_are_exact_or_value_error(values, container):
         elif name in PATTERN_ENTRY_POINTS:
             assert values == signs, name
             assert result == call(tuple(signs)), name
+    # with a tolerance, sign_vector reads each entry as sign does
+    for tol in TOLERANCES:
+        assert sign_vector(container(values), tol) == tuple(sign(v, tol) for v in values)
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -215,6 +227,9 @@ def test_scalar_rule_cases():
     # ints and Fractions are finite without a float conversion
     assert sign(10**400) == 1
     assert sign_vector([10**400, -1], tol=0.5) == (1, -1)
+    assert sign_vector([np.float32(1), 10**400], tol=np.float32(2)) == (0, 1)
+    # a bool array is read as 1 and 0 with or without a tolerance
+    assert sign_vector(np.array([True, False]), tol=0.5) == (1, 0)
     with pytest.raises(ValueError):
         sign(1.0, tol=math.nan)
     with pytest.raises(ValueError):
@@ -247,14 +262,24 @@ def test_scalar_rule_cases():
         lambda: count_nonzero([Decimal(1), 1]),
         lambda: count_nonzero([Decimal("NaN"), 1]),
         lambda: decoupled_gap([Decimal("sNaN"), 1], [1, 0], PARAMS),
+        # an infinite profile step: ValueError, not OverflowError from Fraction(inf)
+        lambda: profile_csv(gap_profile((1, -1), (0, 0), 1), step=math.inf),
     ):
         with pytest.raises(ValueError):
             call()
+    # the float64 readers follow the same entry rule: no string is parsed and
+    # no Decimal or complex entry is converted
+    for call in FLOAT_READERS.values():
+        for bad in ("1.5", Decimal("1.5"), 1 + 2j):
+            for container in (list, tuple, object_array):
+                for values in ([bad, 0.5], [0.5, bad]):
+                    with pytest.raises(ValueError):
+                        call(container(values))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_wide_floats_beyond_float64_are_value_error():
-    # finite as a longdouble where that is wider than float64, inf once converted
+    # finite as a longdouble where that is wider than float64, inf once converted,
+    # and refused without a RuntimeWarning from the cast
     wide = np.array([np.longdouble("1e400"), 1], dtype=np.longdouble)
     with pytest.raises(ValueError):
         sign_minorant_gap(wide)
