@@ -91,15 +91,20 @@ def _vector(x, batch: bool = False):
 
 
 def _entries(values) -> list:
-    """The entries of a vector or batch read by _vector, flat, as Python reals.
-
-    The one entry rule: a numpy integer or float becomes the Python int or
-    float of its value, which a sum cannot wrap and a Fraction can hold, and
-    any other finite numbers.Real is kept as it is.  A real that is not
-    finite raises ValueError naming finiteness; any other entry is no real.
-    """
+    """The one entry rule, for a vector or batch read by _vector: its entries,
+    flat, as Python reals.  A numpy integer or float becomes the Python int or
+    float of its value, which a sum cannot wrap and a Fraction can hold, or,
+    for a finite longdouble wider than float64, the Fraction of its value,
+    unrounded; any other finite numbers.Real is kept.  A real that is not
+    finite raises ValueError naming finiteness; any other entry is no real."""
     reals = [
-        int(v) if isinstance(v, np.integer) else float(v) if isinstance(v, np.floating) else v
+        int(v)
+        if isinstance(v, np.integer)
+        else v
+        if not isinstance(v, np.floating)
+        else float(v)
+        if v.itemsize <= 8 or not np.isfinite(v)
+        else Fraction(*v.as_integer_ratio())
         for v in (values.ravel().tolist() if isinstance(values, np.ndarray) else values)
     ]
     if not all(map(_finite, reals)):
@@ -142,8 +147,6 @@ def _displaced(x, d) -> tuple[list, list]:
 
 def sign(value: float, tol: float = 0.0) -> int:
     """Sign in {-1, 0, +1} of one value, as sign_vector gives it."""
-    if not _finite(value):
-        raise ValueError(f"sign needs a finite real value, got {value!r}")
     return sign_vector((value,), tol)[0]
 
 
@@ -218,14 +221,14 @@ def as_vector(x: Iterable[float]) -> np.ndarray:
 def sign_vector(x: Iterable[float], tol: float = 0.0) -> tuple[int, ...]:
     """Componentwise signs in {-1, 0, +1}; |v| <= tol maps to 0, compared
     exactly, with numpy scalars read as Python reals: np.float32(1) < 10**400."""
-    if not (_finite(tol) and tol >= 0):
+    (tol,) = _entries((tol,))
+    if tol < 0:
         raise ValueError(f"tol must be a finite real >= 0, got {tol!r}")
     values = _vector(x)
-    signs = _sign_array(values)
+    signs = _sign_array(values).tolist()
     if tol:
-        (tol,) = _entries((tol,))
-        signs[[abs(v) <= tol for v in _entries(values)]] = 0
-    return tuple(signs.tolist())
+        signs = [0 if abs(v) <= tol else s for v, s in zip(_entries(values), signs)]
+    return tuple(signs)
 
 
 def count_nonzero(x: Iterable[float]) -> int:

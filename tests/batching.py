@@ -25,7 +25,8 @@ ENTRIES = {
 }
 DTYPES = {"int": np.int64, "float": np.float64, "exact": object}
 # every kind of entry a list may hold: Python ints, Fractions and floats,
-# the exact edges beyond float64, numpy integers and floats, and bools
+# the exact edges beyond float64, numpy integers and floats (a longdouble
+# below the float64 range where that type is wider), and bools
 LIST_ENTRIES = st.one_of(
     ENTRIES["int"],
     ENTRIES["float"],
@@ -34,6 +35,7 @@ LIST_ENTRIES = st.one_of(
     st.integers(-3, 3).map(np.int64),
     st.sampled_from(INT64_EDGES).map(np.int64),
     st.floats(-1e6, 1e6, width=32).map(np.float32),
+    st.sampled_from([np.longdouble("1e-400"), np.longdouble("-1e-400")]),
     st.booleans(),
 )
 

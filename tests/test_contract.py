@@ -139,6 +139,11 @@ FLOAT_READERS = {
 TOLERANCES = (0.5, Fraction(1, 3), 10**400, np.float32(0.25))
 
 
+def _exact(v) -> Fraction:
+    """The exact value of a real entry of LIST_ENTRIES or of a tolerance."""
+    return Fraction(int(v)) if isinstance(v, (int, np.integer)) else Fraction(*v.as_integer_ratio())
+
+
 def test_every_public_function_is_covered_or_exempt():
     functions = {
         name for name in signchange.__all__ if inspect.isfunction(getattr(signchange, name))
@@ -167,9 +172,12 @@ def test_vector_entry_points_are_exact_or_value_error(values, container):
         elif name in PATTERN_ENTRY_POINTS:
             assert values == signs, name
             assert result == call(tuple(signs)), name
-    # with a tolerance, sign_vector reads each entry as sign does
+    # with a tolerance, sign and sign_vector compare |v| <= tol at exact values
     for tol in TOLERANCES:
-        assert sign_vector(container(values), tol) == tuple(sign(v, tol) for v in values)
+        exact = map(_exact, values)
+        expected = tuple(0 if abs(e) <= _exact(tol) else s for e, s in zip(exact, signs))
+        assert sign_vector(container(values), tol) == expected
+        assert tuple(sign(v, tol) for v in values) == expected
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -230,6 +238,16 @@ def test_scalar_rule_cases():
     assert sign_vector([np.float32(1), 10**400], tol=np.float32(2)) == (0, 1)
     # a bool array is read as 1 and 0 with or without a tolerance
     assert sign_vector(np.array([True, False]), tol=0.5) == (1, 0)
+    # |v| == tol maps to 0
+    assert sign(0.1, tol=0.1) == 0
+    assert sign_vector([Fraction(1, 3), -1], Fraction(1, 3)) == (0, -1)
+    assert sign_vector([-0.1, 0.1, 0.2], 0.1) == (0, 0, 1)
+    # a longdouble is not rounded to float64 where that type is wider
+    tiny = np.longdouble("1e-400")
+    assert sign(tiny) == int(tiny > 0)
+    assert count_nonzero([tiny]) == count_nonzero(object_array([tiny])) == int(tiny > 0)
+    assert sign_vector(np.array([tiny, 3 * tiny]), tol=2 * tiny) == (0, int(tiny > 0))
+    assert sign_vector([tiny, 3 * tiny], tol=2 * tiny) == (0, int(tiny > 0))
     with pytest.raises(ValueError):
         sign(1.0, tol=math.nan)
     with pytest.raises(ValueError):
