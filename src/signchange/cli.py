@@ -66,23 +66,6 @@ def _parse_fraction(text: str) -> Fraction:
     return value
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonable(v) for v in seq]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -92,7 +75,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _emit_json(payload, path: str | None) -> None:
-    _emit(json.dumps(_jsonable(payload), sort_keys=True, indent=2), path)
+    _emit(json.dumps(payload, sort_keys=True, indent=2), path)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -110,7 +93,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "weak_transitions": weak,
         "full_flips": flips,
         "k": float(k),
-        "l": [float(v) for v in transition_map(x, float(k), topo).values],
+        "l": [float(v) for v in transition_map(x, float(k), topo)],
         "norm_sq_l": float(transition_norm_sq(x, k, topo)),
         "minorant_gap": None if count_nonzero(x) == 0 else sign_minorant_gap(x),
     }
@@ -189,7 +172,7 @@ def _cmd_check_1d(args: argparse.Namespace) -> int:
         "violations": report.violations,
         "passed": report.passed,
         "full_interval_minima": report.full_interval_minima,
-        "objective_argmin": optimality.global_min_1d(grid_points=args.grid, problem=problem),
+        "objective_argmin": optimality.global_min_1d(grid_points=args.grid),
     }
     _emit_json(payload, args.out)
     return 0 if report.passed else 1

@@ -145,9 +145,9 @@ def _displaced(x, d) -> tuple[list, list]:
     ]
 
 
-def sign(value: float, tol: float = 0.0) -> int:
+def sign(value: float) -> int:
     """Sign in {-1, 0, +1} of one value, as sign_vector gives it."""
-    return sign_vector((value,), tol)[0]
+    return sign_vector((value,))[0]
 
 
 def _signs(x, batch: bool = False) -> np.ndarray:
@@ -218,17 +218,9 @@ def as_vector(x: Iterable[float]) -> np.ndarray:
     return arr
 
 
-def sign_vector(x: Iterable[float], tol: float = 0.0) -> tuple[int, ...]:
-    """Componentwise signs in {-1, 0, +1}; |v| <= tol maps to 0, compared
-    exactly, with numpy scalars read as Python reals: np.float32(1) < 10**400."""
-    (tol,) = _entries((tol,))
-    if tol < 0:
-        raise ValueError(f"tol must be a finite real >= 0, got {tol!r}")
-    values = _vector(x)
-    signs = _sign_array(values).tolist()
-    if tol:
-        signs = [0 if abs(v) <= tol else s for v, s in zip(_entries(values), signs)]
-    return tuple(signs)
+def sign_vector(x: Iterable[float]) -> tuple[int, ...]:
+    """Componentwise signs in {-1, 0, +1}, taken exactly."""
+    return tuple(_signs(x).tolist())
 
 
 def count_nonzero(x: Iterable[float]) -> int:

@@ -50,7 +50,7 @@ def objective_1d(x):
 
 @dataclass(frozen=True)
 class OneDProblem:
-    """Candidate and penalty weight for the interval problem.
+    """Candidate and penalty weight for the interval problem on [-2pi, 2pi].
 
     The default c1 = -4.8 is the reference's rounded candidate, not the
     minimiser of x^2 cos(2x) on the interval (about -4.8148).
@@ -58,14 +58,10 @@ class OneDProblem:
 
     c1: float = -4.8
     sigma: float = 1.0
-    lower: float = -TWO_PI
-    upper: float = TWO_PI
 
     def __post_init__(self) -> None:
-        for name in ("c1", "sigma", "lower", "upper"):
+        for name in ("c1", "sigma"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
-        if not (self.lower < self.upper):
-            raise ValueError("empty interval")
         if self.sigma < 0.0:
             raise ValueError("penalty weight must be nonnegative")
 
@@ -85,7 +81,7 @@ def inequality_values_1d(problem: OneDProblem, x) -> dict[str, np.ndarray]:
     arr = _float_array(x)
     f = objective_1d(arr)
     K = problem.K
-    bound_term = -problem.multiplier(arr) * (arr - problem.lower)
+    bound_term = -problem.multiplier(arr) * (arr + TWO_PI)
     penalty = problem.sigma * np.abs(arr - problem.c1)
     return {
         "a": bound_term + f + K,
@@ -110,7 +106,7 @@ def check_1d_condition(
     grid_points: int = 10000,
     tol: float = 1e-6,
 ) -> ConditionReport:
-    """Evaluate the three inequalities on [lower, 0] and report minima.
+    """Evaluate the three inequalities on [-2pi, 0] and report minima.
 
     Passes when every grid minimum stays above -tol.  The behaviour over
     the full interval is reported alongside but does not enter the flag.
@@ -119,7 +115,7 @@ def check_1d_condition(
     tol = _real(tol, "tolerance")
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    grid = np.linspace(problem.lower, 0.0, grid_points)
+    grid = np.linspace(-TWO_PI, 0.0, grid_points)
     values = inequality_values_1d(problem, grid)
     minima = {}
     argmins = {}
@@ -129,7 +125,7 @@ def check_1d_condition(
         minima[key] = float(v[i])
         argmins[key] = float(grid[i])
         violations[key] = int(np.count_nonzero(v < -tol))
-    full_grid = np.linspace(problem.lower, problem.upper, grid_points)
+    full_grid = np.linspace(-TWO_PI, TWO_PI, grid_points)
     full_values = inequality_values_1d(problem, full_grid)
     return ConditionReport(
         grid_size=grid_points,
@@ -142,7 +138,7 @@ def check_1d_condition(
     )
 
 
-def global_min_1d(grid_points: int = 10000, problem: OneDProblem | None = None) -> float:
+def global_min_1d(grid_points: int = 10000) -> float:
     """Grid argmin of the objective over the interval, with refinement.
 
     Deterministic: near-ties (within 1e-9 relative, absorbing last-ulp
@@ -151,8 +147,7 @@ def global_min_1d(grid_points: int = 10000, problem: OneDProblem | None = None) 
     around the incumbent.
     """
     grid_points = _check_rows(grid_points, "the grid", least=100)
-    p = problem or OneDProblem()
-    lo, hi = p.lower, p.upper
+    lo, hi = -TWO_PI, TWO_PI
     best = lo
     for _ in range(4):
         grid = np.linspace(lo, hi, grid_points)
@@ -161,15 +156,15 @@ def global_min_1d(grid_points: int = 10000, problem: OneDProblem | None = None) 
         near = np.flatnonzero(values <= floor + 1e-9 * (1.0 + abs(floor)))
         best = float(grid[int(near[0])])
         width = (hi - lo) / (grid_points - 1)
-        lo = max(p.lower, best - 2.0 * width)
-        hi = min(p.upper, best + 2.0 * width)
+        lo = max(-TWO_PI, best - 2.0 * width)
+        hi = min(TWO_PI, best + 2.0 * width)
     return best
 
 
 def curves_csv_1d(problem: OneDProblem, grid_points: int = 1000) -> str:
     """CSV columns x,f,ineq_a,ineq_b,ineq_c over the full interval."""
     grid_points = _check_rows(grid_points, "the grid", least=2)
-    grid = np.linspace(problem.lower, problem.upper, grid_points)
+    grid = np.linspace(-TWO_PI, TWO_PI, grid_points)
     f = objective_1d(grid)
     values = inequality_values_1d(problem, grid)
     lines = ["x,f,ineq_a,ineq_b,ineq_c"]

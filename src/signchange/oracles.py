@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .counting import _check_rows, _finite, _signs, sign_minorant_gap
+from .counting import _check_rows, _finite, _integral, _signs, sign_minorant_gap
 from .polysys import finite_direction_feasibility, solve_rational_system
 from .subgradients import GapParams, coupled_subgradient_value, decoupled_gap, zero_direction_gap
 from .transitions import (
@@ -74,8 +74,10 @@ def pattern_grid(n: int) -> np.ndarray:
     ordering matches itertools.product((-1, 0, 1), repeat=n) and the
     negation of row r is row 3^n - 1 - r.
     """
-    if not 2 <= n <= MAX_GRID_DIM:
-        raise ValueError(f"pattern dimension must lie in [2, {MAX_GRID_DIM}]")
+    # an integral n in range, checked before 3^n is formed
+    if not (_integral(n) and 2 <= n <= MAX_GRID_DIM):
+        raise ValueError(f"pattern dimension must be an integer in [2, {MAX_GRID_DIM}], got {n!r}")
+    n = int(n)
     powers = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
     idx = np.arange(3**n, dtype=np.int64)
     return ((idx[:, None] // powers[None, :]) % 3 - 1).astype(np.int8)
@@ -155,7 +157,7 @@ class GridTable:
 def enumerate_grid(n: int, topology: Topology = Topology.CIRCULAR) -> GridTable:
     patterns = pattern_grid(n)
     weak, flips = pair_stats(patterns, topology)
-    return GridTable(n=n, topology=topology, patterns=patterns, t=weak + flips)
+    return GridTable(n=patterns.shape[1], topology=topology, patterns=patterns, t=weak + flips)
 
 
 def center_symmetry_check(table: GridTable, threshold: int) -> bool:

@@ -24,7 +24,6 @@ from .counting import _finite, _is_batch, _real, _row_dot, _sign_pattern, _signs
 
 __all__ = [
     "Topology",
-    "TransitionVector",
     "transition_component",
     "transition_map",
     "pair_stats",
@@ -32,7 +31,6 @@ __all__ = [
     "pair_counts",
     "transition_norm_sq",
     "hadamard_norm_sq",
-    "SmoothingParams",
     "smoothed_count",
     "smoothed_sign_changes",
     "Hessian2",
@@ -63,7 +61,7 @@ class Topology(enum.Enum):
     def from_name(cls, name: str) -> "Topology":
         try:
             return cls(name.lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise ValueError(f"unknown topology {name!r}; use 'circular' or 'linear'") from None
 
 
@@ -89,20 +87,12 @@ def _transition_values(a, b, k):
     return (a + b + k * prod) * (prod - 1)
 
 
-@dataclass(frozen=True)
-class TransitionVector:
-    """Transition values over the adjacency pairs, with their weight k."""
-
-    values: tuple
-    k: object
-    topology: Topology
-
-
-def transition_map(x: Iterable[float], k, topology: Topology = Topology.CIRCULAR) -> TransitionVector:
+def transition_map(x: Iterable[float], k, topology: Topology = Topology.CIRCULAR) -> tuple:
+    """Transition values over the adjacency pairs of x, in pair order."""
     # Python-int signs: each value has transition_component's value and type
     _check_weight(k)
     a, b = topology.neighbors(_signs(x).astype(object))
-    return TransitionVector(values=tuple(_transition_values(a, b, k).tolist()), k=k, topology=topology)
+    return tuple(_transition_values(a, b, k).tolist())
 
 
 def pair_stats(signs: np.ndarray, topology: Topology):
@@ -186,18 +176,11 @@ def hadamard_norm_sq(x: Iterable[float], k) -> float:
     return value if batch else float(value)
 
 
-@dataclass(frozen=True)
-class SmoothingParams:
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon", _real(self.epsilon, "smoothing epsilon"))
-        if not self.epsilon > 0.0:
-            raise ValueError("smoothing epsilon must be positive")
-
-
 def _epsilon(eps) -> float:
-    return (eps if isinstance(eps, SmoothingParams) else SmoothingParams(eps)).epsilon
+    eps = _real(eps, "smoothing epsilon")
+    if not eps > 0.0:
+        raise ValueError("smoothing epsilon must be positive")
+    return eps
 
 
 def _smoothed_sum(values: np.ndarray, e: float):

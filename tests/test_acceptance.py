@@ -189,7 +189,7 @@ def test_criterion_08_interval_example(within_budget):
     problem = OneDProblem(c1=-4.8, sigma=1.0)
     assert abs(problem.K - 22.687) <= 1e-3
 
-    argmin = global_min_1d(grid_points=10000, problem=problem)
+    argmin = global_min_1d(grid_points=10000)
     assert abs(argmin - (-4.8)) <= 0.05
 
     start = time.perf_counter()

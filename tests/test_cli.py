@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from signchange import hadamard_norm_sq, oracles
 from signchange.cli import run
 
 
@@ -88,6 +90,16 @@ def test_verify_pass_and_exit_codes(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["checks"] == 72
+
+
+def test_verify_failing_oracle_prints_report(capsys, monkeypatch):
+    # a wrong library value, as in test_oracles.BROKEN_LIBRARY
+    monkeypatch.setattr(oracles, "hadamard_norm_sq", lambda x, k: hadamard_norm_sq(x, k) + 1.0)
+    code, out, _ = run_cli(capsys, "verify", "hadamard_n3")
+    assert code == 1
+    report = oracles.run_oracle("hadamard_n3")
+    assert report.passed is False
+    assert json.loads(out) == json.loads(json.dumps(dataclasses.asdict(report)))
 
 
 def test_verify_unknown_oracle(capsys):

@@ -24,6 +24,7 @@ from signchange import (
     GapParams,
     GapProfile,
     OneDProblem,
+    Topology,
     build_4d_system,
     center_symmetry_check,
     check_1d_condition,
@@ -45,6 +46,7 @@ from signchange import (
     lattice_directions,
     objective_1d,
     pair_counts,
+    pattern_grid,
     profile_csv,
     sign,
     sign_changes,
@@ -114,7 +116,7 @@ EXEMPT = {
     "inequality_values_1d": "elementwise float formula on an array of any shape, covered by "
     "test_scalar_rule_cases",
     "check_1d_condition": "a OneDProblem, a grid size and a tolerance",
-    "global_min_1d": "a grid size and a OneDProblem",
+    "global_min_1d": "a grid size",
     "curves_csv_1d": "a OneDProblem and a grid size",
     "multiplier_2d": "one angle",
     "multiplier_3d": "two angles",
@@ -135,13 +137,6 @@ FLOAT_READERS = {
     "inequality_values_1d": lambda x: inequality_values_1d(OneDProblem(), x),
     "multiplier": OneDProblem().multiplier,
 }
-# a numpy float tolerance meets an int beyond float64
-TOLERANCES = (0.5, Fraction(1, 3), 10**400, np.float32(0.25))
-
-
-def _exact(v) -> Fraction:
-    """The exact value of a real entry of LIST_ENTRIES or of a tolerance."""
-    return Fraction(int(v)) if isinstance(v, (int, np.integer)) else Fraction(*v.as_integer_ratio())
 
 
 def test_every_public_function_is_covered_or_exempt():
@@ -172,12 +167,9 @@ def test_vector_entry_points_are_exact_or_value_error(values, container):
         elif name in PATTERN_ENTRY_POINTS:
             assert values == signs, name
             assert result == call(tuple(signs)), name
-    # with a tolerance, sign and sign_vector compare |v| <= tol at exact values
-    for tol in TOLERANCES:
-        exact = map(_exact, values)
-        expected = tuple(0 if abs(e) <= _exact(tol) else s for e, s in zip(exact, signs))
-        assert sign_vector(container(values), tol) == expected
-        assert tuple(sign(v, tol) for v in values) == expected
+    # every entry of LIST_ENTRIES has a sign, one by one and as a vector
+    assert sign_vector(container(values)) == tuple(signs)
+    assert tuple(sign(v) for v in values) == tuple(signs)
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -234,22 +226,19 @@ def test_pattern_entry_points_reject_non_signs(name, bad):
 def test_scalar_rule_cases():
     # ints and Fractions are finite without a float conversion
     assert sign(10**400) == 1
-    assert sign_vector([10**400, -1], tol=0.5) == (1, -1)
-    assert sign_vector([np.float32(1), 10**400], tol=np.float32(2)) == (0, 1)
-    # a bool array is read as 1 and 0 with or without a tolerance
-    assert sign_vector(np.array([True, False]), tol=0.5) == (1, 0)
-    # |v| == tol maps to 0
-    assert sign(0.1, tol=0.1) == 0
-    assert sign_vector([Fraction(1, 3), -1], Fraction(1, 3)) == (0, -1)
-    assert sign_vector([-0.1, 0.1, 0.2], 0.1) == (0, 0, 1)
+    assert sign_vector([10**400, -1]) == (1, -1)
+    assert sign_vector([np.float32(1), 10**400]) == (1, 1)
+    # a bool array is read as 1 and 0
+    assert sign_vector(np.array([True, False])) == (1, 0)
     # a longdouble is not rounded to float64 where that type is wider
     tiny = np.longdouble("1e-400")
     assert sign(tiny) == int(tiny > 0)
     assert count_nonzero([tiny]) == count_nonzero(object_array([tiny])) == int(tiny > 0)
-    assert sign_vector(np.array([tiny, 3 * tiny]), tol=2 * tiny) == (0, int(tiny > 0))
-    assert sign_vector([tiny, 3 * tiny], tol=2 * tiny) == (0, int(tiny > 0))
-    with pytest.raises(ValueError):
-        sign(1.0, tol=math.nan)
+    assert sign_vector(np.array([tiny, -3 * tiny])) == (int(tiny > 0), -int(tiny > 0))
+    assert sign_vector([tiny, -3 * tiny]) == (int(tiny > 0), -int(tiny > 0))
+    # a grid dimension is an integral value: 4.0 counts as 4
+    assert pattern_grid(4.0).shape == (81, 4)
+    assert enumerate_grid(Fraction(4)).n == 4
     with pytest.raises(ValueError):
         check_1d_condition(OneDProblem(), tol=math.nan)
     # float parameters beyond float64: ValueError, not OverflowError
@@ -275,6 +264,14 @@ def test_scalar_rule_cases():
         # a symmetry threshold: ValueError, not a NaN token or a vacuous True
         lambda: enumerate_grid(3).json_summary(threshold=math.nan),
         lambda: center_symmetry_check(enumerate_grid(3), math.inf),
+        # a grid dimension: ValueError, not numpy's negative-power error or
+        # TypeError, and a huge one is refused before 3^n is formed
+        lambda: pattern_grid(2.5),
+        lambda: pattern_grid(10**400),
+        lambda: enumerate_grid("3"),
+        lambda: enumerate_grid(math.nan),
+        # a topology name: ValueError, not AttributeError
+        lambda: Topology.from_name(3),
         # vector entries follow the scalar rule: a Decimal is no numbers.Real, as for sign
         lambda: sign(Decimal(1)),
         lambda: count_nonzero([Decimal(1), 1]),

@@ -33,14 +33,6 @@ def test_sign_values(value, expected):
     assert sign(value) == expected
 
 
-def test_sign_tolerance_band():
-    assert sign(0.05, tol=0.1) == 0
-    assert sign(-0.05, tol=0.1) == 0
-    assert sign(0.2, tol=0.1) == 1
-    with pytest.raises(ValueError):
-        sign(1.0, tol=-0.1)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sign_rejects_non_finite(bad):
     with pytest.raises(ValueError):
@@ -197,12 +189,12 @@ def test_minorant_empty_batch():
 
 
 def test_float_conversion_beyond_range_is_value_error():
-    # sign(v, tol) compares int, Fraction and float exactly: no float64 conversion
-    assert sign_vector([10**400, 1], tol=0.5) == (1, 1)
+    # signs of ints, Fractions and floats are taken exactly: no float64 conversion
+    assert sign_vector([10**400, 1]) == (1, 1)
     with pytest.raises(ValueError, match="float64 range"):
         lagrangian_residual((1, -1), [0, 0], 0.5, [10**400, 0])
     with pytest.raises(ValueError):
-        sign_vector([1 + 2j, 1], tol=0.5)
+        sign_vector([1 + 2j, 1])
 
 
 def test_probe_zero_candidate_nowhere_negative():

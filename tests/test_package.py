@@ -5,7 +5,7 @@ import signchange
 PUBLIC_NAMES = [
     "IndexSets", "ProbeReport", "count_nonzero", "frechet_inequality_probe", "index_sets",
     "is_count_subgradient", "sign", "sign_minorant_gap", "sign_vector", "Hessian2",
-    "SmoothingParams", "Topology", "TransitionVector", "hadamard_norm_sq", "pair_counts",
+    "Topology", "hadamard_norm_sq", "pair_counts",
     "sign_changes", "smoothed_count", "smoothed_sign_changes", "symmetric2_eigenvalues",
     "transition_component", "transition_hessian_2d", "transition_map", "transition_norm_sq",
     "GapParams", "GapProfile", "coupled_subgradient_value", "decoupled_gap", "gap_profile",

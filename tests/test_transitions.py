@@ -11,7 +11,6 @@ from batching import assert_rows_equal, batches, rowwise, weights
 from signchange.counting import count_nonzero
 from signchange.transitions import (
     Hessian2,
-    SmoothingParams,
     Topology,
     hadamard_norm_sq,
     pair_counts,
@@ -72,7 +71,7 @@ def test_transition_map_matches_components(k, topo):
         n = len(pattern)
         pairs = range(n if topo is Topology.CIRCULAR else n - 1)
         expected = [transition_component(pattern[i], pattern[(i + 1) % n], k) for i in pairs]
-        values = transition_map(pattern, k, topo).values
+        values = transition_map(pattern, k, topo)
         assert [(type(v), v) for v in values] == [(type(v), v) for v in expected]
 
 
@@ -111,7 +110,7 @@ def test_count_is_negation_invariant(pattern, topo):
 
 @given(patterns, topologies, st.sampled_from((0.1, 0.5, 1.0, -0.3, 2.0)))
 def test_transition_support_size_is_the_count(pattern, topo, k):
-    values = transition_map(pattern, k, topo).values
+    values = transition_map(pattern, k, topo)
     assert count_nonzero(np.asarray(values, dtype=float)) == sign_changes(pattern, topo)
 
 
@@ -141,10 +140,10 @@ def test_norm_sq_exact_fraction_arithmetic():
 
 
 def test_smoothing_params_validation():
-    with pytest.raises(ValueError):
-        SmoothingParams(0.0)
-    with pytest.raises(ValueError):
-        SmoothingParams(-1e-9)
+    with pytest.raises(ValueError, match="positive"):
+        smoothed_count([1.0], 0.0)
+    with pytest.raises(ValueError, match="positive"):
+        smoothed_sign_changes([1.0, -1.0], -1e-9)
     with pytest.raises(ValueError):
         smoothed_count([1.0], math.inf)
 
