@@ -67,8 +67,10 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _emit(text: str, path: str | None) -> None:
+    """Write text, newline-terminated, to stdout or to the file at path: the same bytes."""
+    text = text if text.endswith("\n") else text + "\n"
     if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -57,8 +57,8 @@ def _real(value, name: str) -> float:
 
 
 def _integral(value) -> bool:
-    """The one integer rule: a finite value equal to its int."""
-    return _finite(value) and value == int(value)
+    """The one integer rule: a finite value equal to its int (an int, by a type test)."""
+    return type(value) is int or (_finite(value) and value == int(value))
 
 
 def _check_rows(rows, what: str, least: int = 1) -> int:

@@ -5,10 +5,12 @@ pattern arrays, independently of the scalar library routines, so the
 registered oracles can confront the library with exhaustive desk-scale
 evidence: full pattern-pair subgradient sweeps, norm bound chains,
 Hadamard identity checks, the 2-D Hessian eigenvalue table, the exact
-zero-direction gap identity and the 4-D feasibility certificates, with
-exact elimination on one candidate.  Every pattern-grid oracle, and the
-random minorant sample, reports through _sweep: its first failed check in
-sweep order, or its check count.
+zero-direction gap identity and the 4-D feasibility certificates.  The
+finite-direction system behind those certificates is built only here, by
+lattice enumeration and a per-pair loop, and decided once by exact
+Gauss-Jordan elimination.  Every pattern-grid oracle, and the random
+minorant sample, reports through _sweep: its first failed check in sweep
+order, or its check count.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .counting import _check_rows, _finite, _integral, _signs, sign_minorant_gap
-from .polysys import finite_direction_feasibility, solve_rational_system
+from .polysys import finite_direction_feasibility
 from .subgradients import GapParams, coupled_subgradient_value, decoupled_gap, zero_direction_gap
 from .transitions import (
     Topology,
@@ -605,6 +607,62 @@ def _oracle_signminor_random() -> VerifyReport:
     return _sweep("signminor_random", blocks, f"minimum sampled gap = {gaps.min():.3e}")
 
 
+def _pair_form(d: tuple[int, ...]) -> int:
+    """F(d), the sum over circular pairs of (d_i + d_j)^2 (d_i d_j - 1)^2."""
+    return sum((a + b) ** 2 * (a * b - 1) ** 2 for a, b in zip(d, d[1:] + d[:1]))
+
+
+def _lattice_system(z: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]], list[int]]:
+    """t(z) and the finite-direction system <mu, d> = t(z) - F(d) of a sign
+    pattern z: its rows d, every nonzero step with z + d on the sign grid in
+    lexicographic order, and their right-hand sides."""
+    t = sum(_reference_pair_counts(z, Topology.CIRCULAR))
+    rows = [d for d in product(*[(-1 - zi, -zi, 1 - zi) for zi in z]) if any(d)]
+    return t, rows, [t - _pair_form(d) for d in rows]
+
+
+def _solve_rational_system(rows: Sequence[Sequence[int]], rhs: Sequence[int]):
+    """Decide A x = b over the rationals by Gauss-Jordan elimination.
+
+    Returns ('feasible', witness) with free variables set to zero, or
+    ('infeasible', combo, value) where combo is a list of
+    (original row index, Fraction coefficient) combining to the
+    contradiction 0 = value != 0.
+    """
+    if not rows or len(rows) != len(rhs):
+        raise ValueError("need a nonempty system with one right-hand side per row")
+    # each row carries its right-hand side and its combination of the input rows
+    work = [
+        ([Fraction(v) for v in row], Fraction(b), {idx: Fraction(1)})
+        for idx, (row, b) in enumerate(zip(rows, rhs))
+    ]
+    pivots: dict[int, int] = {}  # column -> its pivot row
+    for col in range(len(rows[0])):
+        pivot = next((r for r, w in enumerate(work) if w[0][col] and r not in pivots.values()), None)
+        if pivot is None:
+            continue
+        pivots[col] = pivot
+        prow, pb, pcombo = work[pivot]
+        for r, (row, b, combo) in enumerate(work):
+            factor = row[col] / prow[col]
+            if r != pivot and factor:
+                work[r] = (
+                    [v - factor * p for v, p in zip(row, prow)],
+                    b - factor * pb,
+                    {i: combo.get(i, 0) - factor * pcombo.get(i, 0) for i in combo.keys() | pcombo},
+                )
+    # every column is eliminated from the rows that hold no pivot, so b != 0 there is 0 = b
+    for r, (_, b, combo) in enumerate(work):
+        if b and r not in pivots.values():
+            return ("infeasible", sorted((i, c) for i, c in combo.items() if c), b)
+    witness = [Fraction(0)] * len(rows[0])
+    for col, r in pivots.items():
+        witness[col] = work[r][1] / work[r][0][col]
+    for row, b in zip(rows, rhs):
+        assert sum(Fraction(v) * w for v, w in zip(row, witness)) == b
+    return ("feasible", witness)
+
+
 def _oracle_feasibility_n4() -> VerifyReport:
     """The pure-axis decision of finite_direction_feasibility on every n = 4
     candidate, against the lattice rows rebuilt here by enumeration and a
@@ -615,20 +673,12 @@ def _oracle_feasibility_n4() -> VerifyReport:
     n = 4
     checks = 0
     for z in product((-1, 0, 1), repeat=n):
-        t = sum(_reference_pair_counts(z, Topology.CIRCULAR))
-        rows = [d for d in product(*[(-1 - zi, -zi, 1 - zi) for zi in z]) if any(d)]
-        rhs = []
-        for d in rows:
-            form = 0
-            for i in range(n):
-                a, b = d[i], d[(i + 1) % n]
-                form += (a + b) ** 2 * (a * b - 1) ** 2
-            rhs.append(t - form)
+        t, rows, rhs = _lattice_system(z)
         result = finite_direction_feasibility(z)
         checks += 1
         if result.feasible or (result.t, result.n_directions) != (t, len(rows)):
             return _report(name, checks, {"z": z, "result": repr(result)}, "")
-        if z == (1, -1, 1, -1) and solve_rational_system(rows, rhs)[0] != "infeasible":
+        if z == (1, -1, 1, -1) and _solve_rational_system(rows, rhs)[0] != "infeasible":
             return _report(name, checks, {"z": z, "elimination": "feasible"}, "")
         cert = result.certificate
         checks += 1

@@ -9,10 +9,11 @@ d4 = rho s1 s2 s3, and each circular adjacency contributes a term
 
 Restricting the direction to the integer lattice steps that keep z + d on
 the sign grid turns the ansatz into a linear system for the multipliers.
-The pure-axis lemma decides it in O(n) exact rational operations;
-infeasibility comes with a machine-checkable certificate (a rational
-combination of two equations that reduces to 0 = nonzero).  The general
-Gauss-Jordan elimination stays as the independent cross-check.
+The pure-axis lemma decides it in O(n) exact rational operations, without
+building the system; infeasibility comes with a machine-checkable
+certificate (a rational combination of two equations that reduces to
+0 = nonzero).  The lattice enumeration and the Gauss-Jordan elimination
+that cross-check it live in the feasibility_n4 oracle.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import _check_rows, _integer_vector, _real, _sign_pattern, as_vector
-from .transitions import Topology, _transition_values, sign_changes
+from .counting import _integer_vector, _integral, _real, _sign_pattern, as_vector
+from .transitions import Topology, sign_changes
 
 __all__ = [
     "SPHERICAL_VARIABLES",
@@ -39,9 +40,6 @@ __all__ = [
     "parse_system",
     "evaluate_system",
     "spherical_to_cartesian",
-    "lattice_directions",
-    "pair_form_value",
-    "solve_rational_system",
     "Certificate",
     "FeasibilityResult",
     "finite_direction_feasibility",
@@ -198,18 +196,28 @@ def export_system(system: PolySystem, fmt: str = "json") -> str:
     raise ValueError("format must be 'json' or 'plain'")
 
 
+def _read_int(value) -> int:
+    """One coefficient or exponent of a parsed system, by the integer rule."""
+    if not _integral(value):
+        raise ValueError(f"coefficients and exponents must be integers, got {value!r}")
+    return int(value)
+
+
 def parse_system(text: str) -> PolySystem:
-    """Inverse of export_system(..., 'json')."""
-    payload = json.loads(text)
-    equations = tuple(
-        tuple((int(coeff), {str(k): int(v) for k, v in powers.items()}) for coeff, powers in eq)
-        for eq in payload["equations"]
-    )
-    return PolySystem(
-        variables=tuple(payload["variables"]),
-        equations=equations,
-        metadata=payload["metadata"],
-    )
+    """Inverse of export_system(..., 'json').
+
+    Coefficients and exponents are read by the integer rule, so 1.5 is
+    refused rather than truncated, and any other layout raises ValueError.
+    """
+    try:
+        payload = json.loads(text)
+        equations = tuple(
+            tuple((_read_int(c), {str(k): _read_int(e) for k, e in powers.items()}) for c, powers in eq)
+            for eq in payload["equations"]
+        )
+        return PolySystem(tuple(payload["variables"]), equations, payload["metadata"])
+    except (KeyError, TypeError, AttributeError):
+        raise ValueError("expected an exported polynomial system") from None
 
 
 def evaluate_system(system: PolySystem, assignment: dict[str, float]) -> list:
@@ -237,90 +245,6 @@ def spherical_to_cartesian(rho: float, phis: Sequence[float]) -> np.ndarray:
         raise ValueError("need a nonnegative radius and exactly three angles")
     trig = dict(zip(SPHERICAL_VARIABLES[1:], np.concatenate([np.cos(phis), np.sin(phis)])))
     return np.array([math.prod((trig[f] for f in factors), start=rho) for factors in DIRECTION])
-
-
-def lattice_directions(z: Sequence[int]) -> list[tuple[int, ...]]:
-    """Nonzero integer steps d with z + d still on the sign grid, in
-    lexicographic order (3^n - 1 of them, under the row ceiling)."""
-    pattern = _sign_pattern(z)
-    _check_rows(3 ** len(pattern) - 1, "the lattice directions of z")
-    options = [tuple(v - zi for v in (-1, 0, 1)) for zi in pattern]
-    return [d for d in product(*options) if any(d)]
-
-
-def _pair_forms(steps: np.ndarray):
-    """F of one integer step, or of every row of a 2-D array of steps."""
-    a, b = Topology.CIRCULAR.neighbors(steps)
-    return np.sum(_transition_values(a, b, 0) ** 2, axis=-1)
-
-
-def pair_form_value(d: Sequence[int]) -> int:
-    """F(d) = sum over circular pairs of (d_i + d_j)^2 (d_i d_j - 1)^2.
-
-    Summed over Python ints (an object array), so any integer step is exact;
-    a step with a non-integer entry raises ValueError.
-    """
-    return int(_pair_forms(np.array(_integer_vector(d), dtype=object)))
-
-
-def solve_rational_system(
-    rows: Sequence[Sequence[int]],
-    rhs: Sequence[int],
-):
-    """Decide A x = b over the rationals by Gauss-Jordan elimination.
-
-    Returns ('feasible', witness) with free variables set to zero, or
-    ('infeasible', combo, value) where combo is a list of
-    (original row index, Fraction coefficient) combining to the
-    contradiction 0 = value != 0.
-    """
-    if len(rows) != len(rhs):
-        raise ValueError("row/right-hand-side length mismatch")
-    if not rows:
-        raise ValueError("empty system")
-    ncols = len(rows[0])
-    work = [
-        ([Fraction(v) for v in row], Fraction(b), {idx: Fraction(1)})
-        for idx, (row, b) in enumerate(zip(rows, rhs))
-    ]
-    pivot_of_col: dict[int, int] = {}
-    pivot_rows: set[int] = set()
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(len(work)) if r not in pivot_rows and work[r][0][col] != 0),
-            None,
-        )
-        if pivot is None:
-            continue
-        pivot_of_col[col] = pivot
-        pivot_rows.add(pivot)
-        prow, pb, pcombo = work[pivot]
-        for r in range(len(work)):
-            if r == pivot:
-                continue
-            row, b, combo = work[r]
-            factor = row[col] / prow[col]
-            if factor == 0:
-                continue
-            for c in range(ncols):
-                row[c] -= factor * prow[c]
-            b -= factor * pb
-            for idx, coeff in pcombo.items():
-                combo[idx] = combo.get(idx, Fraction(0)) - factor * coeff
-            work[r] = (row, b, combo)
-    for r, (row, b, combo) in enumerate(work):
-        if r in pivot_rows:
-            continue
-        if all(v == 0 for v in row) and b != 0:
-            cleaned = sorted((idx, coeff) for idx, coeff in combo.items() if coeff != 0)
-            return ("infeasible", cleaned, b)
-    witness = [Fraction(0)] * ncols
-    for col, pivot in pivot_of_col.items():
-        prow, pb, _ = work[pivot]
-        witness[col] = pb / prow[col]
-    for row, b in zip(rows, rhs):
-        assert sum(Fraction(v) * w for v, w in zip(row, witness)) == b
-    return ("feasible", witness)
 
 
 @dataclass(frozen=True)
@@ -356,25 +280,21 @@ def finite_direction_feasibility(z: Sequence[int]) -> FeasibilityResult:
     (its negation for z_i = -1) never agrees, while the all-zero candidate
     conflicts on axis 0 (mu_0 = 2 against -2).  So every candidate is
     infeasible; the certificate names the first conflicting axis in index
-    order, with equation indices in lattice_directions' lexicographic order.
-    The registered oracle feasibility_n4 recombines every certificate on
-    independently enumerated directions and cross-checks one representative
-    candidate against exact Gauss-Jordan elimination (solve_rational_system).
+    order, with equation indices in the lexicographic order of the
+    directions.  The registered oracle feasibility_n4 enumerates the
+    directions itself, recombines every certificate on them, and
+    cross-checks one representative candidate by exact Gauss-Jordan
+    elimination.
     """
     pattern = _sign_pattern(z, 4)
     n = len(pattern)
     t = sign_changes(pattern, Topology.CIRCULAR)
-    # the two nonzero steps a < b per axis, axis by axis
-    steps = [a for zi in pattern for a in (-1 - zi, -zi, 1 - zi) if a]
-    pure = np.zeros((2 * n, n), dtype=np.int64)
-    pure[np.arange(2 * n), np.arange(2 * n) // 2] = steps
-    rhs = (t - _pair_forms(pure)).tolist()
     # mixed-radix position of z + d in the sign grid; the zero step sits at `origin`
     origin = sum((zi + 1) * 3 ** (n - 1 - k) for k, zi in enumerate(pattern))
-    for axis in range(n):
-        a, b = steps[2 * axis : 2 * axis + 2]
-        f_a = Fraction(rhs[2 * axis], a)
-        f_b = Fraction(rhs[2 * axis + 1], b)
+    for axis, zi in enumerate(pattern):
+        # the two nonzero steps a < b with z_i + step on the sign grid
+        a, b = (step for step in (-1 - zi, -zi, 1 - zi) if step)
+        f_a, f_b = (Fraction(t - 2 * step * step, step) for step in (a, b))
         if f_a == f_b:
             continue
         d_a, d_b = (tuple(step if k == axis else 0 for k in range(n)) for step in (a, b))
@@ -414,10 +334,9 @@ def feasibility_report(result: FeasibilityResult) -> dict:
         "directions": [list(d) for d in cert.directions],
         "coefficients": [str(c) for c in cert.coefficients],
         "combination_value": str(cert.value),
+        "axis": cert.axis,
+        "forced_values": [str(v) for v in cert.forced_values],
     }
-    if cert.axis is not None:
-        payload["axis"] = cert.axis
-        payload["forced_values"] = [str(v) for v in cert.forced_values]
     report["certificate"] = payload
     return report
 

@@ -243,6 +243,12 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("z1,z2,t")
+    # the file holds the bytes stdout gets, final newline included, for JSON and CSV
+    for argv in (("feascheck", "--z=1,-1,1,-1"), ("enum", "--n=2", "--format=csv")):
+        _, stdout, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, f"--out={target}")
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == stdout.encode()
 
 
 def test_help_documents_examples(capsys):

@@ -43,7 +43,6 @@ from signchange import (
     inequality_values_1d,
     is_count_subgradient,
     lagrangian_residual,
-    lattice_directions,
     objective_1d,
     pair_counts,
     pattern_grid,
@@ -94,7 +93,6 @@ FLOAT_ENTRY_POINTS = {
 # read z as a sign pattern, so a pattern given as floats or Fractions is the int pattern
 PATTERN_ENTRY_POINTS = {
     "lagrangian_residual": lambda z: lagrangian_residual(z, [0] * len(z), 0.5, [0] * len(z)),
-    "lattice_directions": lattice_directions,
     "build_4d_system": build_4d_system,
     "finite_direction_feasibility": finite_direction_feasibility,
 }
@@ -122,10 +120,8 @@ EXEMPT = {
     "multiplier_3d": "two angles",
     "surface_csv": "a selector and a resolution",
     "export_system": "takes a PolySystem",
-    "parse_system": "JSON text",
+    "parse_system": "JSON text, covered in test_polysys.py",
     "evaluate_system": "a PolySystem and a variable assignment",
-    "pair_form_value": "an integer lattice step, not a real vector, covered in test_polysys.py",
-    "solve_rational_system": "a rational matrix and right-hand side",
     "feasibility_report": "takes a FeasibilityResult",
     "grid_feasibility_summary": "no argument",
 }
@@ -321,8 +317,6 @@ CEILING = 3**12
         lambda: frechet_inequality_probe(np.ones(20000), np.zeros(20000), samples=64),
         # 3^13 completions of 13 zeros, counted when they are read
         lambda: classify_point([0.0] * 13).reachable,
-        # 3^13 - 1 steps from a pattern of length 13
-        lambda: lattice_directions((1,) * 13),
     ],
     ids=[
         "surface_2d",
@@ -334,7 +328,6 @@ CEILING = 3**12
         "probe",
         "probe_entries",
         "classify",
-        "lattice_directions",
     ],
 )
 def test_row_ceiling_refuses_the_next_size(call):

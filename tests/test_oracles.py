@@ -1,5 +1,7 @@
+import hashlib
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import product
 
 import numpy as np
@@ -279,6 +281,72 @@ def test_feasibility_oracle_covers_every_candidate():
     report = run_oracle("feasibility_n4")
     assert report.passed, report
     assert report.checks == 81 * 2
+
+
+# sha256 of each oracle's report, json.dumps(asdict(report), sort_keys=True):
+# verdict, check count, counterexample and details, floats as the report formats them.
+# A new oracle adds one line; a changed report fails under its name.
+REPORT_SHA256 = {
+    "bound_chain_n2": "f38780b3537242d98183e5bf73dca8afcc4f1eeab217ffd52c0fc356ca535b29",
+    "bound_chain_n3": "b0ee6756aa163e62590c1e9835a3bde4c86fced8e72336346b67c290621b0e96",
+    "bound_chain_n4": "f731f180e39b5e0fc11b8e1b7baa06ad23d918212c72e4169c59c169d94849ee",
+    "bound_chain_n5": "b4fc19faaedcf6c0ab0d1dbcdc4eec4bbac08197ea13ea6ca0e5ee7816940ed6",
+    "bound_chain_n6": "5744682f3686a7de69230673dc659f940eec8127a9416f4e19b4c12b4001cecb",
+    "bound_chain_n7": "4fe6299955cee600f7769b03ae23bef0617818578d78ab40102633fd89d36a42",
+    "bound_chain_n8": "34d7d81477089b1b71b35ea42ccf84a89d54951cbee4c63a35994692d9b88f08",
+    "coupled_equality_n2": "ca4ce775b7317daeba7d58171abcd94e84acda1adb75ae6e8504144f3d3083b2",
+    "coupled_equality_n3": "d54141528df992dad634981bb5c2b1d2af7c40a262ce3150547ceba35f007871",
+    "coupled_equality_n4": "e8689b1b1fa46356ab963d93f0ad0e616e2e1204faf03e5a307bdfd11cf55484",
+    "coupled_equality_n5": "2228e4a6b0ff6ceca19c3b31f715199c34b812a9308aa62fad87ebdbbc47b709",
+    "coupled_equality_n6": "0315e5478400f8ca658e46e46d6e77c0b02c6d730554281409c164e1a4dc92c9",
+    "feasibility_n4": "758fd3893c18d5732173523cee529bf0a1e3f0634cd4c346cb038947ba9f4da9",
+    "ft_inequality_n2": "110456cdb4a031f6dc3f0d1ad06517115e7050b1fa3c17506d9ffad609d6256a",
+    "ft_inequality_n3": "c9ded96338d42993034b369cb614d98ce1c2fc07cc2a724fa3a46318582b314b",
+    "ft_inequality_n4": "2241b9c3ff9f167c6cfcff4c1c8b91ad2f9592b18f4d2785c8ec4da1671e8303",
+    "ft_inequality_n5": "b4c6a235e7416108a096abcd9864e0496357da3cbfa210412e163011b6ea1a51",
+    "ft_inequality_n6": "6b1a13fd82e376816ac6989dc713765b6c8c748abcf8b699065cdd2c07ec5820",
+    "hadamard_n2": "fa226f72e10e5919730ab11d23fc3a2de8e01a3d4c7e66f4ac0398f8c622d6b4",
+    "hadamard_n3": "2f7d24150df02e4a079e51728e1f84409880086de93d23496b1d7766c588206e",
+    "hadamard_n4": "43e230e1a9781174883e06e0e54c0f61000ea13627b5e052f7dd19a6f7b15623",
+    "hadamard_n5": "2583908ce0946aa648e25e14ccf60a5354759f9dba25f9fe8326e0461ec06766",
+    "hadamard_n6": "3898f95d98a536cc5bbbb03439ef2b0613a88eb6f707aa783236210d257dc271",
+    "hadamard_n7": "705286797a09f50fd5618d5e9261acd09c8d2b9907af6af42af50d8632601195",
+    "hadamard_n8": "b5bd2e8efd0d842378c11fb7d0505043cd1f08de31fa20b1e88f8878e82f2d56",
+    "hadamard_random": "03572269aafd6cb1bd710ade994af51e08d892c776cddcf06834dfe211991e9c",
+    "hessian_table": "ea1c338c0813bb9a55eefe7cfa3b38974195ba9431dc132e226b750b2bcee79e",
+    "library_crosscheck_n2": "43d382e838c76fbe7b218f80f837cf406901f3fba6330fd97e47bd7528e86656",
+    "library_crosscheck_n3": "973a995854590f5e45436a596b0db661360d3a6c228cc35bfe647dec1a41ab44",
+    "library_crosscheck_n4": "1bbe854aad26a77e652782d4a1bdedc652bede16f7c74919c354b18c32a288ad",
+    "library_crosscheck_n5": "531bcb577985097e665bac78049edc5c96953c6dbd897cfb995981aca37b2839",
+    "library_crosscheck_n6": "20153a9b5cd0068e539abdecec272fbe7b9e1f1eabb1db46e5505a6efc525fc3",
+    "qhat_identity_n2": "5dc1dddec7ab25de862e99667afdcb25f543cfe1e63a3e776f7114cc64d366b5",
+    "qhat_identity_n3": "efc42baa5f63082a2e1427fba4be1834827fc32140cd5e75871438920433bd8b",
+    "qhat_identity_n4": "96b8782ffd7e1076cf53e5f81950d95be3674c27992c209939aef9d859af2884",
+    "qhat_identity_n5": "0b5bc497889d31c266edd5157265eadbeffbab2fd8b8d44e050e1c117f693b3b",
+    "qhat_identity_n6": "14ed17f0a52fb734a7f5112104bf6c29e72111df0041ce4a13e38e4cfbd16bc0",
+    "signminor_random": "3a6be25aa43e2056ca19a3f87e83ad40d890ad2c0d4c1f997b3e0ac404c672cc",
+    "smoothing_n2": "6611510d3594d3333ca4f22a28bcbb5e971bb69daafe86acc9f862a1a04d128b",
+    "smoothing_n3": "fc82060c5ec5a5fe4c2eedc28e489b7a96401eadbaf42f23496cc45bcd7650c4",
+    "smoothing_n4": "2eb71d506415cd4ae4151ca150fd107af8bd96f7dc80e122e19c88a438adde02",
+    "smoothing_n5": "a8eed513f097bce09bfa638cd5b2d0474cd75b99f56f488eca96bebd766c4223",
+    "smoothing_n6": "fe0ef805188923d5ba834d7e1d2108dcc2725d64e945e303c31db38f7b6f97e6",
+    "zero_set_n2": "db5e463bd958f9f51eb011a9199bddb8e91c749441c7abdabe91c8e1ca6fa621",
+    "zero_set_n3": "66039bdb021e62d76b03b6910018d51535541a514c48985d7387cf10ff9950be",
+    "zero_set_n4": "fc8ea07c1bd228c7c3c31e7ef8d105f4f78ae77c9d268bbd7098b10d9c2e04f9",
+    "zero_set_n5": "03bec9936c59724ed9697ed0ae8a46cd4f2eb6802a62c7e08fa6230aef626554",
+    "zero_set_n6": "90dc50ba7839c1e0fe2de67e7aff10034cb659171b5c4d2a0ff9648ac68fe92a",
+}
+
+
+def test_oracle_reports_are_pinned():
+    assert sorted(REPORT_SHA256) == list_oracles()
+    changed = [
+        name
+        for name, digest in REPORT_SHA256.items()
+        if hashlib.sha256(json.dumps(asdict(run_oracle(name)), sort_keys=True).encode()).hexdigest()
+        != digest
+    ]
+    assert changed == []
 
 
 def test_minorant_sample_keeps_the_per_vector_distribution(monkeypatch):

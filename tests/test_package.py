@@ -16,8 +16,7 @@ PUBLIC_NAMES = [
     "objective_1d", "surface_csv", "ADMISSIBLE_RHO_SQUARED", "Certificate",
     "FeasibilityResult", "PolySystem", "build_4d_system", "evaluate_system", "export_system",
     "feasibility_report", "finite_direction_feasibility", "grid_feasibility_summary",
-    "lattice_directions", "pair_form_value", "parse_system", "solve_rational_system",
-    "spherical_to_cartesian", "__version__",
+    "parse_system", "spherical_to_cartesian", "__version__",
 ]
 
 

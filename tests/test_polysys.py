@@ -5,10 +5,11 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signchange import polysys
+from signchange import oracles, polysys
+from signchange.oracles import _lattice_system, _pair_form, _solve_rational_system
 from signchange.polysys import (
     ADMISSIBLE_RHO_SQUARED,
     build_4d_system,
@@ -17,15 +18,13 @@ from signchange.polysys import (
     feasibility_report,
     finite_direction_feasibility,
     grid_feasibility_summary,
-    lattice_directions,
-    pair_form_value,
     parse_system,
-    solve_rational_system,
     spherical_to_cartesian,
 )
 from signchange.transitions import Topology, sign_changes
 
-sign_patterns = st.tuples(*([st.sampled_from((-1, 0, 1))] * 4))
+# the 81 candidates of the 4-D sign grid, in lexicographic order
+CANDIDATES = list(product((-1, 0, 1), repeat=4))
 
 
 def test_build_system_shape():
@@ -69,44 +68,73 @@ def test_plain_export_layout():
 
 
 def test_json_export_round_trip():
+    for z in CANDIDATES:
+        for mu in (None, (2, 0, -1, 3)):
+            system = build_4d_system(z, mu)
+            assert parse_system(export_system(system, fmt="json")) == system
     system = build_4d_system((0, -1, 0, 1))
-    text = export_system(system, fmt="json")
-    assert parse_system(text) == system
-    payload = json.loads(text)
+    payload = json.loads(export_system(system, fmt="json"))
     assert payload["metadata"]["admissible_rho_squared"] == list(ADMISSIBLE_RHO_SQUARED)
     with pytest.raises(ValueError):
         export_system(system, fmt="latex")
 
 
-@given(sign_patterns, st.integers(0, 10_000))
-def test_main_equation_matches_direct_evaluation(z, seed):
-    rng = np.random.default_rng(seed)
-    rho = float(rng.uniform(0.2, 2.5))
-    phis = rng.uniform(0.05, 3.1, size=3)
-    d = spherical_to_cartesian(rho, phis)
-    angles = {
-        "rho": rho,
-        "c1": math.cos(phis[0]),
-        "c2": math.cos(phis[1]),
-        "c3": math.cos(phis[2]),
-        "s1": math.sin(phis[0]),
-        "s2": math.sin(phis[1]),
-        "s3": math.sin(phis[2]),
-    }
-    pairs = [(0, 3), (0, 1), (1, 2), (2, 3)]
-    forms = sum((d[i] + d[j]) ** 2 * (d[i] * d[j] - 1.0) ** 2 for i, j in pairs)
-    forms -= sign_changes(z, Topology.CIRCULAR)
-    mu = rng.uniform(-4.0, 4.0, size=4)
-    symbolic = dict(angles, mu1=mu[0], mu2=mu[1], mu3=mu[2], mu4=mu[3])
-    integer_mu = rng.integers(-4, 5, size=4)
-    # symbolic multipliers, and integer ones substituted into the coefficients
-    for system, assignment, weights in (
-        (build_4d_system(z), symbolic, mu),
-        (build_4d_system(z, integer_mu), angles, integer_mu),
+def test_parse_system_reads_integers_or_raises_value_error():
+    layout = {"variables": ["a"], "metadata": {}}
+    # integral floats count as their ints, as everywhere else
+    whole = json.dumps({"equations": [[[2.0, {"a": 3.0}], [-1, {}]]], **layout})
+    assert parse_system(whole).equations == (((2, {"a": 3}), (-1, {})),)
+    for bad in (
+        # used to parse as (1, {"a": 2})
+        {"equations": [[[1.5, {"a": 2.7}]]], **layout},
+        {"equations": [[[1, {"a": 2.7}]]], **layout},
+        {"equations": [[["1", {}]]], **layout},
+        {"equations": [[[1, {"a": None}]]], **layout},
+        {"equations": [[[1, [2]]]], **layout},
+        {"equations": [[[1]]], **layout},
+        {"equations": 5, **layout},
+        {"equations": [], "variables": ["a"]},
+        {},
+        [],
     ):
-        values = evaluate_system(system, assignment)
-        assert values[0] == pytest.approx(float(weights @ d) + forms, abs=1e-9)
-        assert max(abs(v) for v in values[1:]) < 1e-12
+        with pytest.raises(ValueError):
+            parse_system(json.dumps(bad))
+    with pytest.raises(ValueError):
+        parse_system("not json")
+
+
+# each example draws one point and one set of multipliers per candidate
+@settings(max_examples=5)
+@given(st.integers(0, 10_000))
+def test_main_equation_matches_direct_evaluation(seed):
+    rng = np.random.default_rng(seed)
+    pairs = [(0, 3), (0, 1), (1, 2), (2, 3)]
+    for z in CANDIDATES:
+        rho = float(rng.uniform(0.2, 2.5))
+        phis = rng.uniform(0.05, 3.1, size=3)
+        d = spherical_to_cartesian(rho, phis)
+        angles = {
+            "rho": rho,
+            "c1": math.cos(phis[0]),
+            "c2": math.cos(phis[1]),
+            "c3": math.cos(phis[2]),
+            "s1": math.sin(phis[0]),
+            "s2": math.sin(phis[1]),
+            "s3": math.sin(phis[2]),
+        }
+        forms = sum((d[i] + d[j]) ** 2 * (d[i] * d[j] - 1.0) ** 2 for i, j in pairs)
+        forms -= sign_changes(z, Topology.CIRCULAR)
+        mu = rng.uniform(-4.0, 4.0, size=4)
+        symbolic = dict(angles, mu1=mu[0], mu2=mu[1], mu3=mu[2], mu4=mu[3])
+        integer_mu = rng.integers(-4, 5, size=4)
+        # symbolic multipliers, and integer ones substituted into the coefficients
+        for system, assignment, weights in (
+            (build_4d_system(z), symbolic, mu),
+            (build_4d_system(z, integer_mu), angles, integer_mu),
+        ):
+            values = evaluate_system(system, assignment)
+            assert values[0] == pytest.approx(float(weights @ d) + forms, abs=1e-9)
+            assert max(abs(v) for v in values[1:]) < 1e-12
 
 
 def test_evaluate_requires_full_assignment():
@@ -131,22 +159,24 @@ def test_spherical_norm_is_radius(rho, phis):
     assert float(np.linalg.norm(x)) == pytest.approx(rho, abs=1e-9)
 
 
-@given(sign_patterns)
-def test_lattice_directions_complete(z):
-    directions = lattice_directions(z)
-    assert len(directions) == 80
-    assert directions == sorted(directions)
-    assert all(any(d) for d in directions)
-    for d in directions:
-        moved = tuple(zi + di for zi, di in zip(z, d))
-        assert all(v in (-1, 0, 1) for v in moved)
+def test_lattice_directions_complete():
+    for z in CANDIDATES:
+        t, directions, rhs = _lattice_system(z)
+        assert t == sign_changes(z, Topology.CIRCULAR)
+        assert len(directions) == len(rhs) == 80
+        assert directions == sorted(directions)
+        assert all(any(d) for d in directions)
+        for d in directions:
+            moved = tuple(zi + di for zi, di in zip(z, d))
+            assert all(v in (-1, 0, 1) for v in moved)
 
 
 def test_admissible_radii_cover_direction_lengths():
     lengths = set()
-    for z in product((-1, 0, 1), repeat=4):
-        for d in lattice_directions(z):
-            lengths.add(sum(v * v for v in d))
+    for z in CANDIDATES:
+        for d in product(*[(-1 - zi, -zi, 1 - zi) for zi in z]):
+            if any(d):
+                lengths.add(sum(v * v for v in d))
     assert lengths == set(ADMISSIBLE_RHO_SQUARED)
 
 
@@ -155,39 +185,24 @@ def test_admissible_radii_cover_direction_lengths():
     [((-2, 0, 0, 0), 8), ((-1, 0, 0, 0), 2), ((1, 1, 1, 1), 0), ((-1, 2, -1, 2), 36)],
 )
 def test_pair_form_values(d, expected):
-    assert pair_form_value(d) == expected
-
-
-def test_pair_form_value_reads_integer_steps():
-    assert pair_form_value((2.0, 0, Fraction(0), 0)) == pair_form_value((2, 0, 0, 0)) == 8
-    assert pair_form_value(np.array([-1, 2, -1, 2])) == 36
-    # Python ints, so a step beyond int64 stays exact
-    big = 10**20
-    assert pair_form_value((big, 0, 0, 0)) == 2 * big**2
-
-
-@pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), math.inf, math.nan, "a"])
-def test_pair_form_value_rejects_non_integer_steps(bad):
-    # (0.5, 1, 1, 1) used to truncate to (0, 1, 1, 1), whose value is 2
-    with pytest.raises(ValueError):
-        pair_form_value((bad, 1, 1, 1))
+    assert _pair_form(d) == expected
 
 
 def test_solver_feasible_witness():
-    outcome = solve_rational_system([[1, 0], [0, 2], [1, 2]], [3, 4, 7])
+    outcome = _solve_rational_system([[1, 0], [0, 2], [1, 2]], [3, 4, 7])
     assert outcome[0] == "feasible"
     assert outcome[1] == [Fraction(3), Fraction(2)]
 
 
 def test_solver_underdetermined_sets_free_to_zero():
-    outcome = solve_rational_system([[1, 1, 0]], [4])
+    outcome = _solve_rational_system([[1, 1, 0]], [4])
     assert outcome == ("feasible", [Fraction(4), Fraction(0), Fraction(0)])
 
 
 def test_solver_infeasible_certificate_combines_to_contradiction():
     rows = [[1, 1], [2, 2], [1, 0]]
     rhs = [1, 3, 0]
-    outcome = solve_rational_system(rows, rhs)
+    outcome = _solve_rational_system(rows, rhs)
     assert outcome[0] == "infeasible"
     combo, value = outcome[1], outcome[2]
     assert value != 0
@@ -203,9 +218,9 @@ def test_solver_infeasible_certificate_combines_to_contradiction():
 
 def test_solver_validation():
     with pytest.raises(ValueError):
-        solve_rational_system([], [])
+        _solve_rational_system([], [])
     with pytest.raises(ValueError):
-        solve_rational_system([[1]], [1, 2])
+        _solve_rational_system([[1]], [1, 2])
 
 
 def test_feasibility_certificate_for_alternating_candidate():
@@ -220,21 +235,43 @@ def test_feasibility_certificate_for_alternating_candidate():
     assert cert.forced_values == (Fraction(2), Fraction(-2))
 
 
-@given(sign_patterns)
-def test_every_candidate_is_infeasible_with_valid_certificate(z):
-    result = finite_direction_feasibility(z)
-    assert not result.feasible
-    cert = result.certificate
-    directions = lattice_directions(z)
-    rhs = [result.t - pair_form_value(d) for d in directions]
-    combined = [Fraction(0)] * 4
-    combined_rhs = Fraction(0)
-    for idx, coeff in zip(cert.equation_indices, cert.coefficients):
-        for c in range(4):
-            combined[c] += coeff * directions[idx][c]
-        combined_rhs += coeff * rhs[idx]
-    assert combined == [0, 0, 0, 0]
-    assert combined_rhs == cert.value != 0
+def _forced_values(zi, t):
+    """The multiplier values that the two pure steps a < b on an axis with
+    sign zi force, (t - 2 a^2) / a and (t - 2 b^2) / b, in closed form."""
+    return {
+        1: (4 - Fraction(t, 2), 2 - t),  # steps -2, -1
+        0: (2 - t, t - 2),  # steps -1, 1
+        -1: (t - 2, Fraction(t, 2) - 4),  # steps 1, 2: the negations, in step order
+    }[zi]
+
+
+def test_every_candidate_is_infeasible_with_valid_certificate():
+    for z in CANDIDATES:
+        result = finite_direction_feasibility(z)
+        t, directions, rhs = _lattice_system(z)
+        assert not result.feasible
+        assert (result.t, result.n_directions) == (t, len(directions))
+        cert = result.certificate
+        combined = [Fraction(0)] * 4
+        combined_rhs = Fraction(0)
+        for idx, coeff, direction in zip(cert.equation_indices, cert.coefficients, cert.directions):
+            assert directions[idx] == direction
+            for c in range(4):
+                combined[c] += coeff * direction[c]
+            combined_rhs += coeff * rhs[idx]
+        assert combined == [0, 0, 0, 0]
+        assert combined_rhs == cert.value != 0
+
+
+def test_forced_values_follow_the_lemma():
+    for z in CANDIDATES:
+        t = sign_changes(z, Topology.CIRCULAR)
+        cert = finite_direction_feasibility(z).certificate
+        forced = [_forced_values(zi, t) for zi in z]
+        # the first axis whose two forced values differ
+        assert cert.axis == next(i for i, (f_a, f_b) in enumerate(forced) if f_a != f_b)
+        assert cert.forced_values == forced[cert.axis]
+        assert cert.value == forced[cert.axis][0] - forced[cert.axis][1]
 
 
 def test_feasibility_report_is_json_ready():
@@ -259,10 +296,15 @@ def test_decision_neither_eliminates_nor_enumerates(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the pure-axis decision must not call this")
 
+    # the lattice system and its elimination exist only in the oracles
+    for name in ("lattice_directions", "pair_form_value", "_pair_forms", "solve_rational_system"):
+        assert not hasattr(polysys, name)
     z = (1, -1, 1, -1)
-    directions = lattice_directions(z)
-    monkeypatch.setattr(polysys, "solve_rational_system", forbidden)
-    monkeypatch.setattr(polysys, "lattice_directions", forbidden)
+    _, directions, _ = _lattice_system(z)
+    monkeypatch.setattr(oracles, "_solve_rational_system", forbidden)
+    monkeypatch.setattr(oracles, "_lattice_system", forbidden)
+    # and the decision builds no numpy array
+    monkeypatch.setattr(polysys, "np", None)
     assert grid_feasibility_summary()["infeasible"] == 81
     cert = finite_direction_feasibility(z).certificate
     assert cert.kind == "axis_conflict"
@@ -273,4 +315,4 @@ def test_feasibility_validation():
     with pytest.raises(ValueError):
         finite_direction_feasibility((1, -1, 1))
     with pytest.raises(ValueError):
-        lattice_directions((0, 3, 0, 0))
+        finite_direction_feasibility((0, 3, 0, 0))
