@@ -5,7 +5,8 @@ transition surrogate becomes one polynomial equation in spherical variables
 (rho, c1, c2, c3, s1, s2, s3) plus the three Pythagorean identities.  The
 direction components are d1 = rho c1, d2 = rho c2 s1, d3 = rho c3 s1 s2,
 d4 = rho s1 s2 s3, and each circular adjacency contributes a term
-(d_i + d_j)^2 (d_i d_j - 1)^2.
+(d_i + d_j)^2 (d_i d_j - 1)^2.  Only the constant -t(z) depends on z: the
+multiplier and pair terms are the same for all 81 candidates.
 
 Restricting the direction to the integer lattice steps that keep z + d on
 the sign grid turns the ansatz into a linear system for the multipliers.
@@ -23,6 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Sequence
 
@@ -79,22 +81,40 @@ class PolySystem:
     metadata: dict
 
 
-def _normalize(poly: dict, variables: tuple[str, ...]) -> tuple[Term, ...]:
-    """Sort terms graded-lexicographically, highest first, constants last."""
+@cache
+def _template(symbolic: bool) -> tuple[tuple[str, ...], tuple[int, ...], tuple]:
+    """The part of build_4d_system's output shared by all 81 candidates: the
+    variables, the fixed coefficients (1 and -1 for the identities, then the
+    summed pair and symbolic multiplier terms) and the four equations as
+    (index, powers) terms in graded order.  An index past the fixed
+    coefficients picks a value of the call: mu_1..mu_4 if substituted, then -t.
+    """
+    variables = SPHERICAL_VARIABLES + (MULTIPLIER_VARIABLES if symbolic else ())
 
-    def key(mono: tuple[int, ...]):
-        return (-sum(mono), tuple(-e for e in mono))
+    def exponents(*names: str) -> tuple[int, ...]:
+        return tuple(map(names.count, variables))
 
-    terms = []
-    for mono in sorted(poly, key=key):
-        powers = {variables[i]: e for i, e in enumerate(mono) if e}
-        terms.append((int(poly[mono]), powers))
-    return tuple(terms)
+    def graded(poly: dict) -> tuple:
+        """(value, powers) per monomial, graded-lexicographically, highest first, constants last."""
+        order = sorted(poly, key=lambda mono: (-sum(mono), tuple(-e for e in mono)))
+        return tuple((poly[m], {variables[i]: e for i, e in enumerate(m) if e}) for m in order)
 
-
-def _exponents(names: tuple[str, ...], variables: tuple[str, ...]) -> tuple[int, ...]:
-    """Exponent tuple, over variables, of the product of the named variables."""
-    return tuple(map(names.count, variables))
+    d = [exponents("rho", *factors) for factors in DIRECTION]
+    main: Counter = Counter()
+    for di, dj in zip(d, d[1:] + d[:1]):
+        for (a, b), coeff in PAIR_TERMS.items():
+            main[tuple(a * p + b * q for p, q in zip(di, dj))] += coeff
+    if symbolic:
+        main.update(exponents(m, "rho", *f) for m, f in zip(MULTIPLIER_VARIABLES, DIRECTION))
+    fixed = [mono for mono, c in main.items() if c]
+    coeffs = (1, -1, *(main[mono] for mono in fixed))
+    # the call's values follow coeffs; no pair term has degree below 2 in d, so none is fixed
+    index = {mono: k for k, mono in enumerate(fixed + ([] if symbolic else d) + [exponents()], 2)}
+    identities = (
+        {exponents(f"c{i}", f"c{i}"): 0, exponents(f"s{i}", f"s{i}"): 0, exponents(): 1}
+        for i in (1, 2, 3)
+    )
+    return variables, coeffs, tuple(map(graded, (index, *identities)))
 
 
 def build_4d_system(z: Sequence[int], mu: Sequence[int] | None = None) -> PolySystem:
@@ -102,40 +122,21 @@ def build_4d_system(z: Sequence[int], mu: Sequence[int] | None = None) -> PolySy
 
     With mu = None the four multipliers stay symbolic as extra variables;
     otherwise the given values are substituted.  Coefficients are kept
-    integral, so only integer multipliers are accepted here.
+    integral, so only integer multipliers are accepted here.  Only the
+    constant -t(z) depends on z, so every call fills the multipliers and -t
+    into one template per multiplier mode; a zero coefficient drops its term.
     """
     pattern = _sign_pattern(z, 4)
     if mu is not None:
         mu = _integer_vector(mu, 4)
-        variables = SPHERICAL_VARIABLES
-    else:
-        variables = SPHERICAL_VARIABLES + MULTIPLIER_VARIABLES
-    d = [_exponents(("rho", *factors), variables) for factors in DIRECTION]
     t = sign_changes(pattern, Topology.CIRCULAR)
-
-    main: Counter = Counter()
-    for i, factors in enumerate(DIRECTION):
-        if mu is None:
-            main[_exponents((MULTIPLIER_VARIABLES[i], "rho", *factors), variables)] += 1
-        else:
-            main[d[i]] += mu[i]
-    for di, dj in zip(d, d[1:] + d[:1]):
-        for (a, b), coeff in PAIR_TERMS.items():
-            main[tuple(a * p + b * q for p, q in zip(di, dj))] += coeff
-    main[_exponents((), variables)] -= t
-
-    equations = [_normalize({mono: c for mono, c in main.items() if c}, variables)]
-    for i in (1, 2, 3):
-        pyth = {
-            _exponents((f"c{i}", f"c{i}"), variables): 1,
-            _exponents((f"s{i}", f"s{i}"), variables): 1,
-            _exponents((), variables): -1,
-        }
-        equations.append(_normalize(pyth, variables))
-
+    variables, coeffs, equations = _template(mu is None)
+    values = (*coeffs, *(mu or ()), -t)
     return PolySystem(
         variables=variables,
-        equations=tuple(equations),
+        equations=tuple(
+            tuple((values[k], dict(powers)) for k, powers in eq if values[k]) for eq in equations
+        ),
         metadata={
             "candidate": list(pattern),
             "t": t,
@@ -203,19 +204,32 @@ def _read_int(value) -> int:
     return int(value)
 
 
+def _read_powers(powers: dict, names: frozenset) -> dict[str, int]:
+    """One term's exponents, integers >= 0 on listed variables; json's ints pass by a type test."""
+    read = {k: e if type(e) is int and e >= 0 and k in names else None for k, e in powers.items()}
+    if None in read.values():
+        read = {k: _read_int(e) for k, e in powers.items()}
+        if not read.keys() <= names or min(read.values()) < 0:
+            raise ValueError(f"exponents must be nonnegative, on listed variables: {powers!r}")
+    return read
+
+
 def parse_system(text: str) -> PolySystem:
     """Inverse of export_system(..., 'json').
 
     Coefficients and exponents are read by the integer rule, so 1.5 is
-    refused rather than truncated, and any other layout raises ValueError.
+    refused rather than truncated; an exponent must be nonnegative and on a
+    listed variable, and any other layout raises ValueError.
     """
     try:
         payload = json.loads(text)
+        variables = tuple(payload["variables"])
+        names = frozenset(variables)
         equations = tuple(
-            tuple((_read_int(c), {str(k): _read_int(e) for k, e in powers.items()}) for c, powers in eq)
+            tuple((c if type(c) is int else _read_int(c), _read_powers(p, names)) for c, p in eq)
             for eq in payload["equations"]
         )
-        return PolySystem(tuple(payload["variables"]), equations, payload["metadata"])
+        return PolySystem(variables, equations, payload["metadata"])
     except (KeyError, TypeError, AttributeError):
         raise ValueError("expected an exported polynomial system") from None
 

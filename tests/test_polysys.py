@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -79,6 +80,47 @@ def test_json_export_round_trip():
         export_system(system, fmt="latex")
 
 
+# sha256 of every export of the 81 candidates, symbolic and with mu = (2, 0, -1, 3),
+# concatenated in candidate order; no CLI golden covers the JSON text
+EXPORT_SHA256 = {
+    "json": "7ac70ebc0a083249621bc25aeb2c38509a1cc3da7a7033ba00375fae60eb2830",
+    "plain": "8104a963e3fb3d8ccc6b92ecf6c5b40b2382f70bc22a26ad64d939ee997d9240",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EXPORT_SHA256))
+def test_export_bytes_are_pinned(fmt):
+    text = "".join(
+        export_system(build_4d_system(z, mu), fmt) for z in CANDIDATES for mu in (None, (2, 0, -1, 3))
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[fmt]
+
+
+def test_built_systems_share_no_state():
+    for mu in (None, (2, 0, -1, 3)):
+        # parse(export(...)) is a copy that shares nothing with the builder
+        reference = [parse_system(export_system(build_4d_system(z, mu))) for z in CANDIDATES]
+        spoiled = build_4d_system((1, -1, 1, -1), mu)
+        for eq in spoiled.equations:
+            for _, powers in eq:
+                powers["rho"] = 99
+        for value in spoiled.metadata.values():
+            if isinstance(value, list):
+                value.append(5)
+        assert [build_4d_system(z, mu) for z in CANDIDATES] == reference
+
+
+def test_only_the_constant_depends_on_z():
+    rest = set()
+    for z in CANDIDATES:
+        t = sum(z[i] != z[(i + 1) % 4] for i in range(4))
+        main = build_4d_system(z).equations[0]
+        assert [coeff for coeff, powers in main if not powers] == ([-t] if t else [])
+        rest.add(json.dumps([term for term in main if term[1]], sort_keys=True))
+    # the main equation without its constant is one polynomial for every candidate
+    assert len(rest) == 1
+
+
 def test_parse_system_reads_integers_or_raises_value_error():
     layout = {"variables": ["a"], "metadata": {}}
     # integral floats count as their ints, as everywhere else
@@ -92,6 +134,10 @@ def test_parse_system_reads_integers_or_raises_value_error():
         {"equations": [[[1, {"a": None}]]], **layout},
         {"equations": [[[1, [2]]]], **layout},
         {"equations": [[[1]]], **layout},
+        # used to parse, and export_system(..., "plain") then dropped the factor
+        {"equations": [[[3, {"a": -1}], [1, {}]]], **layout},
+        {"equations": [[[2, {"zz": 2}], [1, {}]]], **layout},
+        {"equations": [[[1, {"a": -2.0}]]], **layout},
         {"equations": 5, **layout},
         {"equations": [], "variables": ["a"]},
         {},
