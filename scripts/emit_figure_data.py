@@ -13,13 +13,13 @@ Artifacts:
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from signchange.optimality import OneDProblem, curves_csv_1d, surface_csv
 from signchange.oracles import enumerate_grid
 from signchange.polysys import (
+    _json_text,
     feasibility_report,
     finite_direction_feasibility,
     grid_feasibility_summary,
@@ -67,7 +67,7 @@ def main() -> int:
         "alternating_candidate": feasibility_report(finite_direction_feasibility((1, -1, 1, -1))),
         "grid_summary": grid_feasibility_summary(),
     }
-    emit("feasibility.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    emit("feasibility.json", _json_text(payload) + "\n")
 
     for name in written:
         print(f"wrote {out / name}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from fractions import Fraction
 
@@ -77,7 +76,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _emit_json(payload, path: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2), path)
+    _emit(polysys._json_text(payload), path)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -175,7 +175,57 @@ def _format_equation(terms: tuple[Term, ...], variables: tuple[str, ...]) -> str
     return " ".join(pieces) + " = 0"
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), written by string joins.
+
+    A plain dict with str keys, a list or a tuple is laid out here, and an
+    int, a finite float, a bool, None or a str written as json writes it;
+    every other value (NaN and infinities, int, float and dict subclasses,
+    non-str keys) goes to json.dumps itself, with each newline re-indented
+    to the current depth.  JSON text holds no raw newline inside a string,
+    so both paths give json's bytes.  A list or dict that holds itself
+    raises RecursionError here, where json raises ValueError.  ``newline``
+    is the line break plus the indent.
+    """
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_encode_str(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+
 def export_system(system: PolySystem, fmt: str = "json") -> str:
+    """The system as text: 'json' or 'plain'.
+
+    The JSON text is byte for byte json.dumps(payload, indent=2,
+    sort_keys=True) plus a newline, where payload holds the variables, the
+    equations as [coefficient, powers] pairs and the metadata; parse_system
+    reads it back.  The plain text is a header from the metadata's
+    candidate, t and admissible_rho_squared, then one 'lhs = 0' line per
+    equation; metadata without one of them raises ValueError.
+    """
     if fmt == "json":
         payload = {
             "variables": list(system.variables),
@@ -184,12 +234,16 @@ def export_system(system: PolySystem, fmt: str = "json") -> str:
             ],
             "metadata": system.metadata,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json_text(payload) + "\n"
     if fmt == "plain":
+        meta = system.metadata
+        for key in ("candidate", "t", "admissible_rho_squared"):
+            if not isinstance(meta, dict) or key not in meta:
+                raise ValueError(f"plain export needs the metadata key {key!r}")
         lines = [
-            f"# candidate z = {tuple(system.metadata['candidate'])}",
-            f"# sign changes t(z) = {system.metadata['t']}",
-            f"# admissible rho^2 values: {system.metadata['admissible_rho_squared']}",
+            f"# candidate z = {tuple(meta['candidate'])}",
+            f"# sign changes t(z) = {meta['t']}",
+            f"# admissible rho^2 values: {meta['admissible_rho_squared']}",
         ]
         for eq in system.equations:
             lines.append(_format_equation(eq, system.variables))
@@ -205,31 +259,37 @@ def _read_int(value) -> int:
 
 
 def _read_powers(powers: dict, names: frozenset) -> dict[str, int]:
-    """One term's exponents, integers >= 0 on listed variables; json's ints pass by a type test."""
-    read = {k: e if type(e) is int and e >= 0 and k in names else None for k, e in powers.items()}
-    if None in read.values():
-        read = {k: _read_int(e) for k, e in powers.items()}
-        if not read.keys() <= names or min(read.values()) < 0:
-            raise ValueError(f"exponents must be nonnegative, on listed variables: {powers!r}")
+    """One term's exponents, integers >= 0 on listed variables; json's own dict
+    passes as it is when its keys are listed and its exponents are plain ints."""
+    if powers.keys() <= names and all(type(e) is int and e >= 0 for e in powers.values()):
+        return powers
+    read = {k: _read_int(e) for k, e in powers.items()}
+    if not read.keys() <= names or min(read.values()) < 0:
+        raise ValueError(f"exponents must be nonnegative, on listed variables: {powers!r}")
     return read
 
 
 def parse_system(text: str) -> PolySystem:
     """Inverse of export_system(..., 'json').
 
-    Coefficients and exponents are read by the integer rule, so 1.5 is
-    refused rather than truncated; an exponent must be nonnegative and on a
-    listed variable, and any other layout raises ValueError.
+    The variables must be a list of distinct strings.  Coefficients and
+    exponents are read by the integer rule, so 1.5 is refused rather than
+    truncated; an exponent must be nonnegative and on a listed variable, and
+    any other layout raises ValueError.
     """
     try:
         payload = json.loads(text)
-        variables = tuple(payload["variables"])
+        variables = payload["variables"]
+        if type(variables) is not list or not all(type(name) is str for name in variables):
+            raise ValueError(f"variables must be a list of names, got {variables!r}")
         names = frozenset(variables)
+        if len(names) != len(variables):
+            raise ValueError(f"variable names must be distinct, got {variables!r}")
         equations = tuple(
             tuple((c if type(c) is int else _read_int(c), _read_powers(p, names)) for c, p in eq)
             for eq in payload["equations"]
         )
-        return PolySystem(variables, equations, payload["metadata"])
+        return PolySystem(tuple(variables), equations, payload["metadata"])
     except (KeyError, TypeError, AttributeError):
         raise ValueError("expected an exported polynomial system") from None
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import OrderedDict
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,8 @@ from signchange import oracles, polysys
 from signchange.oracles import _lattice_system, _pair_form, _solve_rational_system
 from signchange.polysys import (
     ADMISSIBLE_RHO_SQUARED,
+    PolySystem,
+    _json_text,
     build_4d_system,
     evaluate_system,
     export_system,
@@ -96,6 +99,71 @@ def test_export_bytes_are_pinned(fmt):
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[fmt]
 
 
+def _text_or_error(write, value):
+    try:
+        return write(value)
+    except (TypeError, ValueError) as error:
+        return type(error)
+
+
+def _assert_json_parity(value):
+    """The writer gives json's own bytes, or the same kind of error."""
+    oracle = _text_or_error(lambda v: json.dumps(v, indent=2, sort_keys=True), value)
+    assert _text_or_error(_json_text, value) == oracle
+
+
+JSON_EDGE_CASES = [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [{}, [[]], {"d": []}]},
+    ({"t": (1, (2, 3), ())}, ()),
+    OrderedDict([("b", 1), ("a", [OrderedDict()])]),
+    {"outer": OrderedDict([("z", 1), ("y", {"x": 2})])},
+    {1: "int", 2: [3]},
+    {"k": {2.5: 1, -0.0: 2, 1e300: [None]}},
+    {True: 1, False: [0]},
+    {None: {"n": None}},
+    {"mixed": {1: 0, "1": 1}},
+    [True, False, None, -0.0, 1e300, -1e300, float("nan"), float("inf"), float("-inf")],
+    {"f": [np.float64(0.1), np.float64(-0.0), np.float64("nan")], "g": np.float64(2.5)},
+    {"ü": "ünïcødé ✓ 𝄞", "ctl": "tab\tnew\nline\x00\x1f\x7f", "\n": ["\u2028\"\\"]},
+    [0, -1, 10**30, -(10**30)],
+    "top-level string",
+    3,
+    None,
+]
+
+
+@pytest.mark.parametrize("value", JSON_EDGE_CASES, ids=range(len(JSON_EDGE_CASES)))
+def test_json_text_matches_json_on_edge_cases(value):
+    _assert_json_parity(value)
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.text()
+)
+JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4).map(OrderedDict)
+    | JSON_KEYS.flatmap(lambda key: st.dictionaries(st.just(key), inner, max_size=1)),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+def test_json_text_matches_json(value):
+    _assert_json_parity(value)
+
+
 def test_built_systems_share_no_state():
     for mu in (None, (2, 0, -1, 3)):
         # parse(export(...)) is a copy that shares nothing with the builder
@@ -140,6 +208,13 @@ def test_parse_system_reads_integers_or_raises_value_error():
         {"equations": [[[1, {"a": -2.0}]]], **layout},
         {"equations": 5, **layout},
         {"equations": [], "variables": ["a"]},
+        # a string used to parse as its letters, ('r', 'h', 'o')
+        {"equations": [[[1, {"r": 1}]]], "variables": "rho", "metadata": {}},
+        {"equations": [], "variables": ["a", "a"], "metadata": {}},
+        {"equations": [], "variables": ["a", 1], "metadata": {}},
+        {"equations": [], "variables": [["a"]], "metadata": {}},
+        {"equations": [], "variables": [None], "metadata": {}},
+        {"equations": [], "variables": {"a": 1}, "metadata": {}},
         {},
         [],
     ):
@@ -147,6 +222,19 @@ def test_parse_system_reads_integers_or_raises_value_error():
             parse_system(json.dumps(bad))
     with pytest.raises(ValueError):
         parse_system("not json")
+
+
+def test_plain_export_names_missing_metadata():
+    full = build_4d_system((1, -1, 1, -1))
+    assert export_system(parse_system(export_system(full)), "plain") == export_system(full, "plain")
+    for key in ("candidate", "t", "admissible_rho_squared"):
+        payload = json.loads(export_system(full))
+        del payload["metadata"][key]
+        parsed = parse_system(json.dumps(payload))
+        with pytest.raises(ValueError, match=key):
+            export_system(parsed, "plain")
+    with pytest.raises(ValueError, match="candidate"):
+        export_system(PolySystem(full.variables, full.equations, []), "plain")
 
 
 # each example draws one point and one set of multipliers per candidate

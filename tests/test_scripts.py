@@ -30,7 +30,9 @@ def test_emit_figure_data_writes_every_artifact(tmp_path, monkeypatch, capsys):
     ]
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(artifacts)
     assert capsys.readouterr().out.count("wrote ") == len(artifacts)
-    payload = json.loads((tmp_path / "feasibility.json").read_text())
+    text = (tmp_path / "feasibility.json").read_bytes()
+    payload = json.loads(text)
+    assert text == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
     assert payload["grid_summary"]["infeasible"] == 81
     assert payload["alternating_candidate"]["certificate"]["forced_values"] == ["2", "-2"]
 
