@@ -182,25 +182,19 @@ def _json_text(value, newline: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True), written by string joins.
 
     A plain dict with str keys, a list or a tuple is laid out here, and an
-    int, a finite float, a bool, None or a str written as json writes it;
-    every other value (NaN and infinities, int, float and dict subclasses,
-    non-str keys) goes to json.dumps itself, with each newline re-indented
-    to the current depth.  JSON text holds no raw newline inside a string,
-    so both paths give json's bytes.  A list or dict that holds itself
-    raises RecursionError here, where json raises ValueError.  ``newline``
-    is the line break plus the indent.
+    int or a str written as json writes it: the system export holds only
+    these.  Every other value (floats, bools, None, int, str and dict
+    subclasses, non-str keys) goes to json.dumps itself, with each newline
+    re-indented to the current depth.  JSON text holds no raw newline inside
+    a string, so both paths give json's bytes.  A list or dict that holds
+    itself raises RecursionError here, where json raises ValueError.
+    ``newline`` is the line break plus the indent.
     """
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
     if kind is str:
         return _encode_str(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
