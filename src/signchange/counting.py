@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
-from scipy.stats import qmc
+from scipy.stats import qmc  # noqa: F401 -- unused; perfbench/layers.py:160 times this import
 
 __all__ = [
     "sign",
@@ -27,8 +27,6 @@ __all__ = [
     "index_sets",
     "is_count_subgradient",
     "sign_minorant_gap",
-    "ProbeReport",
-    "frechet_inequality_probe",
 ]
 
 
@@ -113,19 +111,15 @@ def _entries(values) -> list:
     return reals
 
 
-def _sign_pattern(z, length: int | None = None) -> tuple[int, ...]:
-    """z as a tuple of ints, once each entry equals -1, 0 or 1 and z has the given length."""
-    values = _entries(_vector(z))
-    if not all(v in (-1, 0, 1) for v in values) or length not in (None, len(values)):
-        raise ValueError(f"expected a sign pattern (entries in -1, 0, 1) of length {length or 'n'}")
-    return tuple(map(int, values))
-
-
-def _integer_vector(d, length: int | None = None) -> tuple[int, ...]:
-    """d as a tuple of ints, once each entry is an integral value and d has the given length."""
-    values = _entries(_vector(d))
-    if not all(map(_integral, values)) or length not in (None, len(values)):
-        raise ValueError(f"expected an integer vector of length {length or 'n'}")
+def _integer_vector(v, length: int | None = None, signs: bool = False) -> tuple[int, ...]:
+    """v as a tuple of ints, once each entry is an integral value and v has the
+    given length.  With signs=True v is a sign pattern: an integer vector whose
+    entries lie in -1..1."""
+    values = _entries(_vector(v))
+    bound = 1 if signs else math.inf
+    if length not in (None, len(values)) or not all(_integral(x) and abs(x) <= bound for x in values):
+        what = "a sign pattern (entries in -1, 0, 1)" if signs else "an integer vector"
+        raise ValueError(f"expected {what} of length {length or 'n'}")
     return tuple(map(int, values))
 
 
@@ -305,63 +299,3 @@ def sign_minorant_gap(x: Iterable[float]) -> float:
     norm = np.sqrt(_row_dot(mags, mags))
     gap = count - mags.sum(axis=-1) / norm
     return gap if batch else float(gap)
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Worst sampled Frechet difference quotient near a point."""
-
-    min_quotient: float
-    worst_offset: tuple[float, ...]
-    samples_used: int
-    radius: float
-
-
-def frechet_inequality_probe(
-    x: Iterable[float],
-    candidate: Iterable[float],
-    samples: int = 512,
-    radius: float = 0.1,
-) -> ProbeReport:
-    """Sample (c(y) - c(x) - <candidate, y - x>) / |y - x| over y near x.
-
-    Uses an unscrambled Sobol sample of the radius box (deterministic),
-    then every axis-aligned +-radius probe; the first minimum wins.  A
-    markedly negative minimum is evidence against candidate being a
-    Frechet subgradient; the probe is one-sided and cannot certify membership.
-    """
-    arr = as_vector(x)
-    cand = as_vector(candidate)
-    if arr.size != cand.size:
-        raise ValueError("dimension mismatch")
-    samples = _check_rows(samples, "the probe sample")
-    radius = _real(radius, "radius")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    n = arr.size
-
-    m = max(1, math.ceil(math.log2(samples)))
-    _check_rows(2**m * n, "the Sobol draw, one entry per row,")
-    box = 2.0 * qmc.Sobol(d=n, scramble=False).random_base2(m)[:samples] - 1.0
-    lengths = np.linalg.norm(box, axis=1)
-    # the box centre is the one offset of zero norm; rows outside the unit
-    # ball are projected onto its sphere, so every other draw is used
-    box, lengths = box[lengths > 0.0], lengths[lengths > 0.0]
-    scale = radius / np.maximum(lengths, 1.0)
-    offsets = box * scale[:, None]
-    counts = np.count_nonzero(_signs(arr + offsets, batch=True), axis=1)
-    sampled = (counts - count_nonzero(arr) - offsets @ cand) / (lengths * scale)
-    # +-radius e_i moves entry i alone, changing the count by [x_i +- r != 0] - [x_i != 0]
-    steps = np.array([radius, -radius])
-    change = (arr[:, None] + steps != 0.0).astype(int) - (arr != 0.0)[:, None]
-    quotients = np.concatenate([sampled, ((change - cand[:, None] * steps) / radius).ravel()])
-
-    k = int(np.argmin(quotients))
-    axis, side = divmod(k - len(offsets), 2)
-    worst = offsets[k] if k < len(offsets) else np.where(np.arange(n) == axis, steps[side], 0.0)
-    return ProbeReport(
-        min_quotient=float(quotients[k]),
-        worst_offset=tuple(worst.tolist()),
-        samples_used=quotients.size,
-        radius=radius,
-    )

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counting import _check_rows, _float_array, _real, _sign_pattern, as_vector
+from .counting import _check_rows, _float_array, _integer_vector, _real, as_vector
 from .transitions import Topology, _transition_values, sign_changes
 
 __all__ = [
@@ -186,7 +186,7 @@ def lagrangian_residual(
     z must be a sign pattern; k is a scalar or one weight per adjacency
     pair.  At d = 0 the residual is t(z).
     """
-    pattern = _sign_pattern(z)
+    pattern = _integer_vector(z, signs=True)
     lam = as_vector(multipliers)
     dd = as_vector(d)
     if lam.size != len(pattern) or dd.size != len(pattern):

@@ -139,6 +139,8 @@ class GridTable:
 
     def json_summary(self, threshold: int | None = None) -> dict:
         thr = self.n - 1 if threshold is None else threshold
+        # checks that thr is finite before numpy compares t with it
+        closed = center_symmetry_check(self, thr)
         sel = self.t > thr
         return {
             "n": self.n,
@@ -151,7 +153,7 @@ class GridTable:
             "symmetry": {
                 "threshold": thr,
                 "count_above": int(np.count_nonzero(sel)),
-                "closed_under_negation": center_symmetry_check(self, thr),
+                "closed_under_negation": closed,
             },
         }
 

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import _integer_vector, _integral, _real, _sign_pattern, as_vector
+from .counting import _integer_vector, _integral, _real, as_vector
 from .transitions import Topology, sign_changes
 
 __all__ = [
@@ -126,7 +126,7 @@ def build_4d_system(z: Sequence[int], mu: Sequence[int] | None = None) -> PolySy
     constant -t(z) depends on z, so every call fills the multipliers and -t
     into one template per multiplier mode; a zero coefficient drops its term.
     """
-    pattern = _sign_pattern(z, 4)
+    pattern = _integer_vector(z, 4, signs=True)
     if mu is not None:
         mu = _integer_vector(mu, 4)
     t = sign_changes(pattern, Topology.CIRCULAR)
@@ -245,6 +245,9 @@ def export_system(system: PolySystem, fmt: str = "json") -> str:
     raise ValueError("format must be 'json' or 'plain'")
 
 
+_NOT_EXPORTED = "expected an exported polynomial system"
+
+
 def _read_int(value) -> int:
     """One coefficient or exponent of a parsed system, by the integer rule."""
     if not _integral(value):
@@ -266,8 +269,9 @@ def _read_powers(powers: dict, names: frozenset) -> dict[str, int]:
 def parse_system(text: str) -> PolySystem:
     """Inverse of export_system(..., 'json').
 
-    The variables must be a list of distinct strings.  Coefficients and
-    exponents are read by the integer rule, so 1.5 is refused rather than
+    The variables must be a list of distinct strings, each term a
+    [coefficient, powers] pair and the metadata a JSON object.  Coefficients
+    and exponents are read by the integer rule, so 1.5 is refused rather than
     truncated; an exponent must be nonnegative and on a listed variable, and
     any other layout raises ValueError.
     """
@@ -279,13 +283,17 @@ def parse_system(text: str) -> PolySystem:
         names = frozenset(variables)
         if len(names) != len(variables):
             raise ValueError(f"variable names must be distinct, got {variables!r}")
+        rows, metadata = payload["equations"], payload["metadata"]
+        # every term a [coefficient, powers] pair, and the metadata a JSON object
+        if type(metadata) is not dict or any({*map(type, eq), *map(len, eq)} - {list, 2} for eq in rows):
+            raise ValueError(_NOT_EXPORTED)
         equations = tuple(
             tuple((c if type(c) is int else _read_int(c), _read_powers(p, names)) for c, p in eq)
-            for eq in payload["equations"]
+            for eq in rows
         )
-        return PolySystem(tuple(variables), equations, payload["metadata"])
+        return PolySystem(tuple(variables), equations, metadata)
     except (KeyError, TypeError, AttributeError):
-        raise ValueError("expected an exported polynomial system") from None
+        raise ValueError(_NOT_EXPORTED) from None
 
 
 def evaluate_system(system: PolySystem, assignment: dict[str, float]) -> list:
@@ -354,7 +362,7 @@ def finite_direction_feasibility(z: Sequence[int]) -> FeasibilityResult:
     cross-checks one representative candidate by exact Gauss-Jordan
     elimination.
     """
-    pattern = _sign_pattern(z, 4)
+    pattern = _integer_vector(z, 4, signs=True)
     n = len(pattern)
     t = sign_changes(pattern, Topology.CIRCULAR)
     # mixed-radix position of z + d in the sign grid; the zero step sits at `origin`

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import _check_rows, _displaced, _finite, _is_batch, _signs
+from .counting import _check_rows, _displaced, _finite, _is_batch, _real, _signs
 from .transitions import (
     Topology,
     _check_weight,
@@ -186,6 +186,6 @@ def profile_csv(profile: GapProfile, step: Fraction = Fraction(1, 200)) -> str:
     lines = ["k,gap"]
     k = step
     while k <= Fraction(1, 2):
-        lines.append(f"{float(k)!r},{float(profile.value(k))!r}")
+        lines.append(f"{float(k)!r},{_real(profile.value(k), 'a gap value')!r}")
         k += step
     return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import _finite, _is_batch, _real, _row_dot, _sign_pattern, _signs, as_vector
+from .counting import _finite, _integer_vector, _is_batch, _real, _row_dot, _signs, as_vector
 
 __all__ = [
     "Topology",
@@ -76,7 +76,7 @@ def transition_component(sign_a: int, sign_b: int, k):
     Exact when k is int or Fraction.  Note both full flips evaluate to
     +2k: (-1 + 1 - k)(-1 - 1) = 2k, same as (1 - 1 - k)(-1 - 1).
     """
-    a, b = _sign_pattern((sign_a, sign_b))
+    a, b = _integer_vector((sign_a, sign_b), signs=True)
     _check_weight(k)
     return _transition_values(a, b, k)
 

@@ -35,7 +35,6 @@ from signchange import (
     decoupled_gap,
     enumerate_grid,
     finite_direction_feasibility,
-    frechet_inequality_probe,
     gap_profile,
     global_min_1d,
     hadamard_norm_sq,
@@ -87,7 +86,6 @@ FLOAT_ENTRY_POINTS = {
     "sign_minorant_gap": sign_minorant_gap,
     "smoothed_count": lambda x: smoothed_count(x, 1e-3),
     "transition_hessian_2d": lambda x: transition_hessian_2d(list(x)[:2], 0.5),
-    "frechet_inequality_probe": lambda x: frechet_inequality_probe(x, x, samples=8),
     "spherical_to_cartesian": lambda x: spherical_to_cartesian(1.0, x),
 }
 # read z as a sign pattern, so a pattern given as floats or Fractions is the int pattern
@@ -103,7 +101,7 @@ EXEMPT = {
     "transition_component": "two scalar signs, read as a sign pattern, and a weight",
     "pair_stats": "kernel on sign arrays that a reader already produced",
     "symmetric2_eigenvalues": "takes a Hessian2",
-    "profile_csv": "takes a GapProfile and a step, covered by the ceiling cases",
+    "profile_csv": "takes a GapProfile and a step, covered by the ceiling and scalar rule cases",
     "pattern_grid": "an integer dimension bounded by MAX_GRID_DIM",
     "enumerate_grid": "an integer dimension bounded by MAX_GRID_DIM",
     "center_symmetry_check": "takes a GridTable",
@@ -212,7 +210,8 @@ def test_numpy_integer_entries_count_at_their_python_values():
     assert sign_minorant_gap([np.int64(3), 1]) == sign_minorant_gap([3, 1])
 
 
-@pytest.mark.parametrize("bad", [0.5, 1.7, math.nan, "a"])
+# a sign pattern is an integer vector with entries in -1..1, so 2 and -2 are refused too
+@pytest.mark.parametrize("bad", [0.5, 1.7, math.nan, "a", 2, -2])
 @pytest.mark.parametrize("name", sorted(PATTERN_ENTRY_POINTS))
 def test_pattern_entry_points_reject_non_signs(name, bad):
     with pytest.raises(ValueError):
@@ -242,8 +241,6 @@ def test_scalar_rule_cases():
         OneDProblem(c1=10**400)
     with pytest.raises(ValueError, match="float64 range"):
         smoothed_count([1.0, 0.0], 10**400)
-    with pytest.raises(ValueError, match="float64 range"):
-        frechet_inequality_probe([1.0], [0.0], radius=10**400)
     with pytest.raises(ValueError, match="finite"):
         build_4d_system((1, -1, 1, -1), mu=[math.inf, 0, 0, 0])
     # gap weights and array entries: ValueError, not TypeError or OverflowError
@@ -259,6 +256,8 @@ def test_scalar_rule_cases():
         lambda: OneDProblem().multiplier(10**400),
         # a symmetry threshold: ValueError, not a NaN token or a vacuous True
         lambda: enumerate_grid(3).json_summary(threshold=math.nan),
+        # refused before numpy compares the table with it (a UFuncTypeError)
+        lambda: enumerate_grid(3).json_summary(threshold="a"),
         lambda: center_symmetry_check(enumerate_grid(3), math.inf),
         # a grid dimension: ValueError, not numpy's negative-power error or
         # TypeError, and a huge one is refused before 3^n is formed
@@ -275,6 +274,8 @@ def test_scalar_rule_cases():
         lambda: decoupled_gap([Decimal("sNaN"), 1], [1, 0], PARAMS),
         # an infinite profile step: ValueError, not OverflowError from Fraction(inf)
         lambda: profile_csv(gap_profile((1, -1), (0, 0), 1), step=math.inf),
+        # a gap value beyond float64, printed as a float: ValueError, not OverflowError
+        lambda: profile_csv(gap_profile((1, -1), (0, 0), 10**400)),
     ):
         with pytest.raises(ValueError):
             call()
@@ -311,10 +312,6 @@ CEILING = 3**12
         lambda: check_1d_condition(OneDProblem(), grid_points=CEILING + 1),
         lambda: curves_csv_1d(OneDProblem(), grid_points=CEILING + 1),
         lambda: global_min_1d(grid_points=CEILING + 1),
-        # the Sobol draw rounds the sample count up to a power of two
-        lambda: frechet_inequality_probe([1.0], [0.0], samples=2 ** (CEILING.bit_length() - 1) + 1),
-        # and holds that many rows of n entries: 64 x 20000 entries
-        lambda: frechet_inequality_probe(np.ones(20000), np.zeros(20000), samples=64),
         # 3^13 completions of 13 zeros, counted when they are read
         lambda: classify_point([0.0] * 13).reachable,
     ],
@@ -325,8 +322,6 @@ CEILING = 3**12
         "check_1d",
         "curves_1d",
         "global_min_1d",
-        "probe",
-        "probe_entries",
         "classify",
     ],
 )
@@ -338,13 +333,12 @@ def test_row_ceiling_refuses_the_next_size(call):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda count: frechet_inequality_probe([1.0, 0.0], [0.0, 0.0], samples=count),
         lambda count: check_1d_condition(OneDProblem(), grid_points=count),
         lambda count: global_min_1d(grid_points=count),
         lambda count: curves_csv_1d(OneDProblem(), grid_points=count),
         lambda count: surface_csv("2d", resolution=count),
     ],
-    ids=["probe", "check_1d", "global_min_1d", "curves_1d", "surface_2d"],
+    ids=["check_1d", "global_min_1d", "curves_1d", "surface_2d"],
 )
 def test_count_parameters_read_integral_values(call):
     # an integral value counts as its int; anything else is ValueError, not TypeError

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.stats import qmc
 
 from batching import LIST_ENTRIES, batches, object_array, rowwise
 from signchange.counting import (
     IndexSets,
     _signs,
     count_nonzero,
-    frechet_inequality_probe,
     index_sets,
     is_count_subgradient,
     sign,
@@ -195,56 +193,6 @@ def test_float_conversion_beyond_range_is_value_error():
         lagrangian_residual((1, -1), [0, 0], 0.5, [10**400, 0])
     with pytest.raises(ValueError):
         sign_vector([1 + 2j, 1])
-
-
-def test_probe_zero_candidate_nowhere_negative():
-    # away from zeros the count is locally constant, so the quotient is 0
-    report = frechet_inequality_probe([1.0, -2.0], [0.0, 0.0], samples=64, radius=0.1)
-    assert report.min_quotient == 0.0
-    assert report.samples_used >= 64
-
-
-def test_probe_detects_support_component():
-    # a candidate with mass on the support fails the difference quotient
-    # along one of the axis probes
-    report = frechet_inequality_probe([1.0, 0.0], [2.0, 0.0], samples=64, radius=0.1)
-    assert report.min_quotient < -1.0
-    assert report.worst_offset[0] != 0.0
-
-
-def test_probe_accepts_modest_zero_set_candidate():
-    report = frechet_inequality_probe([1.0, 0.0], [0.0, 0.5], samples=128, radius=0.1)
-    assert report.min_quotient >= 0.0
-
-
-def test_probe_deterministic():
-    a = frechet_inequality_probe([1.0, 0.0, -1.0], [0.0, 0.2, 0.0], samples=256)
-    b = frechet_inequality_probe([1.0, 0.0, -1.0], [0.0, 0.2, 0.0], samples=256)
-    assert a == b
-
-
-@pytest.mark.parametrize("radius", [1e-3, 0.1, 10.0, 100.0, 1e4])
-@pytest.mark.parametrize("samples", [1, 100, 512])
-def test_probe_uses_every_offset_but_the_origin(samples, radius):
-    # projected rows lie on the sphere at any radius; only Sobol's centre
-    # point (1/2, ..., 1/2), an offset of zero norm, is left out
-    x = [1.0, 0.0, -1.0, 2.0, 0.0]
-    m = max(1, math.ceil(math.log2(samples)))
-    unit = qmc.Sobol(d=len(x), scramble=False).random_base2(m)[:samples]
-    centre = int(np.all(unit == 0.5, axis=1).sum())
-    report = frechet_inequality_probe(x, [0.3, 0.0, -0.2, 0.1, 0.0], samples=samples, radius=radius)
-    assert report.samples_used == samples + 2 * len(x) - centre
-    assert centre == (samples > 1)
-    assert 0.0 < math.hypot(*report.worst_offset) <= radius * (1 + 1e-12)
-
-
-def test_probe_validation():
-    with pytest.raises(ValueError):
-        frechet_inequality_probe([1.0], [0.0], samples=0)
-    with pytest.raises(ValueError):
-        frechet_inequality_probe([1.0], [0.0], radius=0.0)
-    with pytest.raises(ValueError):
-        frechet_inequality_probe([1.0, 2.0], [0.0])
 
 
 def test_count_is_exact_beyond_float64():

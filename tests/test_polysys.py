@@ -224,6 +224,27 @@ def test_parse_system_reads_integers_or_raises_value_error():
         parse_system("not json")
 
 
+def test_parse_system_refuses_terms_that_are_not_pairs_and_metadata_that_is_no_object():
+    layout = {"variables": ["a"], "metadata": {}}
+    for bad in (
+        # used to raise Python's "not enough values to unpack" or "too many values"
+        {"equations": [[[1]]], **layout},
+        {"equations": [[[1, {}, 2]]], **layout},
+        {"equations": [["a"]], **layout},
+        {"equations": ["ab"], **layout},
+        # two-item strings and dicts used to unpack into a coefficient and powers
+        {"equations": [["1a"]], **layout},
+        {"equations": [[{"a": 1, "b": 2}]], **layout},
+        {"equations": [[5]], **layout},
+        # used to parse, with the list as the system's metadata
+        {"variables": ["a"], "equations": [], "metadata": [1, 2]},
+        {"variables": ["a"], "equations": [], "metadata": "z"},
+        {"variables": ["a"], "equations": [], "metadata": None},
+    ):
+        with pytest.raises(ValueError, match="expected an exported polynomial system"):
+            parse_system(json.dumps(bad))
+
+
 def test_plain_export_names_missing_metadata():
     full = build_4d_system((1, -1, 1, -1))
     assert export_system(parse_system(export_system(full)), "plain") == export_system(full, "plain")
