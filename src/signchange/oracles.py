@@ -30,6 +30,7 @@ from .polysys import finite_direction_feasibility
 from .subgradients import GapParams, coupled_subgradient_value, decoupled_gap, zero_direction_gap
 from .transitions import (
     Topology,
+    _classes,
     hadamard_norm_sq,
     pair_counts,
     pair_stats,
@@ -139,7 +140,10 @@ class GridTable:
 
     def json_summary(self, threshold: int | None = None) -> dict:
         thr = self.n - 1 if threshold is None else threshold
-        # checks that thr is finite before numpy compares t with it
+        # t is an integer, so the threshold is read by the integer rule, as a plain int for JSON
+        if not _integral(thr):
+            raise ValueError(f"symmetry threshold must be an integer, got {thr!r}")
+        thr = int(thr)
         closed = center_symmetry_check(self, thr)
         sel = self.t > thr
         return {
@@ -263,18 +267,29 @@ def _report(name: str, checks: int, counterexample: dict | None, details: str) -
 
 def _sweep(
     name: str,
-    blocks: Iterable[tuple[np.ndarray, Callable[[int], dict]]],
+    blocks: Iterable[tuple[np.ndarray | tuple, Callable[[int], dict]]],
     details: str,
 ) -> VerifyReport:
     """Report the first failed check of a sweep, or pass with every check counted.
 
-    Each block is a boolean array of failed checks in sweep (C) order and a
-    function from the flat index of a failure in that block to its
-    counterexample.  A failing report counts the checks up to and including
-    the first failure; a passing one fills {checks} in details.
+    Each block is its failed checks and a function from the flat index of a
+    failure in that block to its counterexample.  The failed checks are a
+    boolean array in sweep (C) order, or a class table (failed, rows, cols)
+    for a block of len(rows) x len(cols) checks whose two sides read row i
+    and column j only through their classes rows[i] and cols[j]: failed
+    decides each pair of classes once, and the full array in sweep order is
+    built only when some class pair fails.  A failing report counts the
+    checks up to and including the first failure; a passing one fills
+    {checks} in details.
     """
     checks = 0
     for failed, counterexample in blocks:
+        if isinstance(failed, tuple):
+            table, rows, cols = failed
+            if not table.any():
+                checks += len(rows) * len(cols)
+                continue
+            failed = table[np.ix_(rows, cols)]
         if failed.any():
             first = int(failed.argmax())
             return _report(name, checks + first + 1, counterexample(first), "")
@@ -325,7 +340,10 @@ def _oracle_ft_inequality(n: int) -> VerifyReport:
 
     def blocks():
         for topology in Topology:
+            # both sides of a check read a pattern only through its (weak, flips)
             weak, flips = pair_stats(patterns, topology)
+            rep, classes = _classes(weak, flips)
+            weak, flips = weak[rep], flips[rep]
             t = (weak + flips).astype(float)
             lhs = t[None, :] - t[:, None]
             for ky, kx in SWEEP_WEIGHTS:
@@ -333,7 +351,7 @@ def _oracle_ft_inequality(n: int) -> VerifyReport:
                 base = weak + 4.0 * kx * kx * flips
 
                 def counterexample(index):
-                    i, j = np.unravel_index(index, lhs.shape)
+                    i, j = divmod(index, len(patterns))
                     return {
                         "base": tuple(patterns[i].tolist()),
                         "displaced": tuple(patterns[j].tolist()),
@@ -341,7 +359,7 @@ def _oracle_ft_inequality(n: int) -> VerifyReport:
                         "topology": topology.value,
                     }
 
-                yield lhs < displaced[None, :] - base[:, None], counterexample
+                yield (lhs < displaced[None, :] - base[:, None], classes, classes), counterexample
 
     return _sweep(
         f"ft_inequality_n{n}",
@@ -359,11 +377,15 @@ def _oracle_coupled_equality(n: int) -> VerifyReport:
         for topology in Topology:
             weak, flips = pair_stats(patterns, topology)
             t = weak + flips
-            # float64, so the 3^n x 3^n comparison below stays out of object arithmetic
+            # float64, so the class-pair comparison below stays out of object arithmetic
             coupled = coupled_subgradient_value(patterns, topology).astype(float)
             yield coupled != t, lambda r: {"pattern": tuple(patterns[r].tolist())}
+            # the pair check reads a pattern only through its (t, coupled)
+            rep, classes = _classes(t, coupled)
+            t, coupled = t[rep], coupled[rep]
             lhs = (t[None, :] - t[:, None]).astype(float)
-            yield lhs != coupled[None, :] - coupled[:, None], lambda _: {"topology": topology.value}
+            failed = lhs != coupled[None, :] - coupled[:, None]
+            yield (failed, classes, classes), lambda _: {"topology": topology.value}
 
     return _sweep(f"coupled_equality_n{n}", blocks(), "coupled gap equals the count difference exactly")
 

@@ -101,9 +101,11 @@ def decoupled_gap(
     equal in value and type to the call on that row.
     """
     base, moved = _displaced_signs(x, d)
+    four_ky_sq = 4 * params.k_y * params.k_y
+    four_kx_sq = 4 * params.k_x * params.k_x
 
     def gap(weak_y, flips_y, weak_x, flips_x):
-        return _norm_sq(weak_y, flips_y, params.k_y) - _norm_sq(weak_x, flips_x, params.k_x)
+        return _norm_sq(weak_y, flips_y, four_ky_sq) - _norm_sq(weak_x, flips_x, four_kx_sq)
 
     return _per_row(gap, *pair_stats(moved, topology), *pair_stats(base, topology))
 
@@ -132,7 +134,8 @@ def zero_direction_gap(
     damp = (prod - 1) ** 2
     quadratic = np.sum(damp * prod * prod, axis=-1)
     linear = np.sum(damp * 2 * prod * (a + b), axis=-1)
-    return _per_row(lambda q, l: (k_y - k_x) * ((k_y + k_x) * q + l), quadratic, linear)
+    diff, total = k_y - k_x, k_y + k_x
+    return _per_row(lambda q, l: diff * (total * q + l), quadratic, linear)
 
 
 @dataclass(frozen=True)

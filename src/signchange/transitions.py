@@ -122,8 +122,26 @@ def sign_changes(x: Iterable[float], topology: Topology = Topology.CIRCULAR) -> 
     return int(weak + flips)
 
 
-def _norm_sq(weak: int, flips: int, k):
-    return weak + 4 * k * k * flips
+def _norm_sq(weak: int, flips: int, four_k_sq):
+    """weak + 4*k^2*flips, with the flip weight 4*k^2 computed once by the caller."""
+    return weak + four_k_sq * flips
+
+
+def _classes(*columns):
+    """Group the rows of equal-length 1-D columns by the exact bytes of their values.
+
+    Returns (rep, inverse): one row index per class and each row's class, so
+    column[rep][inverse] reproduces every column bit for bit.  Columns of
+    mixed dtypes compare in their common dtype (int counts are exact in
+    float64), and equal NaNs group together, unlike under ==.
+    """
+    stacked = np.stack(columns, axis=-1)
+    # a 1-D unique over one void scalar per row, several times faster than unique(axis=0)
+    keys, inverse = np.unique(stacked.view(f"V{stacked.itemsize * len(columns)}"), return_inverse=True)
+    inverse = inverse.reshape(-1)
+    rep = np.empty(len(keys), dtype=np.intp)
+    rep[inverse] = np.arange(inverse.size)
+    return rep, inverse
 
 
 def _per_row(formula, *columns):
@@ -136,12 +154,10 @@ def _per_row(formula, *columns):
     """
     if not isinstance(columns[0], np.ndarray):
         return formula(*(int(c) for c in columns))
-    stacked = np.stack(columns, axis=-1)
-    # a 1-D unique over one void scalar per row, several times faster than unique(axis=0)
-    keys, inverse = np.unique(stacked.view(f"V{stacked.itemsize * len(columns)}"), return_inverse=True)
-    values = np.empty(len(keys), dtype=object)
-    values[:] = [formula(*key) for key in keys.view(stacked.dtype).reshape(-1, len(columns)).tolist()]
-    return values[inverse.reshape(-1)]
+    rep, inverse = _classes(*columns)
+    values = np.empty(len(rep), dtype=object)
+    values[:] = [formula(*key) for key in zip(*(c[rep].tolist() for c in columns))]
+    return values[inverse]
 
 
 def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRCULAR):
@@ -154,7 +170,8 @@ def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRC
     """
     _check_weight(k)
     weak, flips = pair_stats(_signs(x, _is_batch(x)), topology)
-    return _per_row(lambda w, f: _norm_sq(w, f, k), weak, flips)
+    four_k_sq = 4 * k * k
+    return _per_row(lambda w, f: _norm_sq(w, f, four_k_sq), weak, flips)
 
 
 def hadamard_norm_sq(x: Iterable[float], k) -> float:

@@ -9,6 +9,7 @@ table stays under one row ceiling.
 """
 
 import inspect
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -234,6 +235,10 @@ def test_scalar_rule_cases():
     # a grid dimension is an integral value: 4.0 counts as 4
     assert pattern_grid(4.0).shape == (81, 4)
     assert enumerate_grid(Fraction(4)).n == 4
+    # so is a symmetry threshold, which the JSON summary holds as a plain int
+    summary = enumerate_grid(3).json_summary(threshold=np.int64(2))
+    assert type(summary["symmetry"]["threshold"]) is int
+    assert json.loads(json.dumps(summary)) == enumerate_grid(3).json_summary(threshold=2)
     with pytest.raises(ValueError):
         check_1d_condition(OneDProblem(), tol=math.nan)
     # float parameters beyond float64: ValueError, not OverflowError
@@ -258,6 +263,8 @@ def test_scalar_rule_cases():
         lambda: enumerate_grid(3).json_summary(threshold=math.nan),
         # refused before numpy compares the table with it (a UFuncTypeError)
         lambda: enumerate_grid(3).json_summary(threshold="a"),
+        # t is an integer: a fractional threshold is refused, not written as a Fraction
+        lambda: enumerate_grid(3).json_summary(threshold=Fraction(3, 2)),
         lambda: center_symmetry_check(enumerate_grid(3), math.inf),
         # a grid dimension: ValueError, not numpy's negative-power error or
         # TypeError, and a huge one is refused before 3^n is formed

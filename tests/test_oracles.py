@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 from itertools import product
 
@@ -389,6 +390,18 @@ def _nan_flips(signs, topology):
     return weak, flips * np.nan
 
 
+def _linear_row_flips_minus_3(row):
+    """pair_stats with 3 fewer flips in one row of the linear pattern grid (row modulo its size)."""
+
+    def wrong(signs, topology):
+        weak, flips = pair_stats(signs, topology)
+        if topology is Topology.LINEAR:
+            flips[row % len(flips)] -= 3
+        return weak, flips
+
+    return wrong
+
+
 def _bent_certificate(z):
     result = finite_direction_feasibility(z)
     cert = result.certificate
@@ -431,6 +444,7 @@ BROKEN_LIBRARY = [
     ("hadamard_random", "hadamard_norm_sq", lambda x, k: hadamard_norm_sq(x, k) + 1.0, 1000),
     ("hessian_table", "symmetric2_eigenvalues", lambda h: symmetric2_eigenvalues(h)[::-1], 72),
     ("signminor_random", "sign_minorant_gap", lambda x: sign_minorant_gap(x) - 1.0, 10003),
+    ("ft_inequality_n4", "pair_stats", _linear_row_flips_minus_3(40), 157464),
 ]
 
 
@@ -447,3 +461,131 @@ def test_oracle_reports_a_wrong_library_value(monkeypatch, name, target, wrong, 
     assert report.passed is False
     assert report.counterexample
     assert 0 < report.checks <= golden
+
+
+def _reference_ft_inequality(n):
+    """ft_inequality_n{n} as the full sweep: one 3^n x 3^n boolean per topology and
+    weight pair, from the library names the oracle module calls."""
+    patterns = pattern_grid(n)
+
+    def blocks():
+        for topology in Topology:
+            weak, flips = oracles.pair_stats(patterns, topology)
+            t = (weak + flips).astype(float)
+            lhs = t[None, :] - t[:, None]
+            for ky, kx in oracles.SWEEP_WEIGHTS:
+                displaced = weak + 4.0 * ky * ky * flips
+                base = weak + 4.0 * kx * kx * flips
+
+                def counterexample(index):
+                    i, j = np.unravel_index(index, lhs.shape)
+                    return {
+                        "base": tuple(patterns[i].tolist()),
+                        "displaced": tuple(patterns[j].tolist()),
+                        "weights": (ky, kx),
+                        "topology": topology.value,
+                    }
+
+                yield lhs < displaced[None, :] - base[:, None], counterexample
+
+    return oracles._sweep(
+        f"ft_inequality_n{n}",
+        blocks(),
+        f"{3**n}x{3**n} pattern pairs x {len(oracles.SWEEP_WEIGHTS)} weight pairs x 2 topologies, no violation",
+    )
+
+
+def _reference_coupled_equality(n):
+    """coupled_equality_n{n} with its pair check as one 3^n x 3^n boolean per topology."""
+    patterns = pattern_grid(n)
+
+    def blocks():
+        for topology in Topology:
+            weak, flips = oracles.pair_stats(patterns, topology)
+            t = weak + flips
+            coupled = oracles.coupled_subgradient_value(patterns, topology).astype(float)
+            yield coupled != t, lambda r: {"pattern": tuple(patterns[r].tolist())}
+            lhs = (t[None, :] - t[:, None]).astype(float)
+            yield lhs != coupled[None, :] - coupled[:, None], lambda _: {"topology": topology.value}
+
+    return oracles._sweep(
+        f"coupled_equality_n{n}", blocks(), "coupled gap equals the count difference exactly"
+    )
+
+
+def _row_coupled_plus_1(row):
+    def wrong(y, topology):
+        coupled = coupled_subgradient_value(y, topology)
+        coupled[row % len(coupled)] += 1
+        return coupled
+
+    return wrong
+
+
+def _infinite_row(row):
+    """t and the coupled value both inf in one row: equal there, but inf - inf is nan,
+    so only the pair check fails, at that row's pair with itself."""
+
+    def stats(signs, topology):
+        weak, flips = pair_stats(signs, topology)
+        flips = flips.astype(float)
+        flips[row % len(flips)] = math.inf
+        return weak, flips
+
+    def coupled(y, topology):
+        values = coupled_subgradient_value(y, topology)
+        values[row % len(values)] = math.inf
+        return values
+
+    return {"pair_stats": stats, "coupled_subgradient_value": coupled}
+
+
+# library names patched into the oracle module, by case
+PAIR_SWEEP_CASES = {
+    "unmodified": {},
+    "negated_flips": {"pair_stats": _negated_flips},
+    "nan_flips": {"pair_stats": _nan_flips},
+    "coupled_plus_1": {
+        "coupled_subgradient_value": lambda y, topology: coupled_subgradient_value(y, topology) + 1
+    },
+    **{f"linear_row{r}_flips_minus_3": {"pair_stats": _linear_row_flips_minus_3(r)} for r in (0, 13, 40, 80)},
+    "row40_coupled_plus_1": {"coupled_subgradient_value": _row_coupled_plus_1(40)},
+    "row40_infinite": _infinite_row(40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_SWEEP_CASES))
+def test_pair_sweep_class_tables_match_the_full_sweep(monkeypatch, case):
+    # verdict, check count, counterexample and details of every 9^n pair sweep
+    for target, wrong in PAIR_SWEEP_CASES[case].items():
+        monkeypatch.setattr(oracles, target, wrong)
+    reports = {}
+    # inf - inf in the infinite case is the nan under test, not a fault of the sweep
+    with np.errstate(invalid="ignore"):
+        for n in range(2, 6):
+            for name, reference in (
+                (f"ft_inequality_n{n}", _reference_ft_inequality),
+                (f"coupled_equality_n{n}", _reference_coupled_equality),
+            ):
+                reports[name] = run_oracle(name)
+                assert reports[name] == reference(n), name
+    if case.startswith("linear_row"):
+        # the circular blocks pass (81 x 81 x 12 checks); the defect fails in the first linear one
+        assert 78_733 <= reports["ft_inequality_n4"].checks <= 78_813
+    if case == "row40_infinite":
+        # past the per-pattern checks, at pattern 40's pair with itself
+        assert reports["coupled_equality_n4"].checks == 81 + 40 * 81 + 40 + 1
+
+
+@pytest.mark.parametrize("name", ["ft_inequality_n6", "coupled_equality_n6"])
+def test_pair_sweeps_build_no_pattern_pair_matrix(name):
+    # one 3^6 x 3^6 float64 matrix is 4 MiB; the class tables take a few KiB
+    run_oracle(name)
+    tracemalloc.start()
+    try:
+        report = run_oracle(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
