@@ -536,22 +536,29 @@ def _oracle_qhat_identity(n: int) -> VerifyReport:
     and reduces to 4(ky^2 - kx^2) * flips <= 0 (Fraction arithmetic).
 
     Each weight pair is one batch call over the pattern grid; failures are
-    reported in the order of a per-pattern sweep over the weights."""
+    reported in the order of a per-pattern sweep over the weights.  The
+    checks of a row read only its two returned objects and its flips, so
+    they are decided once per class of rows sharing all three."""
     patterns = pattern_grid(n)
     zero = np.zeros_like(patterns)
+    weights = [(GapParams(k_y=ky, k_x=kx), 4 * (ky * ky - kx * kx)) for ky, kx in SWEEP_WEIGHTS_EXACT]
 
     def blocks():
         for topology in Topology:
             _, flips = pair_stats(patterns, topology)
             # failed[r, w, c]: check c (direct, reduction, sign) of pattern r at weight pair w
-            failed = np.zeros((len(patterns), len(SWEEP_WEIGHTS_EXACT), 3), dtype=bool)
-            for w, (ky, kx) in enumerate(SWEEP_WEIGHTS_EXACT):
-                params = GapParams(k_y=ky, k_x=kx)
+            failed = np.zeros((len(patterns), len(weights), 3), dtype=bool)
+            for w, (params, step) in enumerate(weights):
                 closed = zero_direction_gap(patterns, params, topology)
                 direct = decoupled_gap(patterns, zero, params, topology)
+                # each list keeps its entries alive while their ids are read, so equal ids mean one object
+                ids = [np.fromiter(map(id, values.tolist()), dtype=np.uintp) for values in (closed, direct)]
+                rep, classes = _classes(*ids, flips)
+                closed, direct = closed[rep], direct[rep]
                 by_flips = np.empty(n + 1, dtype=object)
-                by_flips[:] = [4 * (ky * ky - kx * kx) * f for f in range(n + 1)]
-                failed[:, w] = np.stack((closed != direct, closed != by_flips[flips], closed > 0), axis=1)
+                by_flips[:] = [step * f for f in range(n + 1)]
+                verdicts = np.stack((closed != direct, closed != by_flips[flips[rep]], closed > 0), axis=1)
+                failed[:, w] = verdicts[classes]
 
             def counterexample(i):
                 r, w, c = np.unravel_index(i, failed.shape)

@@ -127,17 +127,51 @@ def _norm_sq(weak: int, flips: int, four_k_sq):
     return weak + four_k_sq * flips
 
 
+def _int_codes(columns):
+    """One int64 per row, equal exactly where the rows of the non-empty integer
+    columns are, or None when a column is not integer or a code could pass 2^62.
+
+    Each column is offset by its minimum and the offsets are read as the digits
+    of one mixed-radix number whose radices are the column spans.
+    """
+    if any(c.dtype.kind not in "iu" for c in columns):
+        return None
+    lows = [int(c.min()) for c in columns]
+    spans = [int(c.max()) - low + 1 for c, low in zip(columns, lows)]
+    if math.prod(spans) > 2**62:
+        return None
+    codes = 0
+    for c, low, span in zip(columns, lows, spans):
+        # c - low lies in [0, span), so neither the difference nor the cast can wrap
+        if c.dtype.kind == "u":
+            offset = (c.astype(np.uint64) - np.uint64(low)).astype(np.int64)
+        else:
+            offset = c.astype(np.int64, copy=False) - low
+        codes = codes * span + offset
+    return codes
+
+
+# on short columns the codes' per-column reductions cost what the byte sort saves:
+# slower at 81 rows, about even at 243, twice as fast at 729
+_INT_CODE_MIN_ROWS = 256
+
+
 def _classes(*columns):
-    """Group the rows of equal-length 1-D columns by the exact bytes of their values.
+    """Group the rows of equal-length 1-D columns by their exact values.
 
     Returns (rep, inverse): one row index per class and each row's class, so
-    column[rep][inverse] reproduces every column bit for bit.  Columns of
-    mixed dtypes compare in their common dtype (int counts are exact in
-    float64), and equal NaNs group together, unlike under ==.
+    column[rep][inverse] reproduces every column bit for bit.  Integer
+    columns of at least _INT_CODE_MIN_ROWS rows group by one int64 code per
+    row; others by the bytes of their values, where columns of mixed dtypes
+    compare in their common dtype (int counts are exact in float64) and
+    equal NaNs group together, unlike under ==.
     """
-    stacked = np.stack(columns, axis=-1)
-    # a 1-D unique over one void scalar per row, several times faster than unique(axis=0)
-    keys, inverse = np.unique(stacked.view(f"V{stacked.itemsize * len(columns)}"), return_inverse=True)
+    keys = _int_codes(columns) if len(columns[0]) >= _INT_CODE_MIN_ROWS else None
+    if keys is None:
+        stacked = np.stack(columns, axis=-1)
+        # a 1-D unique over one void scalar per row, several times faster than unique(axis=0)
+        keys = stacked.view(f"V{stacked.itemsize * len(columns)}")
+    keys, inverse = np.unique(keys, return_inverse=True)
     inverse = inverse.reshape(-1)
     rep = np.empty(len(keys), dtype=np.intp)
     rep[inverse] = np.arange(inverse.size)

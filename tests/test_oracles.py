@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import asdict, replace
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -25,7 +26,7 @@ from signchange.oracles import (
     run_oracle,
 )
 from signchange.polysys import finite_direction_feasibility
-from signchange.subgradients import coupled_subgradient_value, zero_direction_gap
+from signchange.subgradients import coupled_subgradient_value, decoupled_gap, zero_direction_gap
 from signchange.transitions import (
     Topology,
     hadamard_norm_sq,
@@ -589,3 +590,92 @@ def test_pair_sweeps_build_no_pattern_pair_matrix(name):
         tracemalloc.stop()
     assert report.passed
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def _reference_qhat_identity(n):
+    """qhat_identity_n{n} with every check compared row by row, from the library
+    names the oracle module calls."""
+    patterns = pattern_grid(n)
+    zero = np.zeros_like(patterns)
+
+    def blocks():
+        for topology in Topology:
+            _, flips = oracles.pair_stats(patterns, topology)
+            failed = np.zeros((len(patterns), len(oracles.SWEEP_WEIGHTS_EXACT), 3), dtype=bool)
+            for w, (ky, kx) in enumerate(oracles.SWEEP_WEIGHTS_EXACT):
+                params = oracles.GapParams(k_y=ky, k_x=kx)
+                closed = oracles.zero_direction_gap(patterns, params, topology)
+                direct = oracles.decoupled_gap(patterns, zero, params, topology)
+                by_flips = np.empty(n + 1, dtype=object)
+                by_flips[:] = [4 * (ky * ky - kx * kx) * f for f in range(n + 1)]
+                failed[:, w] = np.stack((closed != direct, closed != by_flips[flips], closed > 0), axis=1)
+
+            def counterexample(i):
+                r, w, c = np.unravel_index(i, failed.shape)
+                ky, kx = oracles.SWEEP_WEIGHTS_EXACT[w]
+                kinds = ({"weights": (str(ky), str(kx))}, {"reduction": True}, {"positive": True})
+                return {"pattern": tuple(patterns[r].tolist()), **kinds[c]}
+
+            yield failed, counterexample
+
+    return oracles._sweep(f"qhat_identity_n{n}", blocks(), "{checks} exact rational identities hold")
+
+
+def _row_changed(gap, row, change):
+    """A batch gap function with the value of one row (modulo the grid) replaced by change(value)."""
+
+    def wrong(*args):
+        values = gap(*args)
+        values[row % len(values)] = change(values[row % len(values)])
+        return values
+
+    return wrong
+
+
+def _distinct_equal(value):
+    copy = Fraction(value)
+    assert copy == value and copy is not value
+    return copy
+
+
+# library names patched into the oracle module, by case
+QHAT_CASES = {
+    "unmodified": {},
+    "plus_1": {"zero_direction_gap": lambda *args: zero_direction_gap(*args) + 1},
+    "float64": {"zero_direction_gap": lambda *args: zero_direction_gap(*args).astype(float)},
+    "row40_equal_copy": {"zero_direction_gap": _row_changed(zero_direction_gap, 40, _distinct_equal)},
+    "row40_plus_1": {"zero_direction_gap": _row_changed(zero_direction_gap, 40, lambda value: value + 1)},
+    "row40_nan": {"zero_direction_gap": _row_changed(zero_direction_gap, 40, lambda value: math.nan)},
+    "direct_row40_plus_1": {"decoupled_gap": _row_changed(decoupled_gap, 40, lambda value: value + 1)},
+    "linear_row40_flips_minus_3": {"pair_stats": _linear_row_flips_minus_3(40)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(QHAT_CASES))
+def test_qhat_identity_class_verdicts_match_the_row_sweep(monkeypatch, case):
+    # verdict, check count, counterexample and details of the per-row comparison
+    for target, wrong in QHAT_CASES[case].items():
+        monkeypatch.setattr(oracles, target, wrong)
+    reports = {}
+    for n in range(2, 6):
+        # nan > 0 in the nan case is the value under test, not a fault of the sweep
+        with np.errstate(invalid="ignore"):
+            reports[n] = run_oracle(f"qhat_identity_n{n}")
+            assert reports[n] == _reference_qhat_identity(n), n
+    # float64 fails too, as 1/10 has no exact binary value; at n = 4 row 40 is the
+    # middle pattern, while at n = 2 its linear flips 1 - 3 index by_flips[-2] = by_flips[1]
+    assert reports[4].passed is (case in ("unmodified", "row40_equal_copy"))
+
+
+def test_qhat_identity_compares_each_distinct_pair_once(monkeypatch):
+    # the row-by-row sweep makes 52,536 rational comparisons at n = 6
+    calls = []
+    for method in ("__eq__", "__gt__"):
+
+        def counted(self, other, compare=getattr(Fraction, method)):
+            calls.append(None)
+            return compare(self, other)
+
+        monkeypatch.setattr(Fraction, method, counted)
+    assert run_oracle("qhat_identity_n6").passed
+    assert 0 < len(calls) < 3000

@@ -23,6 +23,7 @@ from signchange.transitions import (
     transition_map,
     transition_norm_sq,
 )
+from signchange.transitions import _classes, _int_codes
 
 signs = st.sampled_from((-1, 0, 1))
 patterns = st.lists(signs, min_size=2, max_size=8).map(tuple)
@@ -302,3 +303,62 @@ def test_batch_validation(call):
     for bad in (np.zeros((2, 1)), np.array([[1.0, math.nan]]), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError):
             call(bad)
+
+
+def _byte_partition(columns):
+    stacked = np.stack(columns, axis=-1)
+    _, inverse = np.unique(stacked.view(f"V{stacked.itemsize * len(columns)}"), return_inverse=True)
+    return inverse.reshape(-1)
+
+
+def _same_partition(a, b):
+    return np.array_equal(a[:, None] == a[None, :], b[:, None] == b[None, :])
+
+
+# value pools with extremes of each dtype; drawn with repeats, so rows collide
+INT_COLUMN_POOLS = {
+    "int8": [np.array([-128, -1, 0, 127], dtype=np.int8)] * 3,
+    "int64": [
+        np.array([-(2**40), -5, 0, 2**20], dtype=np.int64),
+        np.array([-(2**63), -(2**63) + 3], dtype=np.int64),
+        np.array([2**63 - 1, 2**63 - 9], dtype=np.int64),
+    ],
+    "negative": [np.array([-3, -2, -1], dtype=np.int64), np.array([-7, -1], dtype=np.int16)],
+    "near_2_64": [np.array([2**64 - 1, 2**64 - 2, 2**64 - 2**20], dtype=np.uint64)] * 3,
+    "int8_int64": [np.array([-128, 0, 127], dtype=np.int8), np.array([-(2**52), 2**52], dtype=np.int64)],
+    "span_2_62": [np.array([-(2**61), 2**61 - 1], dtype=np.int64)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INT_COLUMN_POOLS))
+def test_int_codes_partition_rows_as_their_bytes_do(case):
+    rng = np.random.default_rng(0)
+    for rows in (1, 7, 300):
+        columns = [rng.choice(pool, rows) for pool in INT_COLUMN_POOLS[case]]
+        codes = _int_codes(columns)
+        assert codes is not None and codes.dtype == np.int64
+        assert _same_partition(np.unique(codes, return_inverse=True)[1], _byte_partition(columns))
+        rep, inverse = _classes(*columns)
+        assert _same_partition(inverse, _byte_partition(columns))
+        for column in columns:
+            assert np.array_equal(column[rep][inverse], column)
+
+
+@pytest.mark.parametrize(
+    "pools",
+    [
+        [np.array([0, 2**62], dtype=np.int64)],
+        [np.array([0, 2**31], dtype=np.int64)] * 2,
+        [np.array([0, 2**64 - 1], dtype=np.uint64)],
+        [np.array([0, 1], dtype=np.int8), np.array([0.5, 1.5])],
+    ],
+    ids=["span_past_2_62", "product_past_2_62", "uint64_full", "float"],
+)
+def test_wide_or_float_columns_group_by_their_bytes(pools):
+    columns = [np.resize(pool, 300) for pool in pools]
+    columns[0] = columns[0][::-1].copy()
+    assert _int_codes(columns) is None
+    rep, inverse = _classes(*columns)
+    assert _same_partition(inverse, _byte_partition(columns))
+    for column in columns:
+        assert np.array_equal(column[rep][inverse], column)
