@@ -356,6 +356,7 @@ def test_int_codes_partition_rows_as_their_bytes_do(case):
 )
 def test_wide_or_float_columns_group_by_their_bytes(pools):
     columns = [np.resize(pool, 300) for pool in pools]
+    # reversed, so the two columns of a two-column case differ row by row
     columns[0] = columns[0][::-1].copy()
     assert _int_codes(columns) is None
     rep, inverse = _classes(*columns)
