@@ -95,9 +95,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "full_flips": flips,
         "k": float(k),
         "l": [float(v) for v in transition_map(x, float(k), topo)],
-        "norm_sq_l": float(transition_norm_sq(x, k, topo)),
-        "minorant_gap": None if count_nonzero(x) == 0 else sign_minorant_gap(x),
+        "norm_sq_l": _real(transition_norm_sq(x, k, topo), "norm_sq_l"),
     }
+    report["minorant_gap"] = None if report["c"] == 0 else sign_minorant_gap(x)
     if topo is Topology.CIRCULAR:
         report["hadamard_norm_sq"] = hadamard_norm_sq(x, float(k))
     _emit_json(report, args.out)

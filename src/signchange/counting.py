@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -23,8 +22,6 @@ __all__ = [
     "sign",
     "sign_vector",
     "count_nonzero",
-    "IndexSets",
-    "index_sets",
     "is_count_subgradient",
     "sign_minorant_gap",
 ]
@@ -220,21 +217,6 @@ def sign_vector(x: Iterable[float]) -> tuple[int, ...]:
 def count_nonzero(x: Iterable[float]) -> int:
     """Number of nonzero components (zero detection is exact)."""
     return int(np.count_nonzero(_signs(x)))
-
-
-@dataclass(frozen=True)
-class IndexSets:
-    """Partition of 0-based indices by zero versus nonzero component."""
-
-    zeros: frozenset[int]
-    support: frozenset[int]
-
-
-def index_sets(x: Iterable[float]) -> IndexSets:
-    signs = _signs(x)
-    zeros = frozenset(int(i) for i in np.flatnonzero(signs == 0))
-    support = frozenset(range(signs.size)) - zeros
-    return IndexSets(zeros=zeros, support=support)
 
 
 def is_count_subgradient(x: Iterable[float], candidate: Iterable[float]) -> bool:

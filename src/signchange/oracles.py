@@ -555,9 +555,8 @@ def _oracle_qhat_identity(n: int) -> VerifyReport:
                 ids = [np.fromiter(map(id, values.tolist()), dtype=np.uintp) for values in (closed, direct)]
                 rep, classes = _classes(*ids, flips)
                 closed, direct = closed[rep], direct[rep]
-                by_flips = np.empty(n + 1, dtype=object)
-                by_flips[:] = [step * f for f in range(n + 1)]
-                verdicts = np.stack((closed != direct, closed != by_flips[flips[rep]], closed > 0), axis=1)
+                reduced = step * flips[rep].astype(object)
+                verdicts = np.stack((closed != direct, closed != reduced, closed > 0), axis=1)
                 failed[:, w] = verdicts[classes]
 
             def counterexample(i):

@@ -40,7 +40,6 @@ __all__ = [
     "build_4d_system",
     "export_system",
     "parse_system",
-    "evaluate_system",
     "spherical_to_cartesian",
     "Certificate",
     "FeasibilityResult",
@@ -294,23 +293,6 @@ def parse_system(text: str) -> PolySystem:
         return PolySystem(tuple(variables), equations, metadata)
     except (KeyError, TypeError, AttributeError):
         raise ValueError(_NOT_EXPORTED) from None
-
-
-def evaluate_system(system: PolySystem, assignment: dict[str, float]) -> list:
-    """Evaluate every equation's left side at the assignment."""
-    missing = [v for v in system.variables if v not in assignment]
-    if missing:
-        raise ValueError(f"assignment missing variables: {missing}")
-    values = []
-    for eq in system.equations:
-        total = 0
-        for coeff, powers in eq:
-            term = coeff
-            for name, e in powers.items():
-                term = term * assignment[name] ** e
-            total = total + term
-        values.append(total)
-    return values
 
 
 def spherical_to_cartesian(rho: float, phis: Sequence[float]) -> np.ndarray:

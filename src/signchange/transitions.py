@@ -20,18 +20,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import _finite, _integer_vector, _is_batch, _real, _row_dot, _signs, as_vector
+from .counting import _finite, _is_batch, _real, _row_dot, _signs, as_vector
 
 __all__ = [
     "Topology",
-    "transition_component",
     "transition_map",
     "pair_stats",
     "sign_changes",
     "pair_counts",
     "transition_norm_sq",
     "hadamard_norm_sq",
-    "smoothed_count",
     "smoothed_sign_changes",
     "Hessian2",
     "transition_hessian_2d",
@@ -70,17 +68,6 @@ def _check_weight(k) -> None:
         raise ValueError("transition weight k must be finite")
 
 
-def transition_component(sign_a: int, sign_b: int, k):
-    """(a + b + k*a*b) * (a*b - 1) for signs a, b in {-1, 0, 1}.
-
-    Exact when k is int or Fraction.  Note both full flips evaluate to
-    +2k: (-1 + 1 - k)(-1 - 1) = 2k, same as (1 - 1 - k)(-1 - 1).
-    """
-    a, b = _integer_vector((sign_a, sign_b), signs=True)
-    _check_weight(k)
-    return _transition_values(a, b, k)
-
-
 def _transition_values(a, b, k):
     """(a + b + k*a*b) * (a*b - 1) on signs or on arrays of signs."""
     prod = a * b
@@ -89,7 +76,7 @@ def _transition_values(a, b, k):
 
 def transition_map(x: Iterable[float], k, topology: Topology = Topology.CIRCULAR) -> tuple:
     """Transition values over the adjacency pairs of x, in pair order."""
-    # Python-int signs: each value has transition_component's value and type
+    # on Python-int signs each value is exact, of the type the formula gives on ints
     _check_weight(k)
     a, b = topology.neighbors(_signs(x).astype(object))
     return tuple(_transition_values(a, b, k).tolist())
@@ -221,41 +208,28 @@ def hadamard_norm_sq(x: Iterable[float], k) -> float:
     batch = _is_batch(x)
     s, zs = Topology.CIRCULAR.neighbors(_signs(x, batch).astype(float))
     prod = s * zs
-    left = (s + zs + k * prod) ** 2
-    right = (prod - 1.0) ** 2
-    value = _row_dot(left, right)
+    # a k near the float64 limit overflows; the check below refuses the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _row_dot((s + zs + k * prod) ** 2, (prod - 1.0) ** 2)
+    if not np.isfinite(value).all():
+        raise ValueError("hadamard_norm_sq is not finite in float64 at this transition weight k")
     return value if batch else float(value)
 
 
-def _epsilon(eps) -> float:
-    eps = _real(eps, "smoothing epsilon")
-    if not eps > 0.0:
-        raise ValueError("smoothing epsilon must be positive")
-    return eps
-
-
-def _smoothed_sum(values: np.ndarray, e: float):
-    sq = values * values
-    return np.sum(sq / (sq + e), axis=-1)
-
-
-def smoothed_count(y: Iterable[float], eps) -> float:
-    """Smooth minorant of count_nonzero: sum of y_i^2 / (y_i^2 + eps)."""
-    e = _epsilon(eps)
-    return float(_smoothed_sum(as_vector(y), e))
-
-
 def smoothed_sign_changes(x: Iterable[float], eps, topology: Topology = Topology.CIRCULAR) -> float:
-    """Smoothed count applied to the transition vector at k = 1/2.
+    """Sum of l_i^2 / (l_i^2 + eps) over the transition vector l of x at k = 1/2.
 
     Monotonically nondecreasing as eps decreases, with limit sign_changes(x).
     A 2-D array of vectors (rows) gives a float64 array with one value per
     row, bit-identical to the call on that row.
     """
-    e = _epsilon(eps)
+    eps = _real(eps, "smoothing epsilon")
+    if not eps > 0.0:
+        raise ValueError("smoothing epsilon must be positive")
     batch = _is_batch(x)
     a, b = topology.neighbors(_signs(x, batch))
-    total = _smoothed_sum(_transition_values(a, b, 0.5), e)
+    sq = _transition_values(a, b, 0.5) ** 2
+    total = np.sum(sq / (sq + eps), axis=-1)
     return total if batch else float(total)
 
 

@@ -77,6 +77,11 @@ def test_eval_deterministic(capsys):
         # rationals the reports would print as floats beyond float64
         ("eval", "--x=1,-1", "--k=1e400"),
         ("profile", "--x=1,-1", "--kx=1e400", "--format=json"),
+        # values eval would print beyond float64: a squared norm, exact until then, and a
+        # Hadamard form that meets inf * 0 (pyproject.toml makes a RuntimeWarning an error)
+        ("eval", "--x=1,-1", "--k=1e154"),
+        ("eval", "--x=1,-1,0", "--k=1e200"),
+        ("eval", "--x=1,1", "--k=1e200"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

@@ -39,7 +39,6 @@ from signchange import (
     gap_profile,
     global_min_1d,
     hadamard_norm_sq,
-    index_sets,
     inequality_values_1d,
     is_count_subgradient,
     lagrangian_residual,
@@ -51,7 +50,6 @@ from signchange import (
     sign_changes,
     sign_minorant_gap,
     sign_vector,
-    smoothed_count,
     smoothed_sign_changes,
     spherical_to_cartesian,
     surface_csv,
@@ -67,7 +65,6 @@ PARAMS = GapParams(Fraction(1, 4), Fraction(1))
 SIGN_ENTRY_POINTS = {
     "sign_vector": sign_vector,
     "count_nonzero": count_nonzero,
-    "index_sets": index_sets,
     "is_count_subgradient": lambda x: is_count_subgradient(x, x),
     "transition_map": lambda x: transition_map(x, Fraction(1, 3)),
     "sign_changes": sign_changes,
@@ -85,7 +82,6 @@ SIGN_ENTRY_POINTS = {
 # read x as float64 or as magnitudes: a value or ValueError, nothing exact to compare
 FLOAT_ENTRY_POINTS = {
     "sign_minorant_gap": sign_minorant_gap,
-    "smoothed_count": lambda x: smoothed_count(x, 1e-3),
     "transition_hessian_2d": lambda x: transition_hessian_2d(list(x)[:2], 0.5),
     "spherical_to_cartesian": lambda x: spherical_to_cartesian(1.0, x),
 }
@@ -99,7 +95,6 @@ PATTERN_ENTRY_POINTS = {
 # public functions that take no vector or sign pattern, with the reason
 EXEMPT = {
     "sign": "one scalar, covered by test_scalar_rule_cases",
-    "transition_component": "two scalar signs, read as a sign pattern, and a weight",
     "pair_stats": "kernel on sign arrays that a reader already produced",
     "symmetric2_eigenvalues": "takes a Hessian2",
     "profile_csv": "takes a GapProfile and a step, covered by the ceiling and scalar rule cases",
@@ -120,7 +115,6 @@ EXEMPT = {
     "surface_csv": "a selector and a resolution",
     "export_system": "takes a PolySystem",
     "parse_system": "JSON text, covered in test_polysys.py",
-    "evaluate_system": "a PolySystem and a variable assignment",
     "feasibility_report": "takes a FeasibilityResult",
     "grid_feasibility_summary": "no argument",
 }
@@ -147,8 +141,6 @@ def test_every_public_function_is_covered_or_exempt():
 containers = st.sampled_from([list, tuple, object_array])
 
 
-# entries near the float64 limit overflow when smoothed_count squares them
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(st.lists(LIST_ENTRIES, min_size=2, max_size=6), containers)
 def test_vector_entry_points_are_exact_or_value_error(values, container):
     signs = [1 if v > 0 else -1 if v < 0 else 0 for v in values]
@@ -245,7 +237,7 @@ def test_scalar_rule_cases():
     with pytest.raises(ValueError, match="float64 range"):
         OneDProblem(c1=10**400)
     with pytest.raises(ValueError, match="float64 range"):
-        smoothed_count([1.0, 0.0], 10**400)
+        smoothed_sign_changes([1.0, 0.0], 10**400)
     with pytest.raises(ValueError, match="finite"):
         build_4d_system((1, -1, 1, -1), mu=[math.inf, 0, 0, 0])
     # gap weights and array entries: ValueError, not TypeError or OverflowError
@@ -303,7 +295,7 @@ def test_wide_floats_beyond_float64_are_value_error():
     with pytest.raises(ValueError):
         sign_minorant_gap(wide)
     with pytest.raises(ValueError):
-        smoothed_count(wide, 1e-3)
+        transition_hessian_2d(wide, 0.5)
 
 
 # 3^12 rows, the n = 12 pattern grid; each case asks for one row past it

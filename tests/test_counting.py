@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from batching import LIST_ENTRIES, batches, object_array, rowwise
 from signchange.counting import (
-    IndexSets,
     _signs,
     count_nonzero,
-    index_sets,
     is_count_subgradient,
     sign,
     sign_minorant_gap,
@@ -45,15 +43,6 @@ def test_sign_vector_example():
 def test_count_equals_squared_sign_norm(x):
     s = np.asarray(sign_vector(x))
     assert count_nonzero(x) == int(np.dot(s, s))
-
-
-@given(vectors)
-def test_index_sets_partition(x):
-    sets = index_sets(x)
-    assert isinstance(sets, IndexSets)
-    assert sets.zeros | sets.support == frozenset(range(len(x)))
-    assert sets.zeros & sets.support == frozenset()
-    assert len(sets.support) == count_nonzero(x)
 
 
 @given(

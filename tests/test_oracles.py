@@ -606,9 +606,8 @@ def _reference_qhat_identity(n):
                 params = oracles.GapParams(k_y=ky, k_x=kx)
                 closed = oracles.zero_direction_gap(patterns, params, topology)
                 direct = oracles.decoupled_gap(patterns, zero, params, topology)
-                by_flips = np.empty(n + 1, dtype=object)
-                by_flips[:] = [4 * (ky * ky - kx * kx) * f for f in range(n + 1)]
-                failed[:, w] = np.stack((closed != direct, closed != by_flips[flips], closed > 0), axis=1)
+                reduced = 4 * (ky * ky - kx * kx) * flips.astype(object)
+                failed[:, w] = np.stack((closed != direct, closed != reduced, closed > 0), axis=1)
 
             def counterexample(i):
                 r, w, c = np.unravel_index(i, failed.shape)
@@ -662,9 +661,11 @@ def test_qhat_identity_class_verdicts_match_the_row_sweep(monkeypatch, case):
         with np.errstate(invalid="ignore"):
             reports[n] = run_oracle(f"qhat_identity_n{n}")
             assert reports[n] == _reference_qhat_identity(n), n
-    # float64 fails too, as 1/10 has no exact binary value; at n = 4 row 40 is the
-    # middle pattern, while at n = 2 its linear flips 1 - 3 index by_flips[-2] = by_flips[1]
+    # float64 fails too, as 1/10 has no exact binary value; at n = 4 row 40 is the middle pattern
     assert reports[4].passed is (case in ("unmodified", "row40_equal_copy"))
+    # at n = 2 row 40 is row 4, (0, 0), whose linear flips 0 - 3 = -3 fail the reduction
+    if case == "linear_row40_flips_minus_3":
+        assert not reports[2].passed
 
 
 def test_qhat_identity_compares_each_distinct_pair_once(monkeypatch):

@@ -15,10 +15,8 @@ from signchange.transitions import (
     hadamard_norm_sq,
     pair_counts,
     sign_changes,
-    smoothed_count,
     smoothed_sign_changes,
     symmetric2_eigenvalues,
-    transition_component,
     transition_hessian_2d,
     transition_map,
     transition_norm_sq,
@@ -37,41 +35,50 @@ def test_topology_from_name():
         Topology.from_name("moebius")
 
 
+def _pair_value(a, b, k):
+    """The transition value of the one linear pair of the 2-vector (a, b)."""
+    (value,) = transition_map((a, b), k, Topology.LINEAR)
+    return value
+
+
 @pytest.mark.parametrize("a,b", [(x, x) for x in (-1, 0, 1)])
 def test_component_vanishes_on_equal_signs(a, b):
     for k in (0.5, -0.5, 2.0, Fraction(1, 3)):
-        assert transition_component(a, b, k) == 0
+        assert _pair_value(a, b, k) == 0
 
 
 @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (0, -1), (-1, 0)])
 def test_component_weak_transition_magnitude_one(a, b):
     for k in (0.5, -0.5, 2.0):
-        assert abs(transition_component(a, b, k)) == 1
+        assert abs(_pair_value(a, b, k)) == 1
 
 
 @pytest.mark.parametrize("a,b", [(1, -1), (-1, 1)])
 def test_component_full_flip_is_plus_two_k(a, b):
     # both flip orientations give +2k, not opposite signs
-    assert transition_component(a, b, 0.5) == 1.0
-    assert transition_component(a, b, Fraction(1, 2)) == Fraction(1)
-    assert transition_component(a, b, -2) == -4
+    assert _pair_value(a, b, 0.5) == 1.0
+    assert _pair_value(a, b, Fraction(1, 2)) == Fraction(1)
+    assert _pair_value(a, b, -2) == -4
 
 
 def test_component_rejects_non_signs():
+    for bad in (math.nan, "a"):
+        with pytest.raises(ValueError):
+            _pair_value(bad, 0, 0.5)
     with pytest.raises(ValueError):
-        transition_component(2, 0, 0.5)
-    with pytest.raises(ValueError):
-        transition_component(0, 1, math.inf)
+        _pair_value(0, 1, math.inf)
 
 
 @pytest.mark.parametrize("k", [300, Fraction(1, 3), 0.5])
 @pytest.mark.parametrize("topo", list(Topology))
 def test_transition_map_matches_components(k, topo):
-    # 300 flips to 2k = 600, beyond int8; each value keeps the component's type
+    # 300 flips to 2k = 600, beyond int8; each value has the type of the formula on int signs
     for pattern in product((-1, 0, 1), repeat=4):
-        n = len(pattern)
-        pairs = range(n if topo is Topology.CIRCULAR else n - 1)
-        expected = [transition_component(pattern[i], pattern[(i + 1) % n], k) for i in pairs]
+        # the circular wrap pair (n - 1, 0) comes last
+        pairs = list(zip(pattern, pattern[1:] + pattern[:1]))
+        if topo is Topology.LINEAR:
+            pairs.pop()
+        expected = [(a + b + k * a * b) * (a * b - 1) for a, b in pairs]
         values = transition_map(pattern, k, topo)
         assert [(type(v), v) for v in values] == [(type(v), v) for v in expected]
 
@@ -142,16 +149,16 @@ def test_norm_sq_exact_fraction_arithmetic():
 
 def test_smoothing_params_validation():
     with pytest.raises(ValueError, match="positive"):
-        smoothed_count([1.0], 0.0)
+        smoothed_sign_changes([1.0, -1.0], 0.0)
     with pytest.raises(ValueError, match="positive"):
         smoothed_sign_changes([1.0, -1.0], -1e-9)
     with pytest.raises(ValueError):
-        smoothed_count([1.0], math.inf)
+        smoothed_sign_changes([1.0, -1.0], math.inf)
 
 
-@given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
-def test_smoothed_count_below_count(y):
-    assert smoothed_count(y, 1e-3) <= count_nonzero(y) + 1e-12
+@given(st.lists(st.floats(-50, 50), min_size=2, max_size=8), topologies)
+def test_smoothed_count_below_count(y, topo):
+    assert smoothed_sign_changes(y, 1e-3, topo) <= sign_changes(y, topo) + 1e-12
 
 
 @given(patterns, topologies)
