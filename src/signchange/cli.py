@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from fractions import Fraction
 
@@ -75,11 +76,7 @@ def _emit(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _emit_json(payload, path: str | None) -> None:
-    _emit(polysys._json_text(payload), path)
-
-
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> tuple:
     x = _parse_vector(args.x)
     topo = Topology.from_name(args.topo)
     k = _parse_fraction(args.k)
@@ -100,14 +97,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report["minorant_gap"] = None if report["c"] == 0 else sign_minorant_gap(x)
     if topo is Topology.CIRCULAR:
         report["hadamard_norm_sq"] = hadamard_norm_sq(x, float(k))
-    _emit_json(report, args.out)
-    return 0
+    return report, 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple:
     if args.list:
-        _emit("\n".join(oracles.list_oracles()), args.out)
-        return 0
+        return "\n".join(oracles.list_oracles()), 0
     if args.oracle is None:
         raise ValueError("name an oracle, 'all', or pass --list")
     names = oracles.list_oracles() if args.oracle == "all" else [args.oracle]
@@ -116,11 +111,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except KeyError as exc:
         raise ValueError(exc.args[0]) from None
     payload = [dataclasses.asdict(r) for r in reports]
-    _emit_json(payload if args.oracle == "all" else payload[0], args.out)
-    return 0 if all(r.passed for r in reports) else 1
+    code = 0 if all(r.passed for r in reports) else 1
+    return (payload if args.oracle == "all" else payload[0]), code
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
+def _cmd_profile(args: argparse.Namespace) -> tuple:
     x = _parse_vector(args.x)
     d = _parse_vector(args.d) if args.d is not None else np.zeros_like(x)
     topo = Topology.from_name(args.topo)
@@ -128,39 +123,31 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     step = _parse_fraction(args.step)
     profile = subgradients.gap_profile(x, d, k_x, topo)
     if args.format == "csv":
-        _emit(subgradients.profile_csv(profile, step=step), args.out)
-    else:
-        _emit_json(
-            {
-                "weak": profile.weak,
-                "flips": profile.flips,
-                "quad_coeff": profile.quad_coeff,
-                "offset": float(profile.offset),
-                "offset_exact": str(Fraction(profile.offset)),
-                "k_x": float(profile.k_x),
-                "domain": "0 < k <= 1/2",
-            },
-            args.out,
-        )
-    return 0
+        return subgradients.profile_csv(profile, step=step), 0
+    return {
+        "weak": profile.weak,
+        "flips": profile.flips,
+        "quad_coeff": profile.quad_coeff,
+        "offset": _real(profile.offset, "the profile offset"),
+        "offset_exact": str(Fraction(profile.offset)),
+        "k_x": float(profile.k_x),
+        "domain": "0 < k <= 1/2",
+    }, 0
 
 
-def _cmd_enum(args: argparse.Namespace) -> int:
+def _cmd_enum(args: argparse.Namespace) -> tuple:
     topo = Topology.from_name(args.topo)
     table = oracles.enumerate_grid(args.n, topo)
     if args.format == "csv":
         first = None if args.first_component is None else int(args.first_component)
-        _emit(table.to_csv(first_component=first), args.out)
-    else:
-        _emit_json(table.json_summary(threshold=args.threshold), args.out)
-    return 0
+        return table.to_csv(first_component=first), 0
+    return table.json_summary(threshold=args.threshold), 0
 
 
-def _cmd_check_1d(args: argparse.Namespace) -> int:
+def _cmd_check_1d(args: argparse.Namespace) -> tuple:
     problem = optimality.OneDProblem(c1=args.c1, sigma=args.sigma)
     if args.format == "csv":
-        _emit(optimality.curves_csv_1d(problem, grid_points=args.grid), args.out)
-        return 0
+        return optimality.curves_csv_1d(problem, grid_points=args.grid), 0
     report = optimality.check_1d_condition(problem, grid_points=args.grid, tol=args.tol)
     payload = {
         "c1": problem.c1,
@@ -175,32 +162,27 @@ def _cmd_check_1d(args: argparse.Namespace) -> int:
         "full_interval_minima": report.full_interval_minima,
         "objective_argmin": optimality.global_min_1d(grid_points=args.grid),
     }
-    _emit_json(payload, args.out)
-    return 0 if report.passed else 1
+    return payload, 0 if report.passed else 1
 
 
-def _cmd_sphere(args: argparse.Namespace) -> int:
+def _cmd_sphere(args: argparse.Namespace) -> tuple:
     resolution = args.resolution
     if resolution is None:
         resolution = 360 if args.which == "2d" else 64
-    _emit(optimality.surface_csv(args.which, resolution=resolution), args.out)
-    return 0
+    return optimality.surface_csv(args.which, resolution=resolution), 0
 
 
-def _cmd_polysys(args: argparse.Namespace) -> int:
+def _cmd_polysys(args: argparse.Namespace) -> tuple:
     mu = None if args.mu is None else _parse_vector(args.mu)
     system = polysys.build_4d_system(_parse_vector(args.z), mu=mu)
-    _emit(polysys.export_system(system, fmt=args.format), args.out)
-    return 0
+    return polysys.export_system(system, fmt=args.format), 0
 
 
-def _cmd_feascheck(args: argparse.Namespace) -> int:
+def _cmd_feascheck(args: argparse.Namespace) -> tuple:
     if args.all:
-        _emit_json(polysys.grid_feasibility_summary(), args.out)
-        return 0
+        return polysys.grid_feasibility_summary(), 0
     result = polysys.finite_direction_feasibility(_parse_vector(args.z))
-    _emit_json(polysys.feasibility_report(result), args.out)
-    return 0
+    return polysys.feasibility_report(result), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,13 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", required=True, help="comma-separated components")
     p_eval.add_argument("--topo", default="circular", help="circular or linear")
     p_eval.add_argument("--k", default="1/2", help="transition weight (rational)")
-    p_eval.add_argument("--out", default=None, help="write output to this path")
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run a registered brute-force oracle")
     p_verify.add_argument("oracle", nargs="?", default=None, help="oracle name or 'all'")
     p_verify.add_argument("--list", action="store_true", help="list oracle names")
-    p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_profile = sub.add_parser("profile", help="gap as a function of the lower weight k")
@@ -234,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--step", default="1/200", help="CSV sampling step")
     p_profile.add_argument("--topo", default="circular")
     p_profile.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_profile.add_argument("--out", default=None)
     p_profile.set_defaults(handler=_cmd_profile)
 
     p_enum = sub.add_parser("enum", help="full sign-pattern table of change counts")
@@ -248,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the CSV to one leading-component slice",
     )
     p_enum.add_argument("--threshold", type=int, default=None, help="symmetry threshold")
-    p_enum.add_argument("--out", default=None)
     p_enum.set_defaults(handler=_cmd_enum)
 
     p_check = sub.add_parser("check-1d", help="interval condition check for the 1-D problem")
@@ -257,42 +235,46 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--grid", type=int, default=10000)
     p_check.add_argument("--tol", type=float, default=1e-6)
     p_check.add_argument("--format", choices=("json", "csv"), default="json")
-    p_check.add_argument("--out", default=None)
     p_check.set_defaults(handler=_cmd_check_1d)
 
     p_sphere = sub.add_parser("sphere", help="closed-form multiplier surfaces as CSV")
     p_sphere.add_argument("--which", choices=("2d", "3d"), required=True)
     p_sphere.add_argument("--resolution", type=int, default=None)
-    p_sphere.add_argument("--out", default=None)
     p_sphere.set_defaults(handler=_cmd_sphere)
 
     p_poly = sub.add_parser("polysys", help="polynomial stationarity system for a 4-D candidate")
     p_poly.add_argument("--z", default="1,-1,1,-1", help="sign pattern candidate")
     p_poly.add_argument("--mu", default=None, help="substitute integer multipliers")
     p_poly.add_argument("--format", choices=("json", "plain"), default="json")
-    p_poly.add_argument("--out", default=None)
     p_poly.set_defaults(handler=_cmd_polysys)
 
     p_feas = sub.add_parser("feascheck", help="finite-direction multiplier feasibility")
     p_feas.add_argument("--z", default="1,-1,1,-1")
     p_feas.add_argument("--all", action="store_true", help="sweep all 81 candidates")
-    p_feas.add_argument("--out", default=None)
     p_feas.set_defaults(handler=_cmd_feascheck)
 
+    for subparser in sub.choices.values():
+        subparser.add_argument("--out", default=None, help="write output to this path")
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one subcommand: its handler returns (output, exit code) and writes nothing. Text
+    is written as it is, a payload as strict JSON; NaN, infinity or an unwritable --out exits 2."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.handler(args)
-    except ValueError as exc:
+        output, code = args.handler(args)
+        if not isinstance(output, str):
+            output = json.dumps(output, indent=2, sort_keys=True, allow_nan=False)
+        _emit(output, args.out)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 def main() -> None:

@@ -51,6 +51,18 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _within_float64(values, what: str):
+    """values, once no float in them lies beyond float64 (inf or nan), else ValueError:
+    a float array, or one value, where an int or a Fraction passes exact and unbounded."""
+    if isinstance(values, (np.ndarray, list)):
+        finite = np.isfinite(values).all()
+    else:
+        finite = not isinstance(values, float) or math.isfinite(values)
+    if not finite:
+        raise ValueError(f"{what} leaves the float64 range")
+    return values
+
+
 def _integral(value) -> bool:
     """The one integer rule: a finite value equal to its int (an int, by a type test)."""
     return type(value) is int or (_finite(value) and value == int(value))

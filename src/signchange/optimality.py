@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counting import _check_rows, _float_array, _integer_vector, _real, as_vector
+from .counting import _check_rows, _float_array, _integer_vector, _real, _within_float64, as_vector
 from .transitions import Topology, _transition_values, sign_changes
 
 __all__ = [
@@ -77,17 +77,21 @@ class OneDProblem:
 
 
 def inequality_values_1d(problem: OneDProblem, x) -> dict[str, np.ndarray]:
-    """The three dependent inequality residuals; 'a' = 'b' + 'c'."""
+    """The three dependent inequality residuals; 'a' = 'b' + 'c'.  ValueError where one
+    leaves float64, as on [-2pi, 2pi] once |c1| exceeds about 695 (the multiplier overflows)."""
     arr = _float_array(x)
-    f = objective_1d(arr)
-    K = problem.K
-    bound_term = -problem.multiplier(arr) * (arr + TWO_PI)
-    penalty = problem.sigma * np.abs(arr - problem.c1)
-    return {
-        "a": bound_term + f + K,
-        "b": bound_term - f - K + penalty,
-        "c": 2.0 * f + 2.0 * K - penalty,
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = objective_1d(arr)
+        K = problem.K
+        bound_term = -problem.multiplier(arr) * (arr + TWO_PI)
+        penalty = problem.sigma * np.abs(arr - problem.c1)
+        values = {
+            "a": bound_term + f + K,
+            "b": bound_term - f - K + penalty,
+            "c": 2.0 * f + 2.0 * K - penalty,
+        }
+    _within_float64(list(values.values()), "a 1-D residual at this c1 and sigma")
+    return values
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import _finite, _is_batch, _real, _row_dot, _signs, as_vector
+from .counting import _entries, _finite, _is_batch, _real, _row_dot, _signs, _within_float64, as_vector
 
 __all__ = [
     "Topology",
@@ -63,9 +63,12 @@ class Topology(enum.Enum):
             raise ValueError(f"unknown topology {name!r}; use 'circular' or 'linear'") from None
 
 
-def _check_weight(k) -> None:
+def _check_weight(k):
+    """k as a finite weight; a numpy number becomes the Python int or float of
+    its value, whose arithmetic cannot wrap and overflows to inf without a warning."""
     if not _finite(k):
         raise ValueError("transition weight k must be finite")
+    return _entries((k,))[0] if isinstance(k, np.generic) else k
 
 
 def _transition_values(a, b, k):
@@ -77,9 +80,11 @@ def _transition_values(a, b, k):
 def transition_map(x: Iterable[float], k, topology: Topology = Topology.CIRCULAR) -> tuple:
     """Transition values over the adjacency pairs of x, in pair order."""
     # on Python-int signs each value is exact, of the type the formula gives on ints
-    _check_weight(k)
+    k = _check_weight(k)
     a, b = topology.neighbors(_signs(x).astype(object))
-    return tuple(_transition_values(a, b, k).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _transition_values(a, b, k).tolist()
+    return tuple(_within_float64(v, "transition_map at this k") for v in values)
 
 
 def pair_stats(signs: np.ndarray, topology: Topology):
@@ -189,10 +194,11 @@ def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRC
     A 2-D array of vectors (rows) gives an object array with one value per
     row, equal in value and type to the call on that row.
     """
-    _check_weight(k)
+    k = _check_weight(k)
     weak, flips = pair_stats(_signs(x, _is_batch(x)), topology)
     four_k_sq = 4 * k * k
-    return _per_row(lambda w, f: _norm_sq(w, f, four_k_sq), weak, flips)
+    what = "transition_norm_sq at this k"
+    return _per_row(lambda w, f: _within_float64(_norm_sq(w, f, four_k_sq), what), weak, flips)
 
 
 def hadamard_norm_sq(x: Iterable[float], k) -> float:
@@ -211,9 +217,7 @@ def hadamard_norm_sq(x: Iterable[float], k) -> float:
     # a k near the float64 limit overflows; the check below refuses the result
     with np.errstate(over="ignore", invalid="ignore"):
         value = _row_dot((s + zs + k * prod) ** 2, (prod - 1.0) ** 2)
-    if not np.isfinite(value).all():
-        raise ValueError("hadamard_norm_sq is not finite in float64 at this transition weight k")
-    return value if batch else float(value)
+    return _within_float64(value if batch else float(value), "hadamard_norm_sq at this k")
 
 
 def smoothed_sign_changes(x: Iterable[float], eps, topology: Topology = Topology.CIRCULAR) -> float:

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -82,6 +84,10 @@ def test_eval_deterministic(capsys):
         ("eval", "--x=1,-1", "--k=1e154"),
         ("eval", "--x=1,-1,0", "--k=1e200"),
         ("eval", "--x=1,1", "--k=1e200"),
+        # a transition value 2k beyond float64, and 1-D residuals whose multiplier overflows
+        ("eval", "--x=1,-1,0", "--k=1e308"),
+        ("check-1d", "--c1=-700"),
+        ("check-1d", "--c1=-700", "--format=csv"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -243,17 +249,88 @@ def test_feascheck_all(capsys):
 
 
 def test_output_file(tmp_path, capsys):
-    target = tmp_path / "table.csv"
-    code, out, _ = run_cli(capsys, "enum", "--n=2", "--format=csv", f"--out={target}")
-    assert code == 0
-    assert out == ""
-    assert target.read_text().startswith("z1,z2,t")
-    # the file holds the bytes stdout gets, final newline included, for JSON and CSV
-    for argv in (("feascheck", "--z=1,-1,1,-1"), ("enum", "--n=2", "--format=csv")):
-        _, stdout, _ = run_cli(capsys, *argv)
-        code, out, _ = run_cli(capsys, *argv, f"--out={target}")
-        assert (code, out) == (0, "")
+    # the file holds the bytes stdout gets, final newline included, with the same exit code
+    target = tmp_path / "output"
+    for golden in CLI_GOLDENS:
+        code, stdout, _ = run_cli(capsys, *golden["args"])
+        assert run_cli(capsys, *golden["args"], f"--out={target}") == (code, "", "")
         assert target.read_bytes() == stdout.encode()
+    # a path that cannot be written is a usage error, not a traceback
+    code, out, err = run_cli(capsys, "verify", "--list", f"--out={tmp_path / 'missing' / 'names'}")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+# every numeric flag of every subcommand, each with the arguments it runs beside;
+# "{}" marks the value, in the first entry of a vector flag
+NUMERIC_FLAGS = [
+    ("eval", "--x={},-1,0"),
+    ("eval", "--x=1,-1,0", "--k={}"),
+    *(
+        ("profile", f"--format={fmt}", *argv)
+        for fmt in ("json", "csv")
+        for argv in (("--x={},-1",), ("--x=1,-1", "--d={},1"), ("--x=1,-1,0", "--kx={}"))
+    ),
+    ("profile", "--x=1,-1", "--step={}"),
+    ("enum", "--n={}"),
+    ("enum", "--format=csv", "--n={}"),
+    ("enum", "--threshold={}"),
+    ("enum", "--n=2", "--format=csv", "--first-component={}"),
+    *(
+        ("check-1d", f"--format={fmt}", flag)
+        for fmt in ("json", "csv")
+        for flag in ("--c1={}", "--sigma={}", "--grid={}")
+    ),
+    ("check-1d", "--tol={}"),
+    ("sphere", "--which=2d", "--resolution={}"),
+    ("sphere", "--which=3d", "--resolution={}"),
+    ("polysys", "--z={},-1,1,-1"),
+    ("polysys", "--mu={},0,0,0"),
+    ("feascheck", "--z={},-1,1,-1"),
+]
+FLAG_VALUES = [
+    "0", "-0.0", "5e-324", "1e154", "1e308", "-1e308", str(10**400), "nan", "inf", str(3**12 + 1)
+]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"JSON holds {name}")
+
+
+def _output_fault(code, out, err, csv):
+    """Why a run's exit code and output break the CLI contract, or None."""
+    if code == 2:
+        return None if out == "" and err.count("error:") == 1 else "exit 2 without one error line"
+    if code not in (0, 1):
+        return f"exit {code}"
+    try:
+        if csv:
+            # the header, then rows of finite numbers
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            if not all(math.isfinite(float(v)) for row in rows for v in row):
+                return "CSV holds a non-finite number"
+        else:
+            json.loads(out, parse_constant=_refuse_constant)
+    except ValueError as exc:
+        return f"output is not finite JSON or CSV: {exc}"
+    return None
+
+
+@pytest.mark.parametrize("flag", NUMERIC_FLAGS, ids=" ".join)
+def test_numeric_flags_exit_cleanly_at_extreme_values(capsys, flag):
+    faults = []
+    for value in FLAG_VALUES:
+        argv = [part.format(value) for part in flag]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, *argv)
+        except Exception as exc:  # a traceback, or a warning raised as one
+            faults.append((value, repr(exc)))
+            continue
+        fault = _output_fault(code, out, err, "--format=csv" in argv or argv[0] == "sphere")
+        if fault is not None:
+            faults.append((value, fault))
+    assert faults == []
 
 
 def test_help_documents_examples(capsys):

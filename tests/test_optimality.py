@@ -69,6 +69,18 @@ def test_condition_report_measured_minima():
     assert report.full_interval_minima["a"] < report.minima["a"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_residuals_beyond_float64_raise():
+    # |c1| above about 695 makes the multiplier overflow on the interval; so does a huge sigma
+    for c1, sigma in ((-700.0, 1.0), (700.0, 1.0), (3**12 + 1, 1.0), (1e154, 1.0), (-4.8, 1e308)):
+        problem = OneDProblem(c1=c1, sigma=sigma)
+        with pytest.raises(ValueError, match="float64 range"):
+            check_1d_condition(problem, grid_points=100)
+        with pytest.raises(ValueError, match="float64 range"):
+            curves_csv_1d(problem, grid_points=100)
+    assert check_1d_condition(OneDProblem(c1=-690.0), grid_points=100).grid_size == 100
+
+
 def test_condition_check_validation():
     with pytest.raises(ValueError):
         check_1d_condition(OneDProblem(), grid_points=10)

@@ -249,6 +249,33 @@ def test_weight_must_be_finite(k):
         transition_norm_sq((1, -1, 0), k)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: transition_map([1, -1], 1e308),
+        lambda: transition_map([1, -1], np.float64(-1e308)),
+        lambda: transition_norm_sq([1, -1], 1e200),
+        # 4k^2 is inf and the pair has no flip: inf * 0 is nan
+        lambda: transition_norm_sq([1, 1], 1e200),
+        lambda: transition_norm_sq(np.array([[1, 1], [1, 0]]), 1e200),
+        lambda: transition_norm_sq([1, -1], np.float64(1e200)),
+        lambda: hadamard_norm_sq([1, -1], 1e200),
+    ],
+)
+def test_float_results_beyond_float64_raise(call):
+    with pytest.raises(ValueError, match="float64 range"):
+        call()
+
+
+def test_exact_weights_stay_exact_beyond_float64():
+    assert transition_map([1, -1], 10**308) == (2 * 10**308, 2 * 10**308)
+    assert transition_norm_sq([1, -1], 10**200) == 8 * 10**400
+    assert transition_norm_sq([1, 1], Fraction(10**400, 3)) == 0
+    # a numpy integer weight is read as the Python int of its value: 4k^2 does not wrap in int64
+    assert transition_norm_sq([1, -1], np.int64(2**40)) == 8 * 2**80
+
+
 @pytest.mark.parametrize(
     "call",
     [
