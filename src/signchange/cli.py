@@ -175,7 +175,9 @@ def _cmd_sphere(args: argparse.Namespace) -> tuple:
 def _cmd_polysys(args: argparse.Namespace) -> tuple:
     mu = None if args.mu is None else _parse_vector(args.mu)
     system = polysys.build_4d_system(_parse_vector(args.z), mu=mu)
-    return polysys.export_system(system, fmt=args.format), 0
+    if args.format == "plain":
+        return polysys.export_system(system, fmt="plain"), 0
+    return polysys._payload(system), 0
 
 
 def _cmd_feascheck(args: argparse.Namespace) -> tuple:

@@ -43,9 +43,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def objective_1d(x):
-    """x^2 cos(2x), elementwise."""
+    """x^2 cos(2x), elementwise; ValueError where it leaves float64 (|x| above about 1.3e154)."""
     arr = _float_array(x)
-    return arr * arr * np.cos(2.0 * arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = arr * arr * np.cos(2.0 * arr)
+    return _within_float64(value, "objective_1d at this x")
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,12 @@ class OneDProblem:
         return -float(objective_1d(self.c1))
 
     def multiplier(self, x):
-        """lambda1(x) = |x - c1| exp|x - c1| (left bound multiplier)."""
-        gap = np.abs(_float_array(x) - self.c1)
-        return gap * np.exp(gap)
+        """lambda1(x) = |x - c1| exp|x - c1| (left bound multiplier); ValueError
+        where it leaves float64, as once |x - c1| exceeds about 703."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = np.abs(_float_array(x) - self.c1)
+            value = gap * np.exp(gap)
+        return _within_float64(value, "the multiplier at this x")
 
 
 def inequality_values_1d(problem: OneDProblem, x) -> dict[str, np.ndarray]:
@@ -188,7 +193,7 @@ def lagrangian_residual(
     """t(z) + sum_i lam_i d_i (1 - 3 z_i^2) - sum_pairs (d_i + d_j + k_ij d_i d_j)^2 (d_i d_j - 1)^2.
 
     z must be a sign pattern; k is a scalar or one weight per adjacency
-    pair.  At d = 0 the residual is t(z).
+    pair.  At d = 0 the residual is t(z).  A residual beyond float64 raises ValueError.
     """
     pattern = _integer_vector(z, signs=True)
     lam = as_vector(multipliers)
@@ -199,9 +204,11 @@ def lagrangian_residual(
     weights = _real(k, "pair weight") if isinstance(k, numbers.Real) else as_vector(k)
     if np.ndim(weights) and weights.size != a.size:
         raise ValueError("need one pair weight per adjacency pair")
-    stationarity = np.dot(lam * dd, 1.0 - 3.0 * np.square(pattern))
-    pair_terms = np.sum(_transition_values(a, b, weights) ** 2)
-    return float(sign_changes(pattern, topology) + stationarity - pair_terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stationarity = np.dot(lam * dd, 1.0 - 3.0 * np.square(pattern))
+        pair_terms = np.sum(_transition_values(a, b, weights) ** 2)
+        residual = float(sign_changes(pattern, topology) + stationarity - pair_terms)
+    return _within_float64(residual, "lagrangian_residual at this input")
 
 
 def _check_open_angle(phi: float) -> float:

@@ -174,60 +174,29 @@ def _format_equation(terms: tuple[Term, ...], variables: tuple[str, ...]) -> str
     return " ".join(pieces) + " = 0"
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _json_text(value, newline: str = "\n") -> str:
-    """json.dumps(value, indent=2, sort_keys=True), written by string joins.
-
-    A plain dict with str keys, a list or a tuple is laid out here, and an
-    int or a str written as json writes it: the system export holds only
-    these.  Every other value (floats, bools, None, int, str and dict
-    subclasses, non-str keys) goes to json.dumps itself, with each newline
-    re-indented to the current depth.  JSON text holds no raw newline inside
-    a string, so both paths give json's bytes.  A list or dict that holds
-    itself raises RecursionError here, where json raises ValueError.
-    ``newline`` is the line break plus the indent.
-    """
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is str:
-        return _encode_str(value)
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if kind is dict and all(type(key) is str for key in value):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = [_encode_str(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+def _payload(system: PolySystem) -> dict:
+    """The JSON view of a system: its variables, the equations as
+    [coefficient, powers] pairs and the metadata."""
+    return {
+        "variables": list(system.variables),
+        "equations": [[[coeff, powers] for coeff, powers in eq] for eq in system.equations],
+        "metadata": system.metadata,
+    }
 
 
 def export_system(system: PolySystem, fmt: str = "json") -> str:
     """The system as text: 'json' or 'plain'.
 
-    The JSON text is byte for byte json.dumps(payload, indent=2,
-    sort_keys=True) plus a newline, where payload holds the variables, the
+    The JSON text is json.dumps(payload, sort_keys=True) plus a newline, one
+    line from json's C encoder, where payload holds the variables, the
     equations as [coefficient, powers] pairs and the metadata; parse_system
-    reads it back.  The plain text is a header from the metadata's
-    candidate, t and admissible_rho_squared, then one 'lhs = 0' line per
-    equation; metadata without one of them raises ValueError.
+    reads it back, as it reads the CLI's indented print of the same payload.
+    The plain text is a header from the metadata's candidate, t and
+    admissible_rho_squared, then one 'lhs = 0' line per equation; metadata
+    without one of them raises ValueError.
     """
     if fmt == "json":
-        payload = {
-            "variables": list(system.variables),
-            "equations": [
-                [[coeff, powers] for coeff, powers in eq] for eq in system.equations
-            ],
-            "metadata": system.metadata,
-        }
-        return _json_text(payload) + "\n"
+        return json.dumps(_payload(system), sort_keys=True) + "\n"
     if fmt == "plain":
         meta = system.metadata
         for key in ("candidate", "t", "admissible_rho_squared"):

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import _check_rows, _displaced, _finite, _is_batch, _real, _signs
+from .counting import _check_rows, _displaced, _finite, _is_batch, _real, _signs, _within_float64
 from .transitions import (
     Topology,
     _check_weight,
@@ -47,9 +47,10 @@ class GapParams:
     k_x: object
 
     def __post_init__(self) -> None:
-        # the bounds below admit |k_x| = inf and cannot compare a non-number
-        _check_weight(self.k_y)
-        _check_weight(self.k_x)
+        # the bounds below admit |k_x| = inf and cannot compare a non-number;
+        # a numpy weight is kept as the Python number of its value
+        for name in ("k_y", "k_x"):
+            object.__setattr__(self, name, _check_weight(getattr(self, name)))
         if not 0 < abs(self.k_y) <= Fraction(1, 2) <= abs(self.k_x):
             raise ValueError("gap weights must satisfy 0 < |k_y| <= 1/2 <= |k_x|")
 
@@ -98,14 +99,16 @@ def decoupled_gap(
     Subgradient inequality: sign_changes(x + d) - sign_changes(x) dominates
     this value for every displacement d.  A 2-D array x of points (rows)
     with d of the same shape gives an object array with one value per row,
-    equal in value and type to the call on that row.
+    equal in value and type to the call on that row.  A float value beyond
+    float64 raises ValueError; int and Fraction weights stay exact.
     """
     base, moved = _displaced_signs(x, d)
     four_ky_sq = 4 * params.k_y * params.k_y
     four_kx_sq = 4 * params.k_x * params.k_x
 
     def gap(weak_y, flips_y, weak_x, flips_x):
-        return _norm_sq(weak_y, flips_y, four_ky_sq) - _norm_sq(weak_x, flips_x, four_kx_sq)
+        value = _norm_sq(weak_y, flips_y, four_ky_sq) - _norm_sq(weak_x, flips_x, four_kx_sq)
+        return _within_float64(value, "decoupled_gap at this k_x")
 
     return _per_row(gap, *pair_stats(moved, topology), *pair_stats(base, topology))
 
@@ -123,8 +126,9 @@ def zero_direction_gap(
     flips, where it contributes 4(k_y^2 - k_x^2) <= 0.  The sum runs over
     integer sign arrays in two weight-free parts; the weights enter only in
     the two closing rational operations, so the value is exact for
-    Fraction weights.  A 2-D array of vectors (rows) gives an object array
-    with one value per row, equal in value and type to the call on that row.
+    Fraction weights, and a float value beyond float64 raises ValueError.
+    A 2-D array of vectors (rows) gives an object array with one value per
+    row, equal in value and type to the call on that row.
     """
     k_y, k_x = params.k_y, params.k_x
     if not 0 < k_y <= Fraction(1, 2) <= k_x:
@@ -135,7 +139,8 @@ def zero_direction_gap(
     quadratic = np.sum(damp * prod * prod, axis=-1)
     linear = np.sum(damp * 2 * prod * (a + b), axis=-1)
     diff, total = k_y - k_x, k_y + k_x
-    return _per_row(lambda q, l: diff * (total * q + l), quadratic, linear)
+    what = "zero_direction_gap at this k_x"
+    return _per_row(lambda q, l: _within_float64(diff * (total * q + l), what), quadratic, linear)
 
 
 @dataclass(frozen=True)

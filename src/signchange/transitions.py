@@ -251,7 +251,7 @@ def transition_hessian_2d(x: Iterable[float], branch: float) -> Hessian2:
     """Hessian of (x1 + x2 + b*x1*x2)(x1*x2 - 1) at real x, b = +-1/2.
 
     Second derivatives: d11 = x2(2 + 2b*x2), d22 = x1(2 + 2b*x1),
-    d12 = 2(x1 + x2 + 2b*x1*x2 - b/2).
+    d12 = 2(x1 + x2 + 2b*x1*x2 - b/2).  ValueError where an entry leaves float64.
     """
     arr = as_vector(x)
     if arr.size != 2:
@@ -260,12 +260,13 @@ def transition_hessian_2d(x: Iterable[float], branch: float) -> Hessian2:
         raise ValueError("branch must be +0.5 or -0.5")
     x1, x2 = float(arr[0]), float(arr[1])
     b = branch
-    return Hessian2(
-        a11=x2 * (2.0 + 2.0 * b * x2),
-        a12=2.0 * x1 + 2.0 * x2 + 4.0 * b * x1 * x2 - b,
-        a22=x1 * (2.0 + 2.0 * b * x1),
-        branch=b,
+    entries = (
+        x2 * (2.0 + 2.0 * b * x2),
+        2.0 * x1 + 2.0 * x2 + 4.0 * b * x1 * x2 - b,
+        x1 * (2.0 + 2.0 * b * x1),
     )
+    a11, a12, a22 = (_within_float64(v, "transition_hessian_2d at this x") for v in entries)
+    return Hessian2(a11=a11, a12=a12, a22=a22, branch=b)
 
 
 def symmetric2_eigenvalues(h: Hessian2) -> tuple[float, float]:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from signchange import hadamard_norm_sq, oracles
-from signchange.cli import run
+from signchange.cli import build_parser, run
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +32,18 @@ def test_readme_examples_match_goldens(capsys):
             mismatched.append(golden["args"])
     assert len(CLI_GOLDENS) == 11
     assert mismatched == []
+
+
+def test_handlers_return_no_json_text():
+    # run alone encodes JSON: text that a handler returns is CSV or plain text, never JSON
+    parser = build_parser()
+    argvs = [golden["args"] for golden in CLI_GOLDENS]
+    for argv in [*argvs, ["polysys", "--format=json"], ["verify", "--list"]]:
+        args = parser.parse_args(argv)
+        output, _ = args.handler(args)
+        if isinstance(output, str):
+            with pytest.raises(json.JSONDecodeError):
+                json.loads(output)
 
 
 def test_eval_example(capsys):

@@ -81,6 +81,25 @@ def test_residuals_beyond_float64_raise():
     assert check_1d_condition(OneDProblem(c1=-690.0), grid_points=100).grid_size == 100
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: objective_1d(1e200),
+        lambda: objective_1d(np.array([0.0, -1e200])),
+        lambda: OneDProblem(c1=1e200).K,
+        lambda: OneDProblem().multiplier(800.0),
+        # |x - c1| itself overflows
+        lambda: OneDProblem(c1=-1e308).multiplier([1e308]),
+        lambda: lagrangian_residual((1, -1, 1), [1e200, 0, 0], 0.5, [1e200] * 3),
+        lambda: lagrangian_residual((1, -1), [0, 0], 1e200, [1, -1]),
+    ],
+)
+def test_formulas_beyond_float64_raise(call):
+    with pytest.raises(ValueError, match="float64 range"):
+        call()
+
+
 def test_condition_check_validation():
     with pytest.raises(ValueError):
         check_1d_condition(OneDProblem(), grid_points=10)

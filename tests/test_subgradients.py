@@ -266,6 +266,33 @@ def test_decoupled_batch_int64_overflow():
     assert_rows_equal(decoupled_gap(x, d, params, Topology.LINEAR), expected)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: zero_direction_gap([1, -1], GapParams(0.5, 1e200)),
+        lambda: zero_direction_gap(np.array([[1, -1], [1, 1]]), GapParams(0.5, 1e200)),
+        lambda: zero_direction_gap([1, -1], GapParams(0.5, np.float64(1e200))),
+        lambda: decoupled_gap([1, -1], [0, 0], GapParams(0.5, 1e200)),
+        # 4 k_x^2 is inf and the base pair has no flip: inf * 0 is nan
+        lambda: decoupled_gap([1, 1], [0, -2], GapParams(0.5, 1e200)),
+    ],
+)
+def test_gaps_beyond_float64_raise(call):
+    with pytest.raises(ValueError, match="float64 range"):
+        call()
+
+
+def test_exact_gaps_stay_exact_beyond_float64():
+    assert zero_direction_gap([1, -1], GapParams(Fraction(1, 2), 10**200)) == 2 - 8 * 10**400
+    params = GapParams(Fraction(1, 4), 10**200)
+    assert decoupled_gap([1, -1], [0, 0], params) == Fraction(1, 2) - 8 * 10**400
+    # a numpy integer weight is read as the Python int of its value: 4 k_x^2 does not wrap
+    params = GapParams(Fraction(1, 4), np.int64(2**40))
+    assert type(params.k_x) is int
+    assert zero_direction_gap([1, -1], params) == Fraction(1, 2) - 8 * 2**80
+
+
 def test_batch_gap_validation():
     params = GapParams(Fraction(1, 4), Fraction(1))
     x = pattern_grid(3)

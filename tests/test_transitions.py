@@ -261,6 +261,8 @@ def test_weight_must_be_finite(k):
         lambda: transition_norm_sq(np.array([[1, 1], [1, 0]]), 1e200),
         lambda: transition_norm_sq([1, -1], np.float64(1e200)),
         lambda: hadamard_norm_sq([1, -1], 1e200),
+        lambda: transition_hessian_2d([1e200, 1e200], 0.5),
+        lambda: transition_hessian_2d([-1e200, 1.0], -0.5),
     ],
 )
 def test_float_results_beyond_float64_raise(call):
