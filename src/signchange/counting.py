@@ -158,18 +158,38 @@ def _signs(x, batch: bool = False) -> np.ndarray:
     return _sign_array(_vector(x, batch))
 
 
-def _sign_array(values) -> np.ndarray:
-    """Signs of a vector or batch read by _vector, as an int8 array.
+# np.sign writes a temporary as wide as the input before the int8 cast, while the
+# two comparisons write one byte each but cost more calls.  Measured with numpy 2.4
+# on one core of a 2-vCPU Xeon: the comparisons are faster on float32, float64 and longdouble arrays
+# from about 3,000 entries (3.4x on float64 at 10^5); np.sign stays faster below,
+# on integer arrays up to about 10^6 entries, and on float16 at any length.
+_COMPARE_MIN_SIZE = 4096
 
-    Float and integer arrays go through np.sign and bool arrays through one
-    cast.  Lists, tuples and object arrays take one pass that reads and checks
-    each entry: an int by comparison, a Fraction by its numerator (its
-    denominator is positive), a finite float by comparison.  Any other entry
-    sends the vector through _entries and one more pass.  So ints and
-    Fractions never pass through float64 and keep their signs beyond it.
+
+def _sign_array(values) -> np.ndarray:
+    """Signs of a vector or batch read by _vector, as a writable int8 array.
+
+    Float arrays of at least _COMPARE_MIN_SIZE entries (float32 and wider)
+    take (x > 0) - (x < 0): the two comparisons, viewed as int8 and
+    subtracted in place, allocate one byte per entry and no float temporary
+    (_vector has refused NaN, which compares as 0).  Other numeric arrays go
+    through np.sign and one int8 cast, and bool arrays through one cast.
+
+    Lists, tuples and object arrays take one pass that reads and checks each
+    entry: an int by comparison, a Fraction by its numerator (its denominator
+    is positive), a finite float by comparison.  Any other entry sends the
+    vector through _entries and one more pass.  Either pass writes the byte
+    codes 1, 0 and 255 (-1 as int8) into one bytearray, read as int8 without
+    a copy.  So ints and Fractions never pass through float64 and keep their
+    signs beyond it.
     """
     is_array = isinstance(values, np.ndarray)
     if is_array and values.dtype.kind in "fiu":
+        wide_float = values.dtype.kind == "f" and values.dtype.itemsize >= 4
+        if wide_float and values.size >= _COMPARE_MIN_SIZE:
+            signs = (values > 0).view(np.int8)
+            signs -= (values < 0).view(np.int8)
+            return signs
         return np.sign(values).astype(np.int8)
     if is_array and values.dtype.kind == "b":
         return values.astype(np.int8)
@@ -177,19 +197,20 @@ def _sign_array(values) -> np.ndarray:
     # and float entries: the conditional form is faster than (v > 0) - (v < 0);
     # any other entry sets other, and the vector is then read through _entries
     other = False
-    signs = [
-        (1 if v > 0 else -1 if v < 0 else 0)
+    codes = [
+        (1 if v > 0 else 255 if v < 0 else 0)
         if type(v) is int
-        else (1 if (p := v.numerator) > 0 else -1 if p < 0 else 0)
+        else (1 if (p := v.numerator) > 0 else 255 if p < 0 else 0)
         if type(v) is Fraction
-        else (1 if v > 0 else -1 if v < 0 else 0)
+        else (1 if v > 0 else 255 if v < 0 else 0)
         if type(v) is float and math.isfinite(v)
         else (other := True)
         for v in (values.ravel().tolist() if is_array else values)
     ]
     if other:
-        signs = [(v > 0) - (v < 0) for v in _entries(values)]
-    return np.array(signs, dtype=np.int8).reshape(values.shape if is_array else -1)
+        codes = [1 if v > 0 else 255 if v < 0 else 0 for v in _entries(values)]
+    signs = np.frombuffer(bytearray(codes), dtype=np.int8)
+    return signs.reshape(values.shape) if is_array else signs
 
 
 def _is_batch(x) -> bool:
@@ -227,8 +248,15 @@ def sign_vector(x: Iterable[float]) -> tuple[int, ...]:
 
 
 def count_nonzero(x: Iterable[float]) -> int:
-    """Number of nonzero components (zero detection is exact)."""
-    return int(np.count_nonzero(_signs(x)))
+    """Number of nonzero components (zero detection is exact).
+
+    A numeric array that _vector accepts is counted as it is, with no sign
+    array (-0.0 is zero); lists, tuples and object arrays take the exact sign pass.
+    """
+    values = _vector(x)
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiub"):
+        values = _sign_array(values)
+    return int(np.count_nonzero(values))
 
 
 def is_count_subgradient(x: Iterable[float], candidate: Iterable[float]) -> bool:

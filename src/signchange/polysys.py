@@ -217,8 +217,9 @@ _NOT_EXPORTED = "expected an exported polynomial system"
 
 
 def _read_int(value) -> int:
-    """One coefficient or exponent of a parsed system, by the integer rule."""
-    if not _integral(value):
+    """One coefficient or exponent of a parsed system, by the integer rule;
+    a JSON true or false is no number."""
+    if isinstance(value, bool) or not _integral(value):
         raise ValueError(f"coefficients and exponents must be integers, got {value!r}")
     return int(value)
 

@@ -43,17 +43,30 @@ class Topology(enum.Enum):
     CIRCULAR = "circular"
     LINEAR = "linear"
 
-    def neighbors(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(a, b): the two ends of every adjacency pair along the last axis.
+    def pairs(self, arr: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], tuple | None]:
+        """((a, b), wrap): the linear pair views a = arr[..., :-1] and
+        b = arr[..., 1:] along the last axis, and on the circle the wrap pair
+        (arr[..., -1], arr[..., 0]), else None.  No entry is copied.
 
-        Works on one vector or a 2-D batch of them; the circular wrap pair
-        (n - 1, 0) comes last.
+        Works on one vector or a 2-D batch of them.
         """
         if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
             raise ValueError("adjacency pairs need at least two components")
-        if self is Topology.CIRCULAR:
-            return arr, np.concatenate((arr[..., 1:], arr[..., :1]), axis=-1)
-        return arr[..., :-1], arr[..., 1:]
+        wrap = (arr[..., -1], arr[..., 0]) if self is Topology.CIRCULAR else None
+        return (arr[..., :-1], arr[..., 1:]), wrap
+
+    def neighbors(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b): the two ends of every adjacency pair along the last axis,
+        the pairs of pairs() in one array each, with the circular wrap pair
+        (n - 1, 0) last.
+
+        Works on one vector or a 2-D batch of them.
+        """
+        (a, b), wrap = self.pairs(arr)
+        if wrap is None:
+            return a, b
+        # a followed by the wrap pair's first end, arr[..., -1], is arr itself
+        return arr, np.concatenate((b, wrap[1][..., None]), axis=-1)
 
     @classmethod
     def from_name(cls, name: str) -> "Topology":
@@ -87,19 +100,32 @@ def transition_map(x: Iterable[float], k, topology: Topology = Topology.CIRCULAR
     return tuple(_within_float64(v, "transition_map at this k") for v in values)
 
 
+# the pair code of a full flip, as an int8 scalar: comparing with a Python int costs more
+_FLIP = np.int8(-2)
+
+
 def pair_stats(signs: np.ndarray, topology: Topology):
     """(weak transitions, full flips) of one sign vector, or one entry per
     row of a 2-D batch of them, as numpy integers.
 
     A pair is weak when exactly one of its signs is zero and a full flip
     when the signs are opposite; t = weak + flips counts the pairs that differ.
+    The signs are read through one int8 cast, and each pair gets the code
+    a ^ b: 0 when the signs are equal, -2 on a flip (1 ^ -1) and +-1 when
+    weak.  On the circle the wrap pair is coded from the two end columns and
+    added to the counts of the linear pairs.
     """
-    a, b = topology.neighbors(signs)
+    (a, b), wrap = topology.pairs(signs.astype(np.int8, copy=False))
     # without an axis count_nonzero is one C call, several times faster on short vectors
-    axis = None if signs.ndim == 1 else -1
-    flips = np.count_nonzero(a * b < 0, axis=axis)
-    weak = np.count_nonzero(a != b, axis=axis) - flips
-    return weak, flips
+    axis = None if a.ndim == 1 else -1
+    codes = a ^ b
+    flips = np.count_nonzero(codes == _FLIP, axis=axis)
+    differ = np.count_nonzero(codes, axis=axis)
+    if wrap is not None:
+        code = wrap[0] ^ wrap[1]
+        flips = flips + (code == _FLIP)
+        differ = differ + (code != 0)
+    return differ - flips, flips
 
 
 def pair_counts(x: Iterable[float], topology: Topology = Topology.CIRCULAR) -> tuple[int, int]:
@@ -270,7 +296,25 @@ def transition_hessian_2d(x: Iterable[float], branch: float) -> Hessian2:
 
 
 def symmetric2_eigenvalues(h: Hessian2) -> tuple[float, float]:
-    """Closed-form eigenvalues of a symmetric 2x2 matrix, descending."""
-    mean = 0.5 * (h.a11 + h.a22)
-    spread = math.hypot(0.5 * (h.a11 - h.a22), h.a12)
-    return (mean + spread, mean - spread)
+    """Closed-form eigenvalues of a symmetric 2x2 matrix, descending, as floats.
+
+    mean +- spread on the entries read as floats, with mean and the half
+    difference formed from the halved entries (halving is exact), so no sum
+    overflows on the way to an eigenvalue inside float64.  The eigenvalue of larger magnitude is the
+    sum that does not cancel; where the other one would cancel by more than
+    half, it is det / larger, with det = a11 * a22 - a12^2 taken exactly.
+    ValueError where an eigenvalue leaves float64.
+    """
+    a11, a12, a22 = (float(v) for v in (h.a11, h.a12, h.a22))
+    half11, half22 = 0.5 * a11, 0.5 * a22
+    mean = half11 + half22
+    spread = math.hypot(half11 - half22, a12)
+    larger, other = (mean + spread, mean - spread) if mean >= 0 else (mean - spread, mean + spread)
+    if abs(other) < 0.5 * abs(larger) and math.isfinite(larger):
+        # det / larger over the floats' exact integer ratios; int true division rounds once
+        (n11, d11), (n12, d12), (n22, d22), (nl, dl) = (
+            v.as_integer_ratio() for v in (a11, a12, a22, larger)
+        )
+        other = (n11 * n22 * d12 * d12 - n12 * n12 * d11 * d22) * dl / (d11 * d22 * d12 * d12 * nl)
+    pair = (larger, other) if mean >= 0 else (other, larger)
+    return tuple(_within_float64(v, "symmetric2_eigenvalues") for v in pair)

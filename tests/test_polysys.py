@@ -147,6 +147,10 @@ def test_parse_system_reads_integers_or_raises_value_error():
         {"equations": [[[1, {"a": 2.7}]]], **layout},
         {"equations": [[["1", {}]]], **layout},
         {"equations": [[[1, {"a": None}]]], **layout},
+        # JSON booleans used to parse as 1 and 0
+        {"equations": [[[True, {}]]], **layout},
+        {"equations": [[[1, {"a": True}]]], **layout},
+        {"equations": [[[False, {}]]], **layout},
         {"equations": [[[1, [2]]]], **layout},
         {"equations": [[[1]]], **layout},
         # used to parse, and export_system(..., "plain") then dropped the factor

@@ -56,3 +56,38 @@ def test_run_verifications_json_prints_one_record_per_oracle(monkeypatch, capsys
         assert set(record) == {"name", "passed", "checks", "seconds", "checks_per_s"}
         assert record["passed"] is True and record["checks"] > 0
         assert record["checks_per_s"] == record["checks"] / max(record["seconds"], 1e-9)
+
+
+PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+
+
+def test_bench_pairs_statistics_on_canned_runs():
+    compare = load_script("bench_pairs").compare
+    # quartiles by the exclusive method: positions 2.75, 5.5 and 8.25 of 10
+    five_faster = compare(PARENT, [v - 5.0 for v in PARENT], "lower")
+    assert five_faster["quartiles"]["parent"] == [11.75, 14.5, 17.25]
+    assert five_faster["medians"] == {"parent": 14.5, "change": 9.5}
+    assert (five_faster["wins"], five_faster["ties"], five_faster["pairs"]) == (10, 0, 10)
+    assert five_faster["gain"] == 5.0 and five_faster["parent_iqr"] == 5.5
+    # every pair won, but by less than the parent's spread
+    assert not five_faster["claim_holds"]
+    assert compare(PARENT, [v - 6.0 for v in PARENT], "lower")["claim_holds"]
+    # nine wins of ten still hold; eight do not
+    nine = [v - 6.0 for v in PARENT[:9]] + [PARENT[9] + 1.0]
+    assert compare(PARENT, nine, "lower")["wins"] == 9
+    assert compare(PARENT, nine, "lower")["claim_holds"]
+    eight = nine[:8] + PARENT[8:9] + nine[9:]
+    tied = compare(PARENT, eight, "lower")
+    assert (tied["wins"], tied["ties"], tied["claim_holds"]) == (8, 1, False)
+
+
+def test_bench_pairs_statistics_follow_the_better_direction():
+    compare = load_script("bench_pairs").compare
+    higher = compare(PARENT, [v + 6.0 for v in PARENT], "higher")
+    assert higher["wins"] == 10 and higher["gain"] == 6.0 and higher["claim_holds"]
+    worse = compare(PARENT, [v + 6.0 for v in PARENT], "lower")
+    assert worse["wins"] == 0 and worse["gain"] == -6.0 and not worse["claim_holds"]
+    # one pair has no quartiles and never makes a claim
+    single = compare([2.0], [1.0], "lower")
+    assert single["quartiles"] == {"parent": None, "change": None}
+    assert single["wins"] == 1 and not single["claim_holds"]

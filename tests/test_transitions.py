@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
@@ -7,13 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from batching import assert_rows_equal, batches, rowwise, weights
-from signchange.counting import count_nonzero
+from batching import assert_rows_equal, batches, object_array, rowwise, weights
+from signchange.counting import _signs, count_nonzero, sign_vector
+from signchange.oracles import _reference_pair_counts
 from signchange.transitions import (
     Hessian2,
     Topology,
     hadamard_norm_sq,
     pair_counts,
+    pair_stats,
     sign_changes,
     smoothed_sign_changes,
     symmetric2_eigenvalues,
@@ -225,6 +228,65 @@ def test_closed_form_eigenvalues_match_numpy(a11, a12, a22):
     assert hi >= lo
 
 
+def _reference_eigenvalues(h: Hessian2) -> tuple[Decimal, Decimal]:
+    """The eigenvalues of the float entries of h in 50-digit decimal arithmetic,
+    descending: the root of larger magnitude mean +- spread, the other det / it."""
+    with localcontext(prec=50):
+        a11, a12, a22 = (Decimal(float(v)) for v in (h.a11, h.a12, h.a22))
+        mean = (a11 + a22) / 2
+        spread = (((a11 - a22) / 2) ** 2 + a12**2).sqrt()
+        larger = mean + spread if mean >= 0 else mean - spread
+        other = (a11 * a22 - a12**2) / larger if larger else Decimal(0)
+        return (larger, other) if mean >= 0 else (other, larger)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "h",
+    [
+        # used to overflow to (inf, inf)
+        Hessian2(1e308, 0.0, 1e308, 0.5),
+        Hessian2(-1e308, 0.0, -1.5e308, 0.5),
+        Hessian2(5e307, 1e308, 5e307, 0.5),
+        # used to give (1e308, 0.0): mean - spread cancels to about -3e200
+        transition_hessian_2d([1e154, -1e100], 0.5),
+        Hessian2(1e300, 0.0, 1e-300, 0.5),
+        Hessian2(1e-200, 1e200, 1e-200, -0.5),
+        Hessian2(1.0, 1.0, 1.0, 0.5),
+        # numpy entries are read as the floats of their values
+        Hessian2(np.float32(1.5), np.float32(1.5), np.float32(1.5), 0.5),
+        Hessian2(np.longdouble(3.0), np.float64(4.0), np.int64(-3), 0.5),
+        Hessian2(3.0, 4.0, -3.0, 0.5),
+        Hessian2(2.0, 1.0, 2.0, 0.5),
+        Hessian2(0.0, 0.0, 0.0, 0.5),
+        transition_hessian_2d((1, -1), 0.5),
+        transition_hessian_2d((-1, 0), -0.5),
+    ],
+    ids=[
+        "equal_1e308", "negative_1e308", "off_diagonal_1e308", "cancelling_1e308",
+        "spread_1e600", "off_diagonal_only", "rank_one", "rank_one_float32",
+        "numpy_plus_minus_5", "plus_minus_5", "three_and_one", "zero",
+        "table_point", "table_point_lower",
+    ],
+)
+def test_eigenvalues_match_a_decimal_reference(h):
+    got = symmetric2_eigenvalues(h)
+    assert all(type(v) is float for v in got) and got[0] >= got[1]
+    for value, ref in zip(got, _reference_eigenvalues(h)):
+        assert abs(Decimal(value) - ref) <= 2 * Decimal(math.ulp(float(ref)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "h",
+    [Hessian2(1e308, 1e308, 1e308, 0.5), Hessian2(-1.5e308, 1e308, 1.5e308, 0.5)],
+    ids=["sum_2e308", "plus_minus_1.8e308"],
+)
+def test_eigenvalues_beyond_float64_raise(h):
+    with pytest.raises(ValueError, match="leaves the float64 range"):
+        symmetric2_eigenvalues(h)
+
+
 TINY = [Fraction(1, 10**400), Fraction(-1, 10**400), 1]
 HUGE = [10**400, -1]
 
@@ -399,3 +461,87 @@ def test_wide_or_float_columns_group_by_their_bytes(pools):
     assert _same_partition(inverse, _byte_partition(columns))
     for column in columns:
         assert np.array_equal(column[rep][inverse], column)
+
+
+def _numeric_pool(dtype) -> np.ndarray:
+    """Entries of one numeric dtype: zero, one and the dtype's extremes, with
+    -1 where it is signed; for a float type also -0.0 and its subnormals."""
+    if np.dtype(dtype).kind == "b":
+        return np.array([False, True])
+    if np.dtype(dtype).kind in "iu":
+        info = np.iinfo(dtype)
+        return np.array(sorted({info.min, -1 if info.min else 0, 0, 1, info.max}), dtype=dtype)
+    info = np.finfo(dtype)
+    tiny = info.smallest_subnormal
+    return np.array([-0.0, 0.0, tiny, -tiny, 1.5, -1.5, info.max, -info.max], dtype=dtype)
+
+
+# entries that the typed pass reads (ints, Fractions, floats), beyond float64 too
+EXACT_POOL = [
+    0, -0.0, 5e-324, -1.5, 10**400, -(10**400), Fraction(1, 10**400), Fraction(-1, 10**400),
+    2**63 - 1, -(2**63), 2**64 - 1,
+]
+# with numpy scalars and a bool, which send the vector through the entry reader
+MIXED_POOL = EXACT_POOL + [
+    np.uint64(2**64 - 1), np.int64(-(2**63)), np.float32(-1e-45),
+    -np.finfo(np.longdouble).smallest_subnormal, True,
+]
+NUMERIC_DTYPES = [
+    np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64,
+    np.float16, np.float32, np.float64, np.longdouble,
+]
+CONTAINERS = {"list": list, "tuple": tuple, "object": object_array}
+KERNEL_INPUTS = {
+    **{np.dtype(dt).name: (_numeric_pool(dt), "array") for dt in NUMERIC_DTYPES},
+    **{
+        f"{container}_{name}": (pool, container)
+        for name, pool in (("exact", EXACT_POOL), ("mixed", MIXED_POOL))
+        for container in CONTAINERS
+    },
+}
+
+
+def _entry_sign(v) -> int:
+    """The per-entry rule (v > 0) - (v < 0), on the entry as it is."""
+    return int(v > 0) - int(v < 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("case", sorted(KERNEL_INPUTS))
+def test_sign_and_pair_kernels_match_the_per_entry_and_per_pair_rules(case, topology, n):
+    pool, container = KERNEL_INPUTS[case]
+    rng = np.random.default_rng([n, len(pool)])
+    # one constant row, then rows drawn from the pool
+    picks = np.vstack([np.zeros((1, n), dtype=int), rng.integers(len(pool), size=(11, n))])
+    if container == "array":
+        batch = pool[picks]
+        rows = list(batch)
+    else:
+        entries = [[pool[i] for i in row] for row in picks.tolist()]
+        batch = object_array(sum(entries, [])).reshape(picks.shape)
+        rows = [CONTAINERS[container](row) for row in entries]
+    want = [[_entry_sign(v) for v in row] for row in rows]
+    for x, signs_want in zip(rows, want):
+        ref = _reference_pair_counts(tuple(signs_want), topology)
+        s = _signs(x)
+        assert s.dtype == np.int8 and s.flags.writeable and s.tolist() == signs_want
+        assert not np.shares_memory(s, x)
+        got = sign_vector(x)
+        assert got == tuple(signs_want) and {type(v) for v in got} == {int}
+        count = count_nonzero(x)
+        assert type(count) is int and count == sum(map(bool, signs_want))
+        counts = pair_counts(x, topology)
+        assert counts == ref and {type(v) for v in counts} == {int}
+        t = sign_changes(x, topology)
+        assert type(t) is int and t == sum(ref)
+        # wider integer and float sign arrays go through the same int8 cast
+        for signs in (s, s.astype(np.int64), s.astype(float)):
+            stats = pair_stats(signs, topology)
+            assert stats == ref and {type(v) for v in stats} == {np.intp}
+    s = _signs(batch, batch=True)
+    assert s.dtype == np.int8 and s.flags.writeable and s.tolist() == want
+    weak, flips = pair_stats(s, topology)
+    assert weak.dtype == flips.dtype == np.intp
+    expected = [_reference_pair_counts(tuple(row), topology) for row in want]
+    assert list(zip(weak.tolist(), flips.tolist())) == expected
