@@ -158,22 +158,13 @@ def _signs(x, batch: bool = False) -> np.ndarray:
     return _sign_array(_vector(x, batch))
 
 
-# np.sign writes a temporary as wide as the input before the int8 cast, while the
-# two comparisons write one byte each but cost more calls.  Measured with numpy 2.4
-# on one core of a 2-vCPU Xeon: the comparisons are faster on float32, float64 and longdouble arrays
-# from about 3,000 entries (3.4x on float64 at 10^5); np.sign stays faster below,
-# on integer arrays up to about 10^6 entries, and on float16 at any length.
-_COMPARE_MIN_SIZE = 4096
-
-
 def _sign_array(values) -> np.ndarray:
     """Signs of a vector or batch read by _vector, as a writable int8 array.
 
-    Float arrays of at least _COMPARE_MIN_SIZE entries (float32 and wider)
-    take (x > 0) - (x < 0): the two comparisons, viewed as int8 and
-    subtracted in place, allocate one byte per entry and no float temporary
-    (_vector has refused NaN, which compares as 0).  Other numeric arrays go
-    through np.sign and one int8 cast, and bool arrays through one cast.
+    Numeric and bool arrays take (x > 0) - (x < 0): the two comparisons,
+    viewed as int8 and subtracted in place, allocate one byte per entry and
+    no temporary as wide as the input (_vector has refused NaN, which
+    compares as 0).
 
     Lists, tuples and object arrays take one pass that reads and checks each
     entry: an int by comparison, a Fraction by its numerator (its denominator
@@ -184,15 +175,10 @@ def _sign_array(values) -> np.ndarray:
     signs beyond it.
     """
     is_array = isinstance(values, np.ndarray)
-    if is_array and values.dtype.kind in "fiu":
-        wide_float = values.dtype.kind == "f" and values.dtype.itemsize >= 4
-        if wide_float and values.size >= _COMPARE_MIN_SIZE:
-            signs = (values > 0).view(np.int8)
-            signs -= (values < 0).view(np.int8)
-            return signs
-        return np.sign(values).astype(np.int8)
-    if is_array and values.dtype.kind == "b":
-        return values.astype(np.int8)
+    if is_array and values.dtype.kind in "fiub":
+        signs = (values > 0).view(np.int8)
+        signs -= (values < 0).view(np.int8)
+        return signs
     # one comprehension with exact type tests and no call for int, Fraction
     # and float entries: the conditional form is faster than (v > 0) - (v < 0);
     # any other entry sets other, and the vector is then read through _entries

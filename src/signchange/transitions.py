@@ -298,17 +298,20 @@ def transition_hessian_2d(x: Iterable[float], branch: float) -> Hessian2:
 def symmetric2_eigenvalues(h: Hessian2) -> tuple[float, float]:
     """Closed-form eigenvalues of a symmetric 2x2 matrix, descending, as floats.
 
-    mean +- spread on the entries read as floats, with mean and the half
-    difference formed from the halved entries (halving is exact), so no sum
-    overflows on the way to an eigenvalue inside float64.  The eigenvalue of larger magnitude is the
+    mean +- spread on the entries read as floats.  Where a11 + a22 or
+    a11 - a22 leaves float64, both entries exceed 2^970 in magnitude, and the
+    mean and half difference are formed from the halved entries, exactly; so
+    no sum overflows on the way to an eigenvalue inside float64, and a
+    subnormal entry is never halved.  The eigenvalue of larger magnitude is the
     sum that does not cancel; where the other one would cancel by more than
     half, it is det / larger, with det = a11 * a22 - a12^2 taken exactly.
     ValueError where an eigenvalue leaves float64.
     """
     a11, a12, a22 = (float(v) for v in (h.a11, h.a12, h.a22))
-    half11, half22 = 0.5 * a11, 0.5 * a22
-    mean = half11 + half22
-    spread = math.hypot(half11 - half22, a12)
+    mean, half_diff = 0.5 * (a11 + a22), 0.5 * (a11 - a22)
+    if not (math.isfinite(mean) and math.isfinite(half_diff)):
+        mean, half_diff = 0.5 * a11 + 0.5 * a22, 0.5 * a11 - 0.5 * a22
+    spread = math.hypot(half_diff, a12)
     larger, other = (mean + spread, mean - spread) if mean >= 0 else (mean - spread, mean + spread)
     if abs(other) < 0.5 * abs(larger) and math.isfinite(larger):
         # det / larger over the floats' exact integer ratios; int true division rounds once

@@ -259,6 +259,9 @@ def _reference_eigenvalues(h: Hessian2) -> tuple[Decimal, Decimal]:
         Hessian2(3.0, 4.0, -3.0, 0.5),
         Hessian2(2.0, 1.0, 2.0, 0.5),
         Hessian2(0.0, 0.0, 0.0, 0.5),
+        # subnormal entries: halving 5e-324 would round it to 0.0
+        Hessian2(5e-324, 0.0, 5e-324, 0.5),
+        Hessian2(5e-324, 5e-324, -1e-323, 0.5),
         transition_hessian_2d((1, -1), 0.5),
         transition_hessian_2d((-1, 0), -0.5),
     ],
@@ -266,6 +269,7 @@ def _reference_eigenvalues(h: Hessian2) -> tuple[Decimal, Decimal]:
         "equal_1e308", "negative_1e308", "off_diagonal_1e308", "cancelling_1e308",
         "spread_1e600", "off_diagonal_only", "rank_one", "rank_one_float32",
         "numpy_plus_minus_5", "plus_minus_5", "three_and_one", "zero",
+        "subnormal", "subnormal_off_diagonal",
         "table_point", "table_point_lower",
     ],
 )
@@ -274,6 +278,8 @@ def test_eigenvalues_match_a_decimal_reference(h):
     assert all(type(v) is float for v in got) and got[0] >= got[1]
     for value, ref in zip(got, _reference_eigenvalues(h)):
         assert abs(Decimal(value) - ref) <= 2 * Decimal(math.ulp(float(ref)))
+        # the signs decide definiteness, and 2 ulps of a subnormal reach zero
+        assert (value > 0) - (value < 0) == (ref > 0) - (ref < 0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -501,6 +507,10 @@ KERNEL_INPUTS = {
 }
 
 
+# the length of the long vector each kernel case is also read as
+LONG = 4096
+
+
 def _entry_sign(v) -> int:
     """The per-entry rule (v > 0) - (v < 0), on the entry as it is."""
     return int(v > 0) - int(v < 0)
@@ -514,11 +524,11 @@ def test_sign_and_pair_kernels_match_the_per_entry_and_per_pair_rules(case, topo
     rng = np.random.default_rng([n, len(pool)])
     # one constant row, then rows drawn from the pool
     picks = np.vstack([np.zeros((1, n), dtype=int), rng.integers(len(pool), size=(11, n))])
+    entries = [[pool[i] for i in row] for row in picks.tolist()]
     if container == "array":
         batch = pool[picks]
         rows = list(batch)
     else:
-        entries = [[pool[i] for i in row] for row in picks.tolist()]
         batch = object_array(sum(entries, [])).reshape(picks.shape)
         rows = [CONTAINERS[container](row) for row in entries]
     want = [[_entry_sign(v) for v in row] for row in rows]
@@ -545,3 +555,13 @@ def test_sign_and_pair_kernels_match_the_per_entry_and_per_pair_rules(case, topo
     assert weak.dtype == flips.dtype == np.intp
     expected = [_reference_pair_counts(tuple(row), topology) for row in want]
     assert list(zip(weak.tolist(), flips.tolist())) == expected
+    # the same entries, repeated into one vector of LONG entries, so that no
+    # kernel path taken only by long inputs goes unchecked
+    flat = sum(entries, []) * -(-LONG // batch.size)
+    x = np.array(flat[:LONG], dtype=pool.dtype) if container == "array" else CONTAINERS[container](flat[:LONG])
+    signs_want = (sum(want, []) * -(-LONG // batch.size))[:LONG]
+    s = _signs(x)
+    assert s.dtype == np.int8 and s.flags.writeable and s.tolist() == signs_want
+    assert count_nonzero(x) == sum(map(bool, signs_want))
+    ref = _reference_pair_counts(tuple(signs_want), topology)
+    assert sign_changes(x, topology) == sum(ref) and pair_stats(s, topology) == ref
