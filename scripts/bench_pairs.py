@@ -5,7 +5,10 @@
         --first-seed S --seconds 15 --out FILE [--other-pairs 1]
 
 The parent is extracted with ``git archive REV`` into a temporary
-directory; the change is this checkout as it stands.  Pair i runs
+directory; the change is this checkout as it stands.  Both trees are
+prepared alike first: ``python -m compileall -f -q src`` in each, as an install
+does, so neither side compiles the library from source in every process
+while the other loads a ``__pycache__``.  Pair i runs
 ``perfbench/run.py --workload NAME --seed S+i --seconds SECONDS`` once on
 each side, each in a fresh process from its own tree, the parent first on
 even i and the change first on odd i.  With ``--other-pairs N`` every other
@@ -39,6 +42,9 @@ ROOT = Path(__file__).resolve().parent.parent
 CLAIM_METRIC = "pass_s"
 CLAIM_WIN_SHARE = 0.9
 CLAIM_MIN_PAIRS = 10
+# run in the root of each tree before any pair; -f rewrites bytecode whose header
+# compileall would pass on mtime alone (a source rewritten within the same second)
+PREPARE = ["-m", "compileall", "-f", "-q", "src"]
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -52,6 +58,11 @@ def extract(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
         archive.extractall(dest, filter="data")
     return commit
+
+
+def prepare(root: Path) -> None:
+    """Compile the library under root to current bytecode, the same way on both sides."""
+    subprocess.run([sys.executable, *PREPARE], cwd=root, check=True)
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -153,6 +164,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         commit = extract(args.parent, Path(tmp))
+        for root in (Path(tmp), ROOT):
+            prepare(root)
         plan = [(args.workload, args.pairs)]
         plan += [(name, args.other_pairs) for name in names if name != args.workload and args.other_pairs]
         workloads = {
@@ -165,8 +178,10 @@ def main(argv=None) -> int:
         "parent_commit": commit,
         "machine": workloads[args.workload]["runs"][0]["change"]["summary"]["machine"],
         "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g}",
+        "prepare": " ".join(["python3", *PREPARE]) + " in the root of both trees",
         "how": "alternating pairs, the parent first on even pair indices, one fresh process per run, "
-        "the parent from git archive of its commit and the change from this checkout; "
+        "the parent from git archive of its commit and the change from this checkout, "
+        "both prepared by the command in prepare; "
         "times in perfbench reference seconds; quartiles by statistics.quantiles(n=4)",
         "claim": {
             "workload": args.workload,

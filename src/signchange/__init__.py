@@ -6,8 +6,10 @@ transition map whose squared norm reproduces the change count at weight
 approximations, and the global-optimality machinery built on them:
 interval condition checks in one dimension, closed-form multiplier
 surfaces in two and three, and an exact finite-direction feasibility
-decision in four.  Everything numerically claimed is backed by a
-brute-force oracle in :mod:`signchange.oracles`.
+decision in four.  The brute-force oracles in :mod:`signchange.oracles`
+check the counts, norms, gaps and Hessian eigenvalues and the 4-D decision;
+transition_map, count_nonzero, classify_point, gap_profile,
+lagrangian_residual, the multipliers and the rest have unit tests only.
 
 The public names of every submodule are re-exported here.
 """

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -100,19 +101,37 @@ def _cmd_eval(args: argparse.Namespace) -> tuple:
     return report, 0
 
 
+def _timing_line(label: str, checks: int, seconds: float) -> str:
+    rate = checks / max(seconds, 1e-9)
+    return f"{label}  {checks:>10,} checks  {seconds:7.3f} s  {rate:>12,.0f} checks/s\n"
+
+
 def _cmd_verify(args: argparse.Namespace) -> tuple:
+    """The reports, and for stderr a timing table: one line per oracle and a totals
+    line.  The reports hold no timings, so stdout is the same on every run."""
     if args.list:
         return "\n".join(oracles.list_oracles()), 0
     if args.oracle is None:
         raise ValueError("name an oracle, 'all', or pass --list")
     names = oracles.list_oracles() if args.oracle == "all" else [args.oracle]
-    try:
-        reports = [oracles.run_oracle(name) for name in names]
-    except KeyError as exc:
-        raise ValueError(exc.args[0]) from None
+    width = max(map(len, names))
+    reports, table = [], []
+    start = time.perf_counter()
+    for name in names:
+        began = time.perf_counter()
+        try:
+            report = oracles.run_oracle(name)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+        seconds = time.perf_counter() - began
+        status = "PASS" if report.passed else "FAIL"
+        table.append(_timing_line(f"{name:<{width}}  {status}", report.checks, seconds))
+        reports.append(report)
+    failures = sum(not r.passed for r in reports)
+    total = f"{len(reports)} oracles, {failures} failures:"
+    table.append(_timing_line(total, sum(r.checks for r in reports), time.perf_counter() - start))
     payload = [dataclasses.asdict(r) for r in reports]
-    code = 0 if all(r.passed for r in reports) else 1
-    return (payload if args.oracle == "all" else payload[0]), code
+    return (payload if args.oracle == "all" else payload[0]), 1 if failures else 0, "".join(table)
 
 
 def _cmd_profile(args: argparse.Namespace) -> tuple:
@@ -261,21 +280,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Run one subcommand: its handler returns (output, exit code) and writes nothing. Text
-    is written as it is, a payload as strict JSON; NaN, infinity or an unwritable --out exits 2."""
+    """Run one subcommand. Its handler writes nothing: it returns (output, exit code), and
+    verify's adds a timing table for stderr. Text is written as it is, a payload as strict
+    JSON; NaN, infinity or an unwritable --out exits 2."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        output, code = args.handler(args)
+        output, code, *log = args.handler(args)
         if not isinstance(output, str):
             output = json.dumps(output, indent=2, sort_keys=True, allow_nan=False)
         _emit(output, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stderr.writelines(log)
     return code
 
 

@@ -233,16 +233,20 @@ def sign_vector(x: Iterable[float]) -> tuple[int, ...]:
     return tuple(_signs(x).tolist())
 
 
-def count_nonzero(x: Iterable[float]) -> int:
-    """Number of nonzero components (zero detection is exact).
+def _nonzeros(values, axis=None):
+    """Nonzero entries of a vector or batch read by _vector, along axis.
 
-    A numeric array that _vector accepts is counted as it is, with no sign
-    array (-0.0 is zero); lists, tuples and object arrays take the exact sign pass.
+    A numeric array is counted as it is, with no sign array (-0.0 is zero);
+    lists, tuples and object arrays take the exact sign pass.
     """
-    values = _vector(x)
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiub"):
         values = _sign_array(values)
-    return int(np.count_nonzero(values))
+    return np.count_nonzero(values, axis=axis)
+
+
+def count_nonzero(x: Iterable[float]) -> int:
+    """Number of nonzero components (zero detection is exact), counted by _nonzeros."""
+    return int(_nonzeros(_vector(x)))
 
 
 def is_count_subgradient(x: Iterable[float], candidate: Iterable[float]) -> bool:
@@ -300,7 +304,7 @@ def sign_minorant_gap(x: Iterable[float]) -> float:
     """
     batch = _is_batch(x)
     x = _vector(x, batch)
-    count = np.count_nonzero(_sign_array(x), axis=-1)
+    count = _nonzeros(x, axis=-1)
     if not count.all():
         raise ValueError("minorant gap is undefined at the origin")
     mags = _unit_magnitudes(x)

@@ -222,6 +222,10 @@ def multiplier_2d(phi1: float) -> float:
     """Closed form for the second multiplier at z = (-1, 1), k = 0.
 
     4 lam2 sin(phi) = 4 - (cos phi + sin phi)^2 (sin(2 phi) - 2)^2.
+
+    Near 0 and pi, where lam2 tends to 3 phi and 3 (pi - phi), the numerator
+    cancels: the relative error grows like 1e-16 / phi^2 (1 % at 1e-7), below
+    1e-8 the result is noise, and multiplier_2d(5e-324) is 0.0.
     """
     phi = _check_open_angle(phi1)
     c, s = math.cos(phi), math.sin(phi)
@@ -233,6 +237,9 @@ def multiplier_3d(phi1: float, phi2: float) -> float:
 
     8 lam3 sin(phi1) sin(phi2) = 8 - three squared pair terms in the
     spherical direction (cos phi1, cos phi2 sin phi1, sin phi2 sin phi1).
+    The numerator cancels as multiplier_2d's does.  ValueError where the result
+    leaves the float64 range: the quotient overflows, or 8 sin(phi1) sin(phi2)
+    underflows to 0, as at (1e-200, 1e-200).
     """
     p1 = _check_open_angle(phi1)
     p2 = _check_open_angle(phi2)
@@ -241,7 +248,10 @@ def multiplier_3d(phi1: float, phi2: float) -> float:
     term1 = (c1 + c2 * s1) ** 2 * (c2 * math.sin(2.0 * p1) - 2.0) ** 2
     term2 = s1 * s1 * (c2 + s2) ** 2 * (s1 * s1 * math.sin(2.0 * p2) - 2.0) ** 2
     term3 = (c1 + s1 * s2) ** 2 * (s2 * math.sin(2.0 * p1) - 2.0) ** 2
-    return (8.0 - term1 - term2 - term3) / (8.0 * s1 * s2)
+    what, denominator = "multiplier_3d at these angles", 8.0 * s1 * s2
+    if denominator == 0.0:
+        raise ValueError(f"{what} leaves the float64 range")
+    return _within_float64((8.0 - term1 - term2 - term3) / denominator, what)
 
 
 def surface_csv(which: str, resolution: int = 360) -> str:

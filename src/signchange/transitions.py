@@ -25,7 +25,6 @@ from .counting import _entries, _finite, _is_batch, _real, _row_dot, _signs, _wi
 __all__ = [
     "Topology",
     "transition_map",
-    "pair_stats",
     "sign_changes",
     "pair_counts",
     "transition_norm_sq",
@@ -113,7 +112,9 @@ def pair_stats(signs: np.ndarray, topology: Topology):
     The signs are read through one int8 cast, and each pair gets the code
     a ^ b: 0 when the signs are equal, -2 on a flip (1 ^ -1) and +-1 when
     weak.  On the circle the wrap pair is coded from the two end columns and
-    added to the counts of the linear pairs.
+    added to the counts of the linear pairs.  Not in __all__: an entry outside
+    -1..1 is miscounted, so only callers holding a reader's signs use it; it
+    keeps an unprefixed name, which perfbench's tracer times as a layer.
     """
     (a, b), wrap = topology.pairs(signs.astype(np.int8, copy=False))
     # without an axis count_nonzero is one C call, several times faster on short vectors

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -40,7 +42,7 @@ def test_handlers_return_no_json_text():
     argvs = [golden["args"] for golden in CLI_GOLDENS]
     for argv in [*argvs, ["polysys", "--format=json"], ["verify", "--list"]]:
         args = parser.parse_args(argv)
-        output, _ = args.handler(args)
+        output = args.handler(args)[0]
         if isinstance(output, str):
             with pytest.raises(json.JSONDecodeError):
                 json.loads(output)
@@ -115,20 +117,49 @@ def test_verify_pass_and_exit_codes(capsys):
     assert payload["checks"] == 72
 
 
+# name, status, checks, seconds and checks/s, as the verify handler formats them
+TIMING_LINE = re.compile(r"(.+?)  (PASS|FAIL)  +([\d,]+) checks +(\d+\.\d{3}) s +([\d,]+) checks/s")
+TOTALS_LINE = re.compile(r"(\d+) oracles, (\d+) failures:  +([\d,]+) checks +(\d+\.\d{3}) s +([\d,]+) checks/s")
+
+
+def test_verify_all_writes_reports_to_stdout_and_timings_to_stderr(capsys):
+    code, out, err = run_cli(capsys, "verify", "all")
+    names = oracles.list_oracles()
+    reports = [dataclasses.asdict(oracles.run_oracle(name)) for name in names]
+    assert code == 0
+    assert out == json.dumps(reports, indent=2, sort_keys=True) + "\n"
+    *lines, totals = err.splitlines()
+    assert len(lines) == len(names) == 48
+    for name, report, line in zip(names, reports, lines):
+        match = TIMING_LINE.fullmatch(line)
+        assert match is not None, line
+        assert match[1].rstrip() == name and match[2] == "PASS"
+        assert int(match[3].replace(",", "")) == report["checks"]
+    match = TOTALS_LINE.fullmatch(totals)
+    assert match is not None, totals
+    assert (int(match[1]), int(match[2])) == (48, 0)
+    assert int(match[3].replace(",", "")) == sum(r["checks"] for r in reports) == 15_910_448
+    # the totals span every oracle's run; each printed time is rounded by at most 0.0005 s
+    assert float(match[4]) >= sum(float(TIMING_LINE.fullmatch(line)[4]) for line in lines) - 0.0005 * 49
+
+
 def test_verify_failing_oracle_prints_report(capsys, monkeypatch):
     # a wrong library value, as in test_oracles.BROKEN_LIBRARY
     monkeypatch.setattr(oracles, "hadamard_norm_sq", lambda x, k: hadamard_norm_sq(x, k) + 1.0)
-    code, out, _ = run_cli(capsys, "verify", "hadamard_n3")
+    code, out, err = run_cli(capsys, "verify", "hadamard_n3")
     assert code == 1
     report = oracles.run_oracle("hadamard_n3")
     assert report.passed is False
     assert json.loads(out) == json.loads(json.dumps(dataclasses.asdict(report)))
+    line, totals = err.splitlines()
+    assert TIMING_LINE.fullmatch(line).groups()[:3] == ("hadamard_n3", "FAIL", f"{report.checks:,}")
+    assert TOTALS_LINE.fullmatch(totals).groups()[:3] == ("1", "1", f"{report.checks:,}")
 
 
 def test_verify_unknown_oracle(capsys):
     code, _, err = run_cli(capsys, "verify", "bogus")
     assert code == 2
-    assert "unknown oracle" in err
+    assert err.startswith("error: ") and "unknown oracle" in err and "checks" not in err
 
 
 def test_verify_list(capsys):
@@ -265,8 +296,11 @@ def test_output_file(tmp_path, capsys):
     target = tmp_path / "output"
     for golden in CLI_GOLDENS:
         code, stdout, _ = run_cli(capsys, *golden["args"])
-        assert run_cli(capsys, *golden["args"], f"--out={target}") == (code, "", "")
+        out_code, out, err = run_cli(capsys, *golden["args"], f"--out={target}")
+        assert (out_code, out) == (code, "")
         assert target.read_bytes() == stdout.encode()
+        # only verify writes to stderr: its timing table, an oracle line and the totals
+        assert len(err.splitlines()) == (2 if golden["args"][0] == "verify" else 0)
     # a path that cannot be written is a usage error, not a traceback
     code, out, err = run_cli(capsys, "verify", "--list", f"--out={tmp_path / 'missing' / 'names'}")
     assert (code, out) == (2, "") and err.startswith("error: ")
@@ -350,3 +384,24 @@ def test_help_documents_examples(capsys):
     assert code == 0
     assert "feascheck --all" in out
     assert "eval --x=-24,-30,19,14,0" in out
+
+
+def test_readme_figure_data_recipe_writes_every_artifact(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    recipe = readme.split("## Figure data", 1)[1].split("```")[1]
+    commands = [shlex.split(line)[1:] for line in recipe.splitlines() if line.startswith("signchange ")]
+    written = []
+    for argv in commands:
+        *flags, out = argv
+        assert out.startswith("--out=figure_data/")
+        name = out.removeprefix("--out=figure_data/")
+        assert run_cli(capsys, *flags, f"--out={tmp_path / name}") == (0, "", "")
+        written.append(name)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(written)
+    assert len(written) == 11
+    for name in written:
+        assert (tmp_path / name).read_text().endswith("\n")
+    grid = json.loads((tmp_path / "feasibility_grid.json").read_text())
+    alternating = json.loads((tmp_path / "feasibility_alternating.json").read_text())
+    assert grid["infeasible"] == 81
+    assert alternating["certificate"]["forced_values"] == ["2", "-2"]

@@ -42,6 +42,8 @@ from signchange import (
     inequality_values_1d,
     is_count_subgradient,
     lagrangian_residual,
+    multiplier_2d,
+    multiplier_3d,
     objective_1d,
     pair_counts,
     pattern_grid,
@@ -95,7 +97,6 @@ PATTERN_ENTRY_POINTS = {
 # public functions that take no vector or sign pattern, with the reason
 EXEMPT = {
     "sign": "one scalar, covered by test_scalar_rule_cases",
-    "pair_stats": "kernel on sign arrays that a reader already produced",
     "symmetric2_eigenvalues": "takes a Hessian2",
     "profile_csv": "takes a GapProfile and a step, covered by the ceiling and scalar rule cases",
     "pattern_grid": "an integer dimension bounded by MAX_GRID_DIM",
@@ -240,6 +241,13 @@ def test_scalar_rule_cases():
         smoothed_sign_changes([1.0, 0.0], 10**400)
     with pytest.raises(ValueError, match="finite"):
         build_4d_system((1, -1, 1, -1), mu=[math.inf, 0, 0, 0])
+    # an open angle can still take a multiplier beyond float64: 8 sin(phi1) sin(phi2)
+    # underflows to 0, or the quotient overflows
+    for angles in [(1e-200, 1e-200), (1.0, 5e-324)]:
+        with pytest.raises(ValueError, match="float64 range"):
+            multiplier_3d(*angles)
+    # the documented cancellation: the limit 3 phi is 1.5e-323, the numerator rounds to 0
+    assert multiplier_2d(5e-324) == 0.0
     # gap weights and array entries: ValueError, not TypeError or OverflowError
     for call in (
         lambda: GapParams(k_y="a", k_x=1),

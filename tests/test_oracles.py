@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import asdict, replace
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import signchange
 from signchange import oracles
 from signchange.counting import sign_minorant_gap
 from signchange.oracles import (
@@ -349,6 +352,55 @@ def test_oracle_reports_are_pinned():
         != digest
     ]
     assert changed == []
+
+
+# the public functions and methods that the oracles call, as the README and the package
+# docstring list them; every other public name is covered by unit tests only
+ORACLE_CALLED = {
+    "Topology.neighbors",
+    "Topology.pairs",
+    "coupled_subgradient_value",
+    "decoupled_gap",
+    "finite_direction_feasibility",
+    "hadamard_norm_sq",
+    "list_oracles",
+    "pair_counts",
+    "pattern_grid",
+    "sign_changes",
+    "sign_minorant_gap",
+    "smoothed_sign_changes",
+    "symmetric2_eigenvalues",
+    "transition_hessian_2d",
+    "transition_norm_sq",
+    "zero_direction_gap",
+}
+
+
+def test_oracles_call_the_documented_public_names():
+    public = {}
+    for name in signchange.__all__:
+        obj = getattr(signchange, name)
+        if inspect.isfunction(obj):
+            public[obj.__code__] = name
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = member.fget if isinstance(member, property) else member
+                member = getattr(member, "__func__", member)
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    public[member.__code__] = f"{name}.{attr}"
+    called = set()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in public:
+            called.add(public[frame.f_code])
+
+    sys.setprofile(hook)
+    try:
+        for name in list_oracles():
+            run_oracle(name)
+    finally:
+        sys.setprofile(None)
+    assert called == ORACLE_CALLED | {"run_oracle"}
 
 
 def test_minorant_sample_keeps_the_per_vector_distribution(monkeypatch):

@@ -1,6 +1,5 @@
 import importlib.util
-import json
-import sys
+import py_compile
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -11,51 +10,6 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_emit_figure_data_writes_every_artifact(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["emit_figure_data.py", "--out-dir", str(tmp_path)])
-    assert load_script("emit_figure_data").main() == 0
-    artifacts = [
-        "grid4.csv",
-        "grid4_z1_-1.csv",
-        "grid4_z1_0.csv",
-        "grid4_z1_1.csv",
-        "kprofile_flips.csv",
-        "kprofile_displaced.csv",
-        "curves_1d.csv",
-        "surface_2d.csv",
-        "surface_3d.csv",
-        "feasibility.json",
-    ]
-    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(artifacts)
-    assert capsys.readouterr().out.count("wrote ") == len(artifacts)
-    text = (tmp_path / "feasibility.json").read_bytes()
-    payload = json.loads(text)
-    assert text == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
-    assert payload["grid_summary"]["infeasible"] == 81
-    assert payload["alternating_candidate"]["certificate"]["forced_values"] == ["2", "-2"]
-
-
-def test_run_verifications_match_exits_zero(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["run_verifications.py", "--match", "hessian_table"])
-    assert load_script("run_verifications").main() == 0
-    out = capsys.readouterr().out
-    assert "hessian_table  PASS" in out
-    assert "1 oracles" in out
-
-
-def test_run_verifications_json_prints_one_record_per_oracle(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["run_verifications.py", "--match", "hadamard", "--json"])
-    script = load_script("run_verifications")
-    assert script.main() == 0
-    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    names = [n for n in script.list_oracles() if "hadamard" in n]
-    assert [r["name"] for r in records] == names
-    for record in records:
-        assert set(record) == {"name", "passed", "checks", "seconds", "checks_per_s"}
-        assert record["passed"] is True and record["checks"] > 0
-        assert record["checks_per_s"] == record["checks"] / max(record["seconds"], 1e-9)
 
 
 PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
@@ -91,3 +45,41 @@ def test_bench_pairs_statistics_follow_the_better_direction():
     single = compare([2.0], [1.0], "lower")
     assert single["quartiles"] == {"parent": None, "change": None}
     assert single["wins"] == 1 and not single["claim_holds"]
+
+
+def current_bytecode(root):
+    """Each module under root/src, and whether its __pycache__ file is current for its
+    source by the check the import system makes: source mtime and size, or a hash."""
+    state = {}
+    for source in sorted((root / "src").rglob("*.py")):
+        cached = Path(importlib.util.cache_from_source(source))
+        header = cached.read_bytes()[:16] if cached.exists() else bytes(16)
+        if int.from_bytes(header[4:8], "little") & 1:
+            current = header[8:16] == importlib.util.source_hash(source.read_bytes())
+        else:
+            stat = source.stat()
+            current = header[8:16] == (int(stat.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little") + (
+                stat.st_size & 0xFFFFFFFF
+            ).to_bytes(4, "little")
+        state[source.relative_to(root).as_posix()] = current
+    return state
+
+
+def test_bench_pairs_prepares_both_trees_alike(tmp_path):
+    trees = [tmp_path / "parent", tmp_path / "change"]
+    for root in trees:
+        package = root / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "mod.py").write_text("VALUE = 1\n")
+    # as git archive leaves it, the parent has no bytecode; the checkout has bytecode
+    # current for one module and stale for the other, whose source changed since
+    change = trees[1] / "src" / "pkg"
+    py_compile.compile(change / "__init__.py")
+    py_compile.compile(change / "mod.py")
+    (change / "mod.py").write_text("VALUE = 22\n")
+    assert current_bytecode(trees[0]) != current_bytecode(trees[1])
+    for root in trees:
+        load_script("bench_pairs").prepare(root)
+    expected = {"src/pkg/__init__.py": True, "src/pkg/mod.py": True}
+    assert current_bytecode(trees[0]) == current_bytecode(trees[1]) == expected
