@@ -8,9 +8,10 @@ Hadamard identity checks, the 2-D Hessian eigenvalue table, the exact
 zero-direction gap identity and the 4-D feasibility certificates.  The
 finite-direction system behind those certificates is built only here, by
 lattice enumeration and a per-pair loop, and decided once by exact
-Gauss-Jordan elimination.  Every pattern-grid oracle, and the random
-minorant sample, reports through _sweep: its first failed check in sweep
-order, or its check count.
+Gauss-Jordan elimination.  Every oracle but hessian_table and
+feasibility_n4, which stop at their first failure by hand, reports through
+_sweep: its first failed check in sweep order (draw order for the two random
+samples), or its check count.
 """
 
 from __future__ import annotations
@@ -455,21 +456,41 @@ def _oracle_hadamard(n: int) -> VerifyReport:
 
 
 def _oracle_hadamard_random() -> VerifyReport:
-    name = "hadamard_random"
+    """Hadamard product form against the closed-form circular norm on random
+    vectors of lengths 2..10, each with its own weight k in [-2, 2).
+
+    Each vector is drawn in turn from one generator: its length, its N(0, 10^2)
+    entries, the mask that zeroes each with probability 0.3, and its weight;
+    it is kept as a row of one zero-padded matrix.  The draws of one length
+    are then checked together, in one call per routine with one weight per
+    row, and reported in draw order.
+    """
+    count, width = _HADAMARD_RANDOM_COUNT, 10
     rng = np.random.default_rng(_RANDOM_SEED)
-    checks = 0
-    worst = 0.0
-    for _ in range(_HADAMARD_RANDOM_COUNT):
-        n = int(rng.integers(2, 11))
+    draws = np.zeros((count, width))
+    lengths = np.empty(count, dtype=np.intp)
+    ks = np.empty(count)
+    for i in range(count):
+        n = lengths[i] = int(rng.integers(2, width + 1))
         x = rng.normal(scale=10.0, size=n)
         x[rng.random(n) < 0.3] = 0.0
-        k = float(rng.uniform(-2.0, 2.0))
-        checks += 1
-        delta = abs(hadamard_norm_sq(x, k) - float(transition_norm_sq(x, k, Topology.CIRCULAR)))
-        worst = max(worst, delta)
-        if delta > 1e-12:
-            return _report(name, checks, {"x": x.tolist(), "k": k, "delta": delta}, "")
-    return _report(name, checks, None, f"{checks} random vectors, max |difference| = {worst:.3e}")
+        draws[i, :n] = x
+        ks[i] = rng.uniform(-2.0, 2.0)
+    deltas = np.empty(count)
+    for n in np.unique(lengths):
+        index = np.flatnonzero(lengths == n)
+        x, k = draws[index, :n], ks[index].tolist()
+        direct = transition_norm_sq(x, k, Topology.CIRCULAR).astype(float)
+        deltas[index] = np.abs(hadamard_norm_sq(x, k) - direct)
+
+    def counterexample(i):
+        return {"x": draws[i, : lengths[i]].tolist(), "k": float(ks[i]), "delta": float(deltas[i])}
+
+    return _sweep(
+        "hadamard_random",
+        [(deltas > 1e-12, counterexample)],
+        f"{count} random vectors, max |difference| = {float(deltas.max()):.3e}",
+    )
 
 
 _SQRT26 = math.sqrt(26.0)

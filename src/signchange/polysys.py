@@ -347,7 +347,8 @@ def finite_direction_feasibility(z: Sequence[int]) -> FeasibilityResult:
 
 
 def feasibility_report(result: FeasibilityResult) -> dict:
-    """JSON-ready view with rationals rendered as strings."""
+    """JSON-ready view with rationals rendered as strings; a certificate
+    without an axis or forced values gives null for each."""
     report = {
         "z": list(result.candidate),
         "t": result.t,
@@ -363,7 +364,7 @@ def feasibility_report(result: FeasibilityResult) -> dict:
         "coefficients": [str(c) for c in cert.coefficients],
         "combination_value": str(cert.value),
         "axis": cert.axis,
-        "forced_values": [str(v) for v in cert.forced_values],
+        "forced_values": None if cert.forced_values is None else [str(v) for v in cert.forced_values],
     }
     report["certificate"] = payload
     return report

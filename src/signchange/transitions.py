@@ -213,18 +213,41 @@ def _per_row(formula, *columns):
     return values[inverse]
 
 
+def _weights(k, x, read):
+    """k read by read as one weight or, beside a 2-D batch x, a 1-D sequence
+    (list, tuple or array) of one weight per row, each read by read, as a list."""
+    if not (isinstance(k, (list, tuple)) or isinstance(k, np.ndarray) and k.ndim):
+        return read(k)
+    if not _is_batch(x):
+        raise ValueError("one weight per row needs a 2-D batch of vectors")
+    # an object array keeps each entry as it is; a numeric one yields numpy scalars
+    weights = k if isinstance(k, np.ndarray) else np.array(k, dtype=object)
+    if weights.ndim != 1 or len(weights) != len(x):
+        raise ValueError(f"expected one weight or a 1-D sequence of {len(x)} weights, one per row")
+    return [read(w) for w in weights]
+
+
 def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRCULAR):
     """Squared norm of the transition vector, via weak + 4*k^2*flips.
 
     The closed form avoids accumulating squares, so the result is exact
     for int or Fraction k and reproduces sign_changes exactly at k = +-1/2.
     A 2-D array of vectors (rows) gives an object array with one value per
-    row, equal in value and type to the call on that row.
+    row, equal in value and type to the call on that row; k is then one
+    weight, or a sequence with one weight per row, and row r takes k[r].
     """
-    k = _check_weight(k)
+    k = _weights(k, x, _check_weight)
     weak, flips = pair_stats(_signs(x, _is_batch(x)), topology)
-    four_k_sq = 4 * k * k
     what = "transition_norm_sq at this k"
+    if isinstance(k, list):
+        # rows that share (weak, flips) may differ in k, so the formula runs once per row
+        values = np.empty(len(k), dtype=object)
+        values[:] = [
+            _within_float64(_norm_sq(w, f, 4 * kr * kr), what)
+            for w, f, kr in zip(weak.tolist(), flips.tolist(), k)
+        ]
+        return values
+    four_k_sq = 4 * k * k
     return _per_row(lambda w, f: _within_float64(_norm_sq(w, f, four_k_sq), what), weak, flips)
 
 
@@ -235,9 +258,13 @@ def hadamard_norm_sq(x: Iterable[float], k) -> float:
     of x and Z the one-step circular shift; an independent route to
     transition_norm_sq(x, k, CIRCULAR).  A 2-D array of vectors (rows)
     gives a float64 array with one value per row, bit-identical to the call
-    on that row.
+    on that row; k is then one weight, or a sequence with one weight per
+    row, and row r takes k[r].
     """
-    k = _real(k, "transition weight k")
+    k = _weights(k, x, lambda w: _real(w, "transition weight k"))
+    if isinstance(k, list):
+        # a column, so that row r is scaled by its own weight
+        k = np.array(k, dtype=float)[:, None]
     batch = _is_batch(x)
     s, zs = Topology.CIRCULAR.neighbors(_signs(x, batch).astype(float))
     prod = s * zs

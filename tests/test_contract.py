@@ -296,6 +296,43 @@ def test_scalar_rule_cases():
                         call(container(values))
 
 
+# the batch forms that take one weight or a sequence of one weight per row
+PER_ROW_WEIGHTS = {"transition_norm_sq": transition_norm_sq, "hadamard_norm_sq": hadamard_norm_sq}
+ROWS = np.array([[1, -1, 0], [1, 1, -1]])
+
+
+@pytest.mark.parametrize("name", sorted(PER_ROW_WEIGHTS))
+def test_per_row_weights_are_one_finite_weight_per_row(name):
+    call = PER_ROW_WEIGHTS[name]
+    for x, ks in [
+        # a sequence of the wrong length
+        (ROWS, [0.5]),
+        (ROWS, (0.5, 0.5, 0.5)),
+        # a 2-D weight array, as an array or as nested lists
+        (ROWS, np.full((2, 1), 0.5)),
+        (ROWS, [[0.5], [0.5]]),
+        # a per-row sequence beside one vector
+        (ROWS[0], [0.5, 0.5, 0.5]),
+        ([1, -1, 0], [0.5]),
+        # each weight follows the scalar rule
+        (ROWS, [0.5, math.nan]),
+        (ROWS, [math.inf, 0.5]),
+        (ROWS, np.array([0.5, -math.inf])),
+        (ROWS, object_array([0.5, "a"])),
+    ]:
+        with pytest.raises(ValueError):
+            call(x, ks)
+
+
+def test_per_row_weights_beyond_float64():
+    # hadamard_norm_sq reads each weight as a float, transition_norm_sq keeps it exact
+    with pytest.raises(ValueError, match="float64 range"):
+        hadamard_norm_sq(ROWS, [0.5, 10**400])
+    values = transition_norm_sq(ROWS, [10**400, 1]).tolist()
+    assert values == [transition_norm_sq(ROWS[0], 10**400), transition_norm_sq(ROWS[1], 1)]
+    assert values == [2 + 4 * 10**800, 8]
+
+
 def test_wide_floats_beyond_float64_are_value_error():
     # finite as a longdouble where that is wider than float64, inf once converted,
     # and refused without a RuntimeWarning from the cast

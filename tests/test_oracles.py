@@ -495,6 +495,12 @@ BROKEN_LIBRARY = [
     ),
     ("feasibility_n4", "finite_direction_feasibility", _bent_certificate, 162),
     ("hadamard_random", "hadamard_norm_sq", lambda x, k: hadamard_norm_sq(x, k) + 1.0, 1000),
+    (
+        "hadamard_random",
+        "transition_norm_sq",
+        lambda x, k, topology: transition_norm_sq(x, k, topology) + 1,
+        1000,
+    ),
     ("hessian_table", "symmetric2_eigenvalues", lambda h: symmetric2_eigenvalues(h)[::-1], 72),
     ("signminor_random", "sign_minorant_gap", lambda x: sign_minorant_gap(x) - 1.0, 10003),
     ("ft_inequality_n4", "pair_stats", _linear_row_flips_minus_3(40), 157464),
@@ -514,6 +520,33 @@ def test_oracle_reports_a_wrong_library_value(monkeypatch, name, target, wrong, 
     assert report.passed is False
     assert report.counterexample
     assert 0 < report.checks <= golden
+
+
+def _hadamard_random_draws():
+    """The (x, k) draws of hadamard_random, drawn one vector at a time."""
+    rng = np.random.default_rng(oracles._RANDOM_SEED)
+    for _ in range(oracles._HADAMARD_RANDOM_COUNT):
+        n = int(rng.integers(2, 11))
+        x = rng.normal(scale=10.0, size=n)
+        x[rng.random(n) < 0.3] = 0.0
+        yield x, float(rng.uniform(-2.0, 2.0))
+
+
+# the first draw of length 7 is the third draw; with lengths 2 and 8 the first wrong draw
+# is the first draw (length 8), where a report in order of length would name a later one
+@pytest.mark.parametrize("wrong_lengths", [(7,), (2, 8)])
+def test_hadamard_random_reports_the_first_wrong_draw(monkeypatch, wrong_lengths):
+    def wrong(x, k):
+        return hadamard_norm_sq(x, k) + (np.shape(x)[-1] in wrong_lengths)
+
+    draws = enumerate(_hadamard_random_draws())
+    first, (x, k) = next((i, draw) for i, draw in draws if draw[0].size in wrong_lengths)
+    monkeypatch.setattr(oracles, "hadamard_norm_sq", wrong)
+    report = run_oracle("hadamard_random")
+    assert report.passed is False
+    assert report.checks == first + 1
+    assert report.counterexample["x"] == x.tolist() and report.counterexample["k"] == k
+    assert report.counterexample["delta"] == pytest.approx(1.0, abs=1e-12)
 
 
 def _reference_ft_inequality(n):

@@ -14,6 +14,8 @@ from signchange.cli import run
 from signchange.oracles import _lattice_system, _pair_form, _solve_rational_system
 from signchange.polysys import (
     ADMISSIBLE_RHO_SQUARED,
+    Certificate,
+    FeasibilityResult,
     PolySystem,
     build_4d_system,
     export_system,
@@ -388,6 +390,26 @@ def test_feasibility_report_is_json_ready():
     assert '"feasible": false' in text
     assert report["certificate"]["forced_values"] == ["2", "-2"]
     assert report["certificate"]["directions"] == [[-2, 0, 0, 0], [-1, 0, 0, 0]]
+
+
+def test_feasibility_report_writes_null_for_a_certificate_without_an_axis():
+    # the dataclass defaults both fields to None, as for a certificate built by hand
+    result = finite_direction_feasibility((1, -1, 1, -1))
+    cert = result.certificate
+    bare = Certificate(
+        kind=cert.kind,
+        equation_indices=cert.equation_indices,
+        coefficients=cert.coefficients,
+        value=cert.value,
+        directions=cert.directions,
+    )
+    report = feasibility_report(FeasibilityResult(**{**vars(result), "certificate": bare}))
+    payload = json.loads(json.dumps(report))["certificate"]
+    assert payload["axis"] is None and payload["forced_values"] is None
+    full = feasibility_report(result)["certificate"]
+    assert {key: value for key, value in payload.items() if key not in ("axis", "forced_values")} == {
+        key: value for key, value in full.items() if key not in ("axis", "forced_values")
+    }
 
 
 def test_grid_summary_counts():

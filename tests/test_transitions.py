@@ -387,6 +387,47 @@ def test_hadamard_batch_matches_rows(x, k):
     assert batch.tolist() == expected
 
 
+# a sequence of weights, one per row, as a list, a tuple or an object array
+weight_containers = st.sampled_from([list, tuple, object_array])
+
+
+@given(st.data(), batches(), topologies, weight_containers)
+def test_norm_batch_takes_one_weight_per_row(data, x, topo, container):
+    ks = data.draw(st.lists(weights, min_size=len(x), max_size=len(x)))
+    expected = rowwise(lambda row, k: transition_norm_sq(row, k, topo), x, ks)
+    assert_rows_equal(transition_norm_sq(x, container(ks), topo), expected)
+
+
+@given(st.data(), batches(), weight_containers)
+def test_hadamard_batch_takes_one_weight_per_row(data, x, container):
+    ks = data.draw(st.lists(weights, min_size=len(x), max_size=len(x)))
+    batch = hadamard_norm_sq(x, container(ks))
+    expected = np.array(rowwise(hadamard_norm_sq, x, ks), dtype=float).reshape(-1)
+    assert batch.dtype == np.float64 and batch.shape == (len(x),)
+    # bit for bit, so -0.0 and 0.0 differ
+    assert batch.tobytes() == expected.tobytes()
+
+
+def test_per_row_weights_keep_their_types():
+    x = np.array([[1, -1, 0], [1, 1, -1], [0, 1, -1], [-1, 1, 0]])
+    ks = [2, Fraction(1, 3), 0.5, np.int64(2**40)]
+    values = transition_norm_sq(x, ks).tolist()
+    assert values == [transition_norm_sq(row, k) for row, k in zip(x, ks)]
+    # int, Fraction, float, and a numpy integer read as the Python int of its value
+    assert [type(v) for v in values] == [int, Fraction, float, int]
+    assert values[1] == Fraction(8, 9) and values[3] == 2 + 4 * 2**80
+    # a numeric weight array gives its entries as Python numbers
+    assert transition_norm_sq(x, np.array([2, 0, 1, 3])).tolist() == [18, 0, 6, 38]
+    assert [type(v) for v in transition_norm_sq(x, np.full(4, 0.5)).tolist()] == [float] * 4
+
+
+@pytest.mark.parametrize("call", [transition_norm_sq, hadamard_norm_sq])
+def test_a_batch_with_no_rows_and_no_weights_is_empty(call):
+    for ks in ([], (), np.zeros(0)):
+        result = call(np.zeros((0, 3)), ks)
+        assert result.shape == (0,)
+
+
 @given(batches(), st.floats(1e-12, 10.0), topologies)
 def test_smoothed_batch_matches_rows(x, eps, topo):
     batch = smoothed_sign_changes(x, eps, topo)
