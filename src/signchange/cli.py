@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import oracles, optimality, polysys, subgradients
+from . import grid, oracles, optimality, polysys, subgradients
 from .counting import _real, count_nonzero, sign_minorant_gap, sign_vector
 from .transitions import (
     Topology,
@@ -156,7 +156,7 @@ def _cmd_profile(args: argparse.Namespace) -> tuple:
 
 def _cmd_enum(args: argparse.Namespace) -> tuple:
     topo = Topology.from_name(args.topo)
-    table = oracles.enumerate_grid(args.n, topo)
+    table = grid.enumerate_grid(args.n, topo)
     if args.format == "csv":
         first = None if args.first_component is None else int(args.first_component)
         return table.to_csv(first_component=first), 0

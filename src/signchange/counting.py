@@ -45,8 +45,10 @@ def _finite(value) -> bool:
 
 
 def _real(value, name: str) -> float:
-    """A float parameter: a finite real value, converted once to float64."""
-    if not (_finite(value) and abs(value) <= sys.float_info.max):
+    """A float parameter: a finite real value, converted once to float64.  A numpy float of
+    at most 64 bits is within range unchecked: numpy would cast float64's max to its type."""
+    narrow = isinstance(value, np.floating) and value.itemsize <= 8
+    if not (_finite(value) and (narrow or abs(value) <= sys.float_info.max)):
         raise ValueError(f"{name} must be a finite real number within the float64 range")
     return float(value)
 

@@ -1,17 +1,16 @@
-"""Brute-force enumeration and named verification oracles.
+"""Named verification oracles: brute force against the library.
 
 Everything here recomputes sign change statistics directly from integer
 pattern arrays, independently of the scalar library routines, so the
 registered oracles can confront the library with exhaustive desk-scale
-evidence: full pattern-pair subgradient sweeps, norm bound chains,
-Hadamard identity checks, the 2-D Hessian eigenvalue table, the exact
-zero-direction gap identity and the 4-D feasibility certificates.  The
-finite-direction system behind those certificates is built only here, by
-lattice enumeration and a per-pair loop, and decided once by exact
-Gauss-Jordan elimination.  Every oracle but hessian_table and
-feasibility_n4, which stop at their first failure by hand, reports through
-_sweep: its first failed check in sweep order (draw order for the two random
-samples), or its check count.
+evidence over the sign grid of signchange.grid: full pattern-pair
+subgradient sweeps, norm bound chains, Hadamard identity checks, the 2-D
+Hessian eigenvalue table, the exact zero-direction gap identity and the 4-D
+feasibility certificates.  The finite-direction system behind those
+certificates is built only here, by lattice enumeration and a per-pair loop,
+and decided once by exact Gauss-Jordan elimination.  Every oracle reports
+through _sweep: its first failed check in sweep order (draw order for the
+two random samples), or its check count.
 """
 
 from __future__ import annotations
@@ -26,7 +25,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .counting import _check_rows, _finite, _integral, _signs, sign_minorant_gap
+from .counting import _check_rows, _signs, sign_minorant_gap
+from .grid import pattern_grid
 from .polysys import finite_direction_feasibility
 from .subgradients import GapParams, coupled_subgradient_value, decoupled_gap, zero_direction_gap
 from .transitions import (
@@ -42,20 +42,7 @@ from .transitions import (
     transition_norm_sq,
 )
 
-__all__ = [
-    "pattern_grid",
-    "GridTable",
-    "enumerate_grid",
-    "center_symmetry_check",
-    "Label",
-    "LocalClass",
-    "classify_point",
-    "VerifyReport",
-    "run_oracle",
-    "list_oracles",
-]
-
-MAX_GRID_DIM = 12
+__all__ = ["Label", "LocalClass", "classify_point", "VerifyReport", "run_oracle", "list_oracles"]
 
 # weight pairs (inner, outer) satisfying 0 < inner <= 1/2 <= outer
 SWEEP_WEIGHTS_EXACT = [
@@ -69,22 +56,6 @@ SWEEP_WEIGHTS = [(float(ky), float(kx)) for ky, kx in SWEEP_WEIGHTS_EXACT]
 _RANDOM_SEED = 20240817
 _HADAMARD_RANDOM_COUNT = 1000
 _SIGNMINOR_RANDOM_COUNT = 10000
-
-
-def pattern_grid(n: int) -> np.ndarray:
-    """All 3^n sign patterns as an int8 array in lexicographic order.
-
-    Row r holds the base-3 digits of r shifted to {-1, 0, 1}, so the
-    ordering matches itertools.product((-1, 0, 1), repeat=n) and the
-    negation of row r is row 3^n - 1 - r.
-    """
-    # an integral n in range, checked before 3^n is formed
-    if not (_integral(n) and 2 <= n <= MAX_GRID_DIM):
-        raise ValueError(f"pattern dimension must be an integer in [2, {MAX_GRID_DIM}], got {n!r}")
-    n = int(n)
-    powers = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    idx = np.arange(3**n, dtype=np.int64)
-    return ((idx[:, None] // powers[None, :]) % 3 - 1).astype(np.int8)
 
 
 def _reference_pair_counts(pattern: tuple[int, ...], topology: Topology) -> tuple[int, int]:
@@ -101,84 +72,6 @@ def _reference_pair_counts(pattern: tuple[int, ...], topology: Topology) -> tupl
         elif prod == 0 and pattern[i] != pattern[j]:
             weak += 1
     return weak, flips
-
-
-@dataclass(frozen=True)
-class GridTable:
-    """Exhaustive sign change table over all patterns of one dimension."""
-
-    n: int
-    topology: Topology
-    patterns: np.ndarray
-    t: np.ndarray
-
-    def histogram(self) -> dict[int, int]:
-        values, counts = np.unique(self.t, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
-
-    def rows(self) -> Iterable[tuple[tuple[int, ...], int]]:
-        for pattern, value in zip(self.patterns, self.t):
-            yield tuple(pattern.tolist()), int(value)
-
-    def first_component_slices(self) -> dict[int, tuple[int, int]]:
-        """Contiguous row ranges per leading component (lex-major order)."""
-        block = 3 ** (self.n - 1)
-        return {z1: ((z1 + 1) * block, (z1 + 2) * block) for z1 in (-1, 0, 1)}
-
-    def to_csv(self, first_component: int | None = None) -> str:
-        header = ",".join(f"z{i + 1}" for i in range(self.n)) + ",t"
-        if first_component is None:
-            rows = zip(self.patterns, self.t)
-        else:
-            if first_component not in (-1, 0, 1):
-                raise ValueError("slice selector must be a sign value")
-            lo, hi = self.first_component_slices()[first_component]
-            rows = zip(self.patterns[lo:hi], self.t[lo:hi])
-        lines = [header]
-        for pattern, value in rows:
-            lines.append(",".join(str(int(v)) for v in pattern) + f",{int(value)}")
-        return "\n".join(lines) + "\n"
-
-    def json_summary(self, threshold: int | None = None) -> dict:
-        thr = self.n - 1 if threshold is None else threshold
-        # t is an integer, so the threshold is read by the integer rule, as a plain int for JSON
-        if not _integral(thr):
-            raise ValueError(f"symmetry threshold must be an integer, got {thr!r}")
-        thr = int(thr)
-        closed = center_symmetry_check(self, thr)
-        sel = self.t > thr
-        return {
-            "n": self.n,
-            "topology": self.topology.value,
-            "rows": int(self.t.size),
-            "histogram": {str(k): v for k, v in sorted(self.histogram().items())},
-            "slices": {
-                str(z1): list(span) for z1, span in self.first_component_slices().items()
-            },
-            "symmetry": {
-                "threshold": thr,
-                "count_above": int(np.count_nonzero(sel)),
-                "closed_under_negation": closed,
-            },
-        }
-
-
-def enumerate_grid(n: int, topology: Topology = Topology.CIRCULAR) -> GridTable:
-    patterns = pattern_grid(n)
-    weak, flips = pair_stats(patterns, topology)
-    return GridTable(n=patterns.shape[1], topology=topology, patterns=patterns, t=weak + flips)
-
-
-def center_symmetry_check(table: GridTable, threshold: int) -> bool:
-    """Whether {z : t(z) > threshold} is closed under z -> -z.
-
-    Lexicographic ordering maps negation to index reversal, so the
-    selected mask must be a palindrome.
-    """
-    if not _finite(threshold):
-        raise ValueError(f"symmetry threshold must be finite, got {threshold!r}")
-    sel = table.t > threshold
-    return bool(np.array_equal(sel, sel[::-1]))
 
 
 class Label(enum.Enum):
@@ -256,16 +149,6 @@ class VerifyReport:
     details: str
 
 
-def _report(name: str, checks: int, counterexample: dict | None, details: str) -> VerifyReport:
-    return VerifyReport(
-        name=name,
-        passed=counterexample is None,
-        checks=checks,
-        counterexample=counterexample,
-        details=details,
-    )
-
-
 def _sweep(
     name: str,
     blocks: Iterable[tuple[np.ndarray | tuple, Callable[[int], dict]]],
@@ -293,9 +176,9 @@ def _sweep(
             failed = table[np.ix_(rows, cols)]
         if failed.any():
             first = int(failed.argmax())
-            return _report(name, checks + first + 1, counterexample(first), "")
+            return VerifyReport(name, False, checks + first + 1, counterexample(first), "")
         checks += failed.size
-    return _report(name, checks, None, details.format(checks=checks))
+    return VerifyReport(name, True, checks, None, details.format(checks=checks))
 
 
 def _oracle_library_crosscheck(n: int) -> VerifyReport:
@@ -525,31 +408,26 @@ def _oracle_hessian_table() -> VerifyReport:
     Confronts the closed-form symmetric eigensolver with numpy's
     eigvalsh and with the frozen expected values (doubled eigenvalues).
     """
-    name = "hessian_table"
-    checks = 0
-    worst = 0.0
-    for point in product((-1, 0, 1), repeat=2):
-        for branch in (0.5, -0.5):
-            h = transition_hessian_2d(point, branch)
-            hi, lo = symmetric2_eigenvalues(h)
-            ref = np.linalg.eigvalsh(np.array([[h.a11, h.a12], [h.a12, h.a22]]))
-            exp_hi, exp_lo = expected_double_eigenvalues(point, branch)
-            deltas = (
-                abs(2.0 * hi - exp_hi),
-                abs(2.0 * lo - exp_lo),
-                abs(hi - float(ref[1])),
-                abs(lo - float(ref[0])),
-            )
-            checks += len(deltas)
-            worst = max(worst, *deltas)
-            if max(deltas) > 1e-10:
-                return _report(
-                    name,
-                    checks,
-                    {"point": point, "branch": branch, "eigenvalues": (hi, lo)},
-                    "",
-                )
-    return _report(name, checks, None, f"9 points x 2 branches match, max delta {worst:.3e}")
+    cases = [(point, branch) for point in product((-1, 0, 1), repeat=2) for branch in (0.5, -0.5)]
+    deltas = []
+    for point, branch in cases:
+        h = transition_hessian_2d(point, branch)
+        hi, lo = symmetric2_eigenvalues(h)
+        ref = np.linalg.eigvalsh(np.array([[h.a11, h.a12], [h.a12, h.a22]]))
+        exp_hi, exp_lo = expected_double_eigenvalues(point, branch)
+        deltas.append((2.0 * hi - exp_hi, 2.0 * lo - exp_lo, hi - ref[1], lo - ref[0]))
+    deltas = np.abs(deltas)
+
+    def counterexample(i):
+        point, branch = cases[i // 4]
+        eigenvalues = symmetric2_eigenvalues(transition_hessian_2d(point, branch))
+        return {"point": point, "branch": branch, "eigenvalues": eigenvalues}
+
+    return _sweep(
+        "hessian_table",
+        [(deltas > 1e-10, counterexample)],
+        f"9 points x 2 branches match, max delta {float(deltas.max()):.3e}",
+    )
 
 
 def _oracle_qhat_identity(n: int) -> VerifyReport:
@@ -714,38 +592,42 @@ def _solve_rational_system(rows: Sequence[Sequence[int]], rhs: Sequence[int]):
     return ("feasible", witness)
 
 
+def _certificate_fault(cert, rows: list[tuple[int, ...]], rhs: list[int]) -> dict | None:
+    """None where cert recombines the rows to 0 = value != 0, else where it fails."""
+    combined = [Fraction(0)] * len(rows[0])
+    value = Fraction(0)
+    for idx, coeff, direction in zip(cert.equation_indices, cert.coefficients, cert.directions):
+        if rows[idx] != direction:
+            return {"equation": idx}
+        combined = [c + coeff * v for c, v in zip(combined, direction)]
+        value += coeff * rhs[idx]
+    if any(combined) or value == 0 or value != cert.value:
+        return {"certificate": repr(cert)}
+    return None
+
+
 def _oracle_feasibility_n4() -> VerifyReport:
     """The pure-axis decision of finite_direction_feasibility on every n = 4
     candidate, against the lattice rows rebuilt here by enumeration and a
     per-pair loop: each certificate must recombine them to 0 = value != 0.
     A valid certificate proves infeasibility, so exact Gauss-Jordan
-    elimination runs once, on the alternating candidate, as a cross-check."""
-    name = "feasibility_n4"
-    n = 4
-    checks = 0
-    for z in product((-1, 0, 1), repeat=n):
+    elimination runs once, on the alternating candidate, as a cross-check.
+    Each candidate has two checks: its result, then its certificate."""
+    candidates = list(product((-1, 0, 1), repeat=4))
+    faults = []
+    for z in candidates:
         t, rows, rhs = _lattice_system(z)
         result = finite_direction_feasibility(z)
-        checks += 1
         if result.feasible or (result.t, result.n_directions) != (t, len(rows)):
-            return _report(name, checks, {"z": z, "result": repr(result)}, "")
-        if z == (1, -1, 1, -1) and _solve_rational_system(rows, rhs)[0] != "infeasible":
-            return _report(name, checks, {"z": z, "elimination": "feasible"}, "")
-        cert = result.certificate
-        checks += 1
-        combined = [Fraction(0)] * n
-        value = Fraction(0)
-        for idx, coeff, direction in zip(cert.equation_indices, cert.coefficients, cert.directions):
-            if rows[idx] != direction:
-                return _report(name, checks, {"z": z, "equation": idx}, "")
-            combined = [c + coeff * v for c, v in zip(combined, direction)]
-            value += coeff * rhs[idx]
-        if any(combined) or value == 0 or value != cert.value:
-            return _report(name, checks, {"z": z, "certificate": repr(cert)}, "")
-    return _report(
-        name,
-        checks,
-        None,
+            faults.append(({"result": repr(result)}, None))
+        elif z == (1, -1, 1, -1) and _solve_rational_system(rows, rhs)[0] != "infeasible":
+            faults.append(({"elimination": "feasible"}, None))
+        else:
+            faults.append((None, _certificate_fault(result.certificate, rows, rhs)))
+    failed = np.array([[fault is not None for fault in pair] for pair in faults])
+    return _sweep(
+        "feasibility_n4",
+        [(failed, lambda i: {"z": candidates[i // 2], **faults[i // 2][i % 2]})],
         "lemma certificates recombine on all 81 candidates; elimination agrees on (1, -1, 1, -1)",
     )
 
@@ -777,8 +659,7 @@ def list_oracles() -> list[str]:
 
 
 def run_oracle(name: str) -> VerifyReport:
-    try:
-        runner = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown oracle {name!r}; known: {', '.join(list_oracles())}") from None
+    runner = _REGISTRY.get(name) if isinstance(name, str) else None
+    if runner is None:
+        raise KeyError(f"unknown oracle {name!r}; known: {', '.join(list_oracles())}")
     return runner()

@@ -242,7 +242,7 @@ def parse_system(text: str) -> PolySystem:
     [coefficient, powers] pair and the metadata a JSON object.  Coefficients
     and exponents are read by the integer rule, so 1.5 is refused rather than
     truncated; an exponent must be nonnegative and on a listed variable, and
-    any other layout raises ValueError.
+    any other layout, or text nested too deep for json, raises ValueError.
     """
     try:
         payload = json.loads(text)
@@ -261,7 +261,7 @@ def parse_system(text: str) -> PolySystem:
             for eq in rows
         )
         return PolySystem(tuple(variables), equations, metadata)
-    except (KeyError, TypeError, AttributeError):
+    except (KeyError, TypeError, AttributeError, RecursionError):
         raise ValueError(_NOT_EXPORTED) from None
 
 

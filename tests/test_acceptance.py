@@ -20,13 +20,8 @@ import numpy as np
 import pytest
 
 from signchange.counting import sign_minorant_gap
-from signchange.oracles import (
-    EXPECTED_2EIG_UPPER,
-    enumerate_grid,
-    expected_double_eigenvalues,
-    pattern_grid,
-    run_oracle,
-)
+from signchange.grid import enumerate_grid, pattern_grid
+from signchange.oracles import EXPECTED_2EIG_UPPER, expected_double_eigenvalues, run_oracle
 from signchange.optimality import (
     OneDProblem,
     check_1d_condition,

@@ -5,12 +5,14 @@ never OverflowError or TypeError, and its entries follow the scalar rule of
 sign, so nan or inf at any position is refused as such.  A sign pattern is
 a vector whose entries equal -1, 0 or 1.  Float parameters are finite and
 within the float64 range, count parameters are integral values, and every
-table stays under one row ceiling.
+table stays under one row ceiling.  A function that takes no vector is
+called with extreme values in each of its own arguments instead.
 """
 
 import inspect
 import json
 import math
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from batching import LIST_ENTRIES, object_array
 from signchange import (
     GapParams,
     GapProfile,
+    Hessian2,
     OneDProblem,
     Topology,
     build_4d_system,
@@ -35,6 +38,8 @@ from signchange import (
     curves_csv_1d,
     decoupled_gap,
     enumerate_grid,
+    export_system,
+    feasibility_report,
     finite_direction_feasibility,
     gap_profile,
     global_min_1d,
@@ -46,8 +51,10 @@ from signchange import (
     multiplier_3d,
     objective_1d,
     pair_counts,
+    parse_system,
     pattern_grid,
     profile_csv,
+    run_oracle,
     sign,
     sign_changes,
     sign_minorant_gap,
@@ -55,6 +62,7 @@ from signchange import (
     smoothed_sign_changes,
     spherical_to_cartesian,
     surface_csv,
+    symmetric2_eigenvalues,
     transition_hessian_2d,
     transition_map,
     transition_norm_sq,
@@ -94,31 +102,85 @@ PATTERN_ENTRY_POINTS = {
     "finite_direction_feasibility": finite_direction_feasibility,
 }
 
-# public functions that take no vector or sign pattern, with the reason
-EXEMPT = {
-    "sign": "one scalar, covered by test_scalar_rule_cases",
-    "symmetric2_eigenvalues": "takes a Hessian2",
-    "profile_csv": "takes a GapProfile and a step, covered by the ceiling and scalar rule cases",
-    "pattern_grid": "an integer dimension bounded by MAX_GRID_DIM",
-    "enumerate_grid": "an integer dimension bounded by MAX_GRID_DIM",
-    "center_symmetry_check": "takes a GridTable",
-    "run_oracle": "an oracle name",
-    "list_oracles": "no argument",
-    "objective_1d": "elementwise float formula on an array of any shape, covered by "
-    "test_scalar_rule_cases",
-    "inequality_values_1d": "elementwise float formula on an array of any shape, covered by "
-    "test_scalar_rule_cases",
-    "check_1d_condition": "a OneDProblem, a grid size and a tolerance",
-    "global_min_1d": "a grid size",
-    "curves_csv_1d": "a OneDProblem and a grid size",
-    "multiplier_2d": "one angle",
-    "multiplier_3d": "two angles",
-    "surface_csv": "a selector and a resolution",
-    "export_system": "takes a PolySystem",
-    "parse_system": "JSON text, covered in test_polysys.py",
-    "feasibility_report": "takes a FeasibilityResult",
-    "grid_feasibility_summary": "no argument",
+# every extreme value one argument is called with: non-finite, beyond float64 either way,
+# below its smallest subnormal, bools, strings and negative values, one of them a float32
+EXTREMES = (
+    math.nan, math.inf, -math.inf, 10**400, -(10**400), Fraction(1, 10**400),
+    True, False, "1.5", "a", -1, -2.5, np.float32(-1.5),
+)
+PROFILE = gap_profile((1, -1), (0, 0), 1)
+FEASIBILITY = finite_direction_feasibility((1, -1, 1, -1))
+SYSTEM_TEXT = '{"variables": ["a"], "equations": [[[%s, {"a": 1}]]], "metadata": {}}'
+
+# public functions that take no vector or sign pattern, one call per argument of its own
+# type, each taking one extreme value; an object argument that a library call builds is
+# built by it at the extreme value, and a dataclass is given it in one field
+EXTREME_CALLS = {
+    # one scalar, also covered by test_scalar_rule_cases
+    "sign": [sign],
+    "symmetric2_eigenvalues": [
+        lambda v: symmetric2_eigenvalues(Hessian2(v, 0.0, 0.0, 0.5)),
+        lambda v: symmetric2_eigenvalues(Hessian2(1.0, v, 0.0, 0.5)),
+        lambda v: symmetric2_eigenvalues(Hessian2(1.0, 0.0, v, 0.5)),
+    ],
+    "profile_csv": [
+        lambda v: profile_csv(PROFILE, step=v),
+        lambda v: profile_csv(gap_profile((1, -1), (0, 0), v)),
+    ],
+    # an integer dimension bounded by grid.MAX_GRID_DIM
+    "pattern_grid": [pattern_grid],
+    "enumerate_grid": [enumerate_grid],
+    "center_symmetry_check": [lambda v: center_symmetry_check(enumerate_grid(3), v)],
+    # an oracle name; any name no oracle has raises KeyError instead
+    "run_oracle": [run_oracle],
+    # elementwise float formulas on an array of any shape
+    "objective_1d": [objective_1d, lambda v: objective_1d([1.0, v])],
+    "inequality_values_1d": [
+        lambda v: inequality_values_1d(OneDProblem(), v),
+        lambda v: inequality_values_1d(OneDProblem(c1=v), 1.0),
+        lambda v: inequality_values_1d(OneDProblem(sigma=v), 1.0),
+    ],
+    "check_1d_condition": [
+        lambda v: check_1d_condition(OneDProblem(c1=v), grid_points=100),
+        lambda v: check_1d_condition(OneDProblem(sigma=v), grid_points=100),
+        lambda v: check_1d_condition(OneDProblem(), grid_points=v),
+        lambda v: check_1d_condition(OneDProblem(), grid_points=100, tol=v),
+    ],
+    "global_min_1d": [global_min_1d],
+    "curves_csv_1d": [
+        lambda v: curves_csv_1d(OneDProblem(c1=v), grid_points=100),
+        lambda v: curves_csv_1d(OneDProblem(), grid_points=v),
+    ],
+    "multiplier_2d": [multiplier_2d],
+    "multiplier_3d": [lambda v: multiplier_3d(v, 1.0), lambda v: multiplier_3d(1.0, v)],
+    "surface_csv": [
+        surface_csv,
+        lambda v: surface_csv("2d", resolution=v),
+        lambda v: surface_csv("3d", resolution=v),
+    ],
+    "export_system": [
+        lambda v: export_system(build_4d_system((1, -1, 1, -1)), fmt=v),
+        lambda v: export_system(build_4d_system((1, -1, 1, -1), mu=[v, 0, 0, 0])),
+    ],
+    # JSON text, and the extreme values as the text's coefficient; more in test_polysys.py
+    "parse_system": [parse_system, lambda v: parse_system(SYSTEM_TEXT % (v,))],
+    "feasibility_report": [
+        lambda v: feasibility_report(replace(FEASIBILITY, t=v)),
+        lambda v: feasibility_report(replace(FEASIBILITY, feasible=v)),
+        lambda v: feasibility_report(
+            replace(FEASIBILITY, certificate=replace(FEASIBILITY.certificate, value=v))
+        ),
+    ],
 }
+# extra arguments of one type: text nested deeper than json's decoder recurses, an exported
+# system with a coefficient beyond float64, and names that are no string
+EXTRA_EXTREMES = {
+    "parse_system": ("[" * 10000 + "]" * 10000, SYSTEM_TEXT % "1e400", SYSTEM_TEXT % "NaN"),
+    "run_oracle": ([], None, ("hessian_table",)),
+}
+
+# public functions that take no argument at all
+EXEMPT = {"list_oracles", "grid_feasibility_summary"}
 ENTRY_POINTS = {**SIGN_ENTRY_POINTS, **FLOAT_ENTRY_POINTS, **PATTERN_ENTRY_POINTS}
 # every reader of float64 entries: the table above and the elementwise 1-D formulas
 FLOAT_READERS = {
@@ -133,10 +195,23 @@ def test_every_public_function_is_covered_or_exempt():
     functions = {
         name for name in signchange.__all__ if inspect.isfunction(getattr(signchange, name))
     }
-    assert not set(ENTRY_POINTS) & set(EXEMPT)
-    assert functions == set(ENTRY_POINTS) | set(EXEMPT), (
-        "a public function must join the contract table or be exempted with a reason"
+    tables = (set(ENTRY_POINTS), set(EXTREME_CALLS), EXEMPT)
+    assert sum(map(len, tables)) == len(set().union(*tables))
+    assert functions == set().union(*tables), (
+        "a public function must join a contract table, or take no argument"
     )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(EXTREME_CALLS))
+def test_calls_at_extreme_values_return_or_raise_value_error(name):
+    refused = KeyError if name == "run_oracle" else ValueError
+    for call in EXTREME_CALLS[name]:
+        for value in EXTREMES + EXTRA_EXTREMES.get(name, ()):
+            try:
+                call(value)
+            except refused:
+                pass
 
 
 containers = st.sampled_from([list, tuple, object_array])
@@ -294,6 +369,14 @@ def test_scalar_rule_cases():
                 for values in ([bad, 0.5], [0.5, bad]):
                     with pytest.raises(ValueError):
                         call(container(values))
+
+
+def test_narrow_numpy_float_parameters_are_read_without_a_cast():
+    # the range check compared a float32 with float64's max, which numpy cast to
+    # float32 with an overflow warning
+    assert OneDProblem(c1=np.float32(1.5)).c1 == 1.5
+    assert smoothed_sign_changes([1.0, 0.0], np.float16(0.5)) == smoothed_sign_changes([1.0, 0.0], 0.5)
+    assert symmetric2_eigenvalues(Hessian2(np.float32(2.0), 0.0, 0.0, 0.5)) == (2.0, 0.0)
 
 
 # the batch forms that take one weight or a sequence of one weight per row

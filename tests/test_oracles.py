@@ -16,16 +16,13 @@ from hypothesis import strategies as st
 import signchange
 from signchange import oracles
 from signchange.counting import sign_minorant_gap
+from signchange.grid import GridTable, center_symmetry_check, enumerate_grid, pattern_grid
 from signchange.oracles import (
     EXPECTED_2EIG_UPPER,
-    GridTable,
     Label,
-    center_symmetry_check,
     classify_point,
-    enumerate_grid,
     expected_double_eigenvalues,
     list_oracles,
-    pattern_grid,
     run_oracle,
 )
 from signchange.polysys import finite_direction_feasibility
@@ -38,6 +35,7 @@ from signchange.transitions import (
     sign_changes,
     smoothed_sign_changes,
     symmetric2_eigenvalues,
+    transition_hessian_2d,
     transition_norm_sq,
 )
 
@@ -547,6 +545,75 @@ def test_hadamard_random_reports_the_first_wrong_draw(monkeypatch, wrong_lengths
     assert report.checks == first + 1
     assert report.counterexample["x"] == x.tolist() and report.counterexample["k"] == k
     assert report.counterexample["delta"] == pytest.approx(1.0, abs=1e-12)
+
+
+HESSIAN_CASES = [(point, branch) for point in product((-1, 0, 1), repeat=2) for branch in (0.5, -0.5)]
+
+
+# the first case, one inside, the last
+@pytest.mark.parametrize("case", [0, 7, 17])
+def test_hessian_table_counts_the_checks_up_to_its_first_failure(monkeypatch, case):
+    # the 18 Hessians are distinct, so the stand-in is wrong at this case only
+    target = transition_hessian_2d(*HESSIAN_CASES[case])
+
+    def wrong(h):
+        hi, lo = symmetric2_eigenvalues(h)
+        return (lo, hi) if h == target else (hi, lo)
+
+    monkeypatch.setattr(oracles, "symmetric2_eigenvalues", wrong)
+    report = run_oracle("hessian_table")
+    assert report.passed is False
+    # the first of the case's four checks, 2 * hi against its frozen value, fails
+    assert report.checks == 4 * case + 1
+    point, branch = HESSIAN_CASES[case]
+    assert report.counterexample == {
+        "point": point,
+        "branch": branch,
+        "eigenvalues": wrong(target),
+    }
+
+
+FEASIBILITY_CANDIDATES = list(product((-1, 0, 1), repeat=4))
+
+
+def _swapped_equations(result):
+    # each direction then names the other's equation
+    cert = result.certificate
+    return replace(result, certificate=replace(cert, equation_indices=cert.equation_indices[::-1]))
+
+
+# (a wrong result, its check among the candidate's two, the counterexample's key)
+FEASIBILITY_FAULTS = [
+    (lambda result: replace(result, feasible=True), 1, "result"),
+    (lambda result: replace(result, n_directions=result.n_directions - 1), 1, "result"),
+    (_swapped_equations, 2, "equation"),
+    (lambda result: _bent_certificate(result.candidate), 2, "certificate"),
+]
+
+
+@pytest.mark.parametrize("index", [0, 40, 80])
+@pytest.mark.parametrize(
+    "bend,check,key", FEASIBILITY_FAULTS, ids=["feasible", "directions", "equation", "value"]
+)
+def test_feasibility_n4_counts_the_checks_up_to_its_first_failure(monkeypatch, index, bend, check, key):
+    z = FEASIBILITY_CANDIDATES[index]
+
+    def wrong(candidate):
+        result = finite_direction_feasibility(candidate)
+        return bend(result) if tuple(candidate) == z else result
+
+    monkeypatch.setattr(oracles, "finite_direction_feasibility", wrong)
+    report = run_oracle("feasibility_n4")
+    assert report.passed is False
+    assert report.checks == 2 * index + check
+    assert report.counterexample["z"] == z and key in report.counterexample
+
+
+def test_feasibility_n4_reports_an_elimination_that_disagrees(monkeypatch):
+    monkeypatch.setattr(oracles, "_solve_rational_system", lambda rows, rhs: ("feasible", []))
+    report = run_oracle("feasibility_n4")
+    assert report.checks == 2 * FEASIBILITY_CANDIDATES.index((1, -1, 1, -1)) + 1
+    assert report.counterexample == {"z": (1, -1, 1, -1), "elimination": "feasible"}
 
 
 def _reference_ft_inequality(n):

@@ -63,6 +63,58 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == set(UNUSED_IMPORTS)
 
 
+PACKAGE = ROOT / "src" / "signchange"
+# the modules that may import the oracles: the package, which re-exports them, and the CLI
+ORACLE_IMPORTERS = {"__init__", "cli"}
+# the private library helpers that oracles.py imports, each with the reason it may
+PRIVATE_ORACLE_IMPORTS = {
+    ("transitions", "_classes"): "the pair sweeps decide each pair of row classes once; the "
+    "full-sweep references in tests/test_oracles.py check the grouping independently at n <= 5",
+    ("counting", "_check_rows"): "LocalClass.reachable counts its 3^zeros completions against "
+    "the row ceiling every library table has",
+    ("counting", "_signs"): "classify_point reads x by the one entry reader of the input contract",
+}
+
+
+def _package_imports(path: Path) -> set[tuple[str, str]]:
+    """(module, name) for every name a module imports from the package, relatively or
+    absolutely; a module imported itself, as `from . import oracles`, gives (module, "")."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(
+                (alias.name.removeprefix("signchange."), "")
+                for alias in node.names
+                if alias.name.startswith("signchange.")
+            )
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "signchange"
+        ):
+            module = (node.module or "").removeprefix("signchange").lstrip(".")
+            found.update((module, alias.name) if module else (alias.name, "") for alias in node.names)
+    return found
+
+
+def test_only_the_package_and_the_cli_import_the_oracles():
+    importers = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if any(module == "oracles" for module, _ in _package_imports(path))
+    }
+    assert importers == ORACLE_IMPORTERS
+
+
+def test_private_helpers_the_oracles_import_have_reasons():
+    private = {
+        (module, name)
+        for module, name in _package_imports(PACKAGE / "oracles.py")
+        if name.startswith("_")
+    }
+    # a helper no longer imported leaves a stale entry, a new one a missing entry
+    assert private == set(PRIVATE_ORACLE_IMPORTS)
+
+
 # where a public name's callers live: the library, its scripts, the benchmark and the
 # acceptance tests; unit tests, the benchmark's own included, are no caller: they only
 # test what they reach

@@ -198,6 +198,12 @@ def test_parse_system_refuses_terms_that_are_not_pairs_and_metadata_that_is_no_o
             parse_system(json.dumps(bad))
 
 
+def test_parse_system_refuses_text_nested_past_the_decoder():
+    # json.loads used to raise RecursionError
+    with pytest.raises(ValueError, match="expected an exported polynomial system"):
+        parse_system("[" * 10000 + "]" * 10000)
+
+
 def test_plain_export_names_missing_metadata():
     full = build_4d_system((1, -1, 1, -1))
     assert export_system(parse_system(export_system(full)), "plain") == export_system(full, "plain")

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from batching import assert_rows_equal, batches, rowwise
-from signchange.oracles import SWEEP_WEIGHTS, SWEEP_WEIGHTS_EXACT, pattern_grid
+from signchange.grid import pattern_grid
+from signchange.oracles import SWEEP_WEIGHTS, SWEEP_WEIGHTS_EXACT
 from signchange.subgradients import (
     GapParams,
     GapProfile,

@@ -293,6 +293,17 @@ def test_eigenvalues_beyond_float64_raise(h):
         symmetric2_eigenvalues(h)
 
 
+@pytest.mark.parametrize(
+    "h",
+    [Hessian2("1.5", 0, 0, 0.5), Hessian2(10**400, 0, 0, 0.5)],
+    ids=["string", "int_1e400"],
+)
+def test_eigenvalues_read_each_entry_as_a_float_parameter(h):
+    # the string used to give (1.5, 0.0), the int an OverflowError
+    with pytest.raises(ValueError, match="Hessian entry"):
+        symmetric2_eigenvalues(h)
+
+
 TINY = [Fraction(1, 10**400), Fraction(-1, 10**400), 1]
 HUGE = [10**400, -1]
 
