@@ -434,29 +434,27 @@ def _oracle_qhat_identity(n: int) -> VerifyReport:
     """Zero-direction closed form equals the decoupled gap at d = 0 exactly
     and reduces to 4(ky^2 - kx^2) * flips <= 0 (Fraction arithmetic).
 
-    Each weight pair is one batch call over the pattern grid; failures are
-    reported in the order of a per-pattern sweep over the weights.  The
-    checks of a row read only its two returned objects and its flips, so
-    they are decided once per class of rows sharing all three."""
+    Each topology is one batch call per gap over the grid at all weight pairs;
+    failures are reported in the order of a per-pattern sweep over the weights.
+    The checks of a row read only its returned objects and its flips, so they
+    are decided once per class of rows sharing all of them and weight pair."""
     patterns = pattern_grid(n)
     zero = np.zeros_like(patterns)
-    weights = [(GapParams(k_y=ky, k_x=kx), 4 * (ky * ky - kx * kx)) for ky, kx in SWEEP_WEIGHTS_EXACT]
+    params = [GapParams(k_y=ky, k_x=kx) for ky, kx in SWEEP_WEIGHTS_EXACT]
+    steps = np.array([4 * (ky * ky - kx * kx) for ky, kx in SWEEP_WEIGHTS_EXACT], dtype=object)
 
     def blocks():
         for topology in Topology:
             _, flips = pair_stats(patterns, topology)
+            closed = zero_direction_gap(patterns, params, topology)
+            direct = decoupled_gap(patterns, zero, params, topology)
+            # each list keeps its entries alive while their ids are read, so equal ids mean one object
+            ids = [np.fromiter(map(id, v.tolist()), dtype=np.uintp) for v in (*closed.T, *direct.T)]
+            rep, classes = _classes(*ids, flips)
+            closed, direct = closed[rep], direct[rep]
+            reduced = steps * flips[rep].astype(object)[:, None]
             # failed[r, w, c]: check c (direct, reduction, sign) of pattern r at weight pair w
-            failed = np.zeros((len(patterns), len(weights), 3), dtype=bool)
-            for w, (params, step) in enumerate(weights):
-                closed = zero_direction_gap(patterns, params, topology)
-                direct = decoupled_gap(patterns, zero, params, topology)
-                # each list keeps its entries alive while their ids are read, so equal ids mean one object
-                ids = [np.fromiter(map(id, values.tolist()), dtype=np.uintp) for values in (closed, direct)]
-                rep, classes = _classes(*ids, flips)
-                closed, direct = closed[rep], direct[rep]
-                reduced = step * flips[rep].astype(object)
-                verdicts = np.stack((closed != direct, closed != reduced, closed > 0), axis=1)
-                failed[:, w] = verdicts[classes]
+            failed = np.stack((closed != direct, closed != reduced, closed > 0), axis=-1)[classes]
 
             def counterexample(i):
                 r, w, c = np.unravel_index(i, failed.shape)

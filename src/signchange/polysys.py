@@ -193,10 +193,13 @@ def export_system(system: PolySystem, fmt: str = "json") -> str:
     reads it back, as it reads the CLI's indented print of the same payload.
     The plain text is a header from the metadata's candidate, t and
     admissible_rho_squared, then one 'lhs = 0' line per equation; metadata
-    without one of them raises ValueError.
+    without one of them, or a value JSON cannot encode, raises ValueError.
     """
     if fmt == "json":
-        return json.dumps(_payload(system), sort_keys=True) + "\n"
+        try:
+            return json.dumps(_payload(system), sort_keys=True) + "\n"
+        except TypeError as error:
+            raise ValueError(f"the system holds a value JSON cannot encode: {error}") from None
     if fmt == "plain":
         meta = system.metadata
         for key in ("candidate", "t", "admissible_rho_squared"):

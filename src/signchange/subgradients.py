@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counting import _check_rows, _displaced, _finite, _is_batch, _real, _signs, _within_float64
+from .counting import _check_rows, _displaced, _entries, _finite, _integral, _is_batch, _real, _signs
 from .transitions import (
     Topology,
     _check_weight,
@@ -88,10 +88,19 @@ def _displaced_signs(x, d) -> tuple[np.ndarray, np.ndarray]:
     return _signs(x, batch=True), np.array(rows, dtype=np.int8).reshape(x.shape)
 
 
+def _per_pair(params, gap, what, *columns):
+    """_per_row over gap(p) for each weight pair p; one GapParams takes column 0."""
+    if isinstance(params, GapParams):
+        return _per_row([gap(params)], what, *columns).T[0]
+    if not (isinstance(params, (list, tuple)) and params and all(isinstance(p, GapParams) for p in params)):
+        raise ValueError("params must be a GapParams or a nonempty list or tuple of them")
+    return _per_row([gap(p) for p in params], what, *columns)
+
+
 def decoupled_gap(
     x: Iterable[float],
     d: Iterable[float],
-    params: GapParams,
+    params: GapParams | Sequence[GapParams],
     topology: Topology = Topology.CIRCULAR,
 ):
     """|l(x + d; k_y)|^2 - |l(x; k_x)|^2.
@@ -99,23 +108,23 @@ def decoupled_gap(
     Subgradient inequality: sign_changes(x + d) - sign_changes(x) dominates
     this value for every displacement d.  A 2-D array x of points (rows)
     with d of the same shape gives an object array with one value per row,
-    equal in value and type to the call on that row.  A float value beyond
-    float64 raises ValueError; int and Fraction weights stay exact.
+    equal in value and type to the call on that row.  A list of GapParams adds a
+    last axis, entry j equal in value and type to the call at params[j].  A float
+    value beyond float64 raises ValueError; int and Fraction weights stay exact.
     """
     base, moved = _displaced_signs(x, d)
-    four_ky_sq = 4 * params.k_y * params.k_y
-    four_kx_sq = 4 * params.k_x * params.k_x
+    what = "decoupled_gap at this k_x"
 
-    def gap(weak_y, flips_y, weak_x, flips_x):
-        value = _norm_sq(weak_y, flips_y, four_ky_sq) - _norm_sq(weak_x, flips_x, four_kx_sq)
-        return _within_float64(value, "decoupled_gap at this k_x")
+    def gap(p):
+        four_ky_sq, four_kx_sq = 4 * p.k_y * p.k_y, 4 * p.k_x * p.k_x
+        return lambda wy, fy, wx, fx: _norm_sq(wy, fy, four_ky_sq) - _norm_sq(wx, fx, four_kx_sq)
 
-    return _per_row(gap, *pair_stats(moved, topology), *pair_stats(base, topology))
+    return _per_pair(params, gap, what, *pair_stats(moved, topology), *pair_stats(base, topology))
 
 
 def zero_direction_gap(
     x: Iterable[float],
-    params: GapParams,
+    params: GapParams | Sequence[GapParams],
     topology: Topology = Topology.CIRCULAR,
 ):
     """Closed form of the gap at d = 0 for the positive weight branch.
@@ -128,19 +137,23 @@ def zero_direction_gap(
     the two closing rational operations, so the value is exact for
     Fraction weights, and a float value beyond float64 raises ValueError.
     A 2-D array of vectors (rows) gives an object array with one value per
-    row, equal in value and type to the call on that row.
+    row, equal in value and type to the call on that row; a list of GapParams adds
+    a last axis, entry j equal in value and type to the call at params[j].
     """
-    k_y, k_x = params.k_y, params.k_x
-    if not 0 < k_y <= Fraction(1, 2) <= k_x:
-        raise ValueError("closed form requires the positive branch 0 < k_y <= 1/2 <= k_x")
     a, b = topology.neighbors(_signs(x, _is_batch(x)).astype(np.int64))
     prod = a * b
     damp = (prod - 1) ** 2
     quadratic = np.sum(damp * prod * prod, axis=-1)
     linear = np.sum(damp * 2 * prod * (a + b), axis=-1)
-    diff, total = k_y - k_x, k_y + k_x
     what = "zero_direction_gap at this k_x"
-    return _per_row(lambda q, l: _within_float64(diff * (total * q + l), what), quadratic, linear)
+
+    def gap(p):
+        if not 0 < p.k_y <= Fraction(1, 2) <= p.k_x:
+            raise ValueError("closed form requires the positive branch 0 < k_y <= 1/2 <= k_x")
+        diff, total = p.k_y - p.k_x, p.k_y + p.k_x
+        return lambda q, l: diff * (total * q + l)
+
+    return _per_pair(params, gap, what, quadratic, linear)
 
 
 @dataclass(frozen=True)
@@ -155,6 +168,14 @@ class GapProfile:
     flips: int
     offset: object
     k_x: object
+
+    def __post_init__(self) -> None:
+        # finite reals, the counts integral, read as Python numbers that profile_csv can add
+        fields = (self.weak, self.flips, self.offset, self.k_x)
+        if not (all(map(_finite, fields)) and all(_integral(c) and c >= 0 for c in fields[:2])):
+            raise ValueError("a profile needs integer counts >= 0 and finite reals")
+        for name, value in zip(("weak", "flips", "offset", "k_x"), _entries(fields)):
+            object.__setattr__(self, name, int(value) if name in ("weak", "flips") else value)
 
     @property
     def quad_coeff(self) -> int:

@@ -197,20 +197,21 @@ def _classes(*columns):
     return rep, inverse
 
 
-def _per_row(formula, *columns):
-    """formula(*ints) on the integer statistics of one vector (scalars),
-    or on every row of a batch's (1-D columns) as an object array.
+def _per_row(formulas, what, *columns):
+    """Each formula(*ints) on the integer statistics of one vector (scalars), or on
+    every row of a batch's (1-D columns), as an object array whose last axis has
+    one entry per formula; .T[0] is one formula's value, or its batch column.
+    A float value beyond float64 raises ValueError naming what.
 
-    On a batch the formula runs once per distinct tuple of column values and
+    On a batch each formula runs once per distinct tuple of column values and
     its result is broadcast back to the rows, so exact weights cost a handful
     of rational operations per batch however many rows it has.
     """
-    if not isinstance(columns[0], np.ndarray):
-        return formula(*(int(c) for c in columns))
-    rep, inverse = _classes(*columns)
-    values = np.empty(len(rep), dtype=object)
-    values[:] = [formula(*key) for key in zip(*(c[rep].tolist() for c in columns))]
-    return values[inverse]
+    batch = isinstance(columns[0], np.ndarray)
+    rep, inverse = _classes(*columns) if batch else (None, 0)
+    keys = zip(*(c[rep].tolist() for c in columns)) if batch else [[int(c) for c in columns]]
+    values = [_within_float64(formula(*key), what) for key in keys for formula in formulas]
+    return np.array(values, dtype=object).reshape(-1, len(formulas))[inverse]
 
 
 def _weights(k, x, read):
@@ -241,14 +242,11 @@ def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRC
     what = "transition_norm_sq at this k"
     if isinstance(k, list):
         # rows that share (weak, flips) may differ in k, so the formula runs once per row
-        values = np.empty(len(k), dtype=object)
-        values[:] = [
-            _within_float64(_norm_sq(w, f, 4 * kr * kr), what)
-            for w, f, kr in zip(weak.tolist(), flips.tolist(), k)
-        ]
-        return values
+        rows = zip(weak.tolist(), flips.tolist(), k)
+        values = [_within_float64(_norm_sq(w, f, 4 * kr * kr), what) for w, f, kr in rows]
+        return np.array(values, dtype=object)
     four_k_sq = 4 * k * k
-    return _per_row(lambda w, f: _within_float64(_norm_sq(w, f, four_k_sq), what), weak, flips)
+    return _per_row([lambda w, f: _norm_sq(w, f, four_k_sq)], what, weak, flips).T[0]
 
 
 def hadamard_norm_sq(x: Iterable[float], k) -> float:

@@ -126,6 +126,10 @@ EXTREME_CALLS = {
     "profile_csv": [
         lambda v: profile_csv(PROFILE, step=v),
         lambda v: profile_csv(gap_profile((1, -1), (0, 0), v)),
+        lambda v: profile_csv(GapProfile(v, 1, 0, 1)),
+        lambda v: profile_csv(GapProfile(0, v, 0, 1)),
+        lambda v: profile_csv(GapProfile(0, 1, v, 1)),
+        lambda v: profile_csv(GapProfile(0, 1, 0, v)),
     ],
     # an integer dimension bounded by grid.MAX_GRID_DIM
     "pattern_grid": [pattern_grid],
@@ -172,9 +176,12 @@ EXTREME_CALLS = {
         ),
     ],
 }
-# extra arguments of one type: text nested deeper than json's decoder recurses, an exported
-# system with a coefficient beyond float64, and names that are no string
+# extra arguments of one type: a real beyond float64 that numpy holds, text nested deeper
+# than json's decoder recurses, an exported system with a coefficient beyond float64, and
+# names that are no string
 EXTRA_EXTREMES = {
+    # finite as a longdouble wider than float64, inf as a float
+    "profile_csv": (np.longdouble("1e400"),),
     "parse_system": ("[" * 10000 + "]" * 10000, SYSTEM_TEXT % "1e400", SYSTEM_TEXT % "NaN"),
     "run_oracle": ([], None, ("hessian_table",)),
 }
@@ -414,6 +421,38 @@ def test_per_row_weights_beyond_float64():
     values = transition_norm_sq(ROWS, [10**400, 1]).tolist()
     assert values == [transition_norm_sq(ROWS[0], 10**400), transition_norm_sq(ROWS[1], 1)]
     assert values == [2 + 4 * 10**800, 8]
+
+
+# the gaps take one GapParams or a nonempty list or tuple of them
+GAP_CALLS = {
+    "decoupled_gap": lambda x, params: decoupled_gap(x, np.zeros_like(x), params),
+    "zero_direction_gap": zero_direction_gap,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAP_CALLS))
+def test_gap_weight_pairs_are_gap_params(name):
+    call = GAP_CALLS[name]
+    for x in (ROWS, ROWS[0]):
+        for params in (
+            [],
+            (),
+            [PARAMS, (Fraction(1, 4), 1)],
+            (PARAMS, None),
+            [PARAMS, [PARAMS]],
+            (Fraction(1, 4), 1),
+            np.array([PARAMS]),
+            "ab",
+        ):
+            with pytest.raises(ValueError):
+                call(x, params)
+    # the positive branch binds the closed form only
+    pairs = [PARAMS, GapParams(Fraction(-1, 4), 1)]
+    if name == "zero_direction_gap":
+        with pytest.raises(ValueError, match="positive branch"):
+            call(ROWS, pairs)
+    else:
+        assert call(ROWS, pairs).shape == (2, 2)
 
 
 def test_wide_floats_beyond_float64_are_value_error():

@@ -773,11 +773,13 @@ def _reference_qhat_identity(n):
 
 
 def _row_changed(gap, row, change):
-    """A batch gap function with the value of one row (modulo the grid) replaced by change(value)."""
+    """A batch gap function with each value of one row (modulo the grid) replaced by
+    change(value): the row's one value, or its value at every weight pair of a list."""
 
     def wrong(*args):
         values = gap(*args)
-        values[row % len(values)] = change(values[row % len(values)])
+        r = row % len(values)
+        values[r] = change(values[r]) if values.ndim == 1 else [change(v) for v in values[r]]
         return values
 
     return wrong

@@ -217,6 +217,17 @@ def test_plain_export_names_missing_metadata():
         export_system(PolySystem(full.variables, full.equations, []), "plain")
 
 
+def test_json_export_refuses_values_json_cannot_encode():
+    # json.dumps raised TypeError for a Fraction coefficient or metadata value
+    half = Fraction(1, 2)
+    for system in (
+        PolySystem(("a",), (((half, {"a": 1}),),), {}),
+        PolySystem(("a",), (((1, {"a": 1}),),), {"t": half}),
+    ):
+        with pytest.raises(ValueError, match="JSON cannot encode"):
+            export_system(system)
+
+
 def _evaluate(system, assignment):
     """Every equation's left side at an assignment of all of the system's variables."""
     return [

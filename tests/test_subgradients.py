@@ -224,6 +224,25 @@ def test_profile_validation():
         profile.value(0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_profile_fields_are_counts_and_finite_reals():
+    # profile_csv raised TypeError for the first two: a longdouble beyond float64 and a string count
+    for fields in [
+        (0, 1, np.longdouble("1e400"), 1),
+        ("1", 1, 0, 1),
+        (-1, 0, 0, 1),
+        (0, 1.5, 0, 1),
+        (0, 1, math.nan, 1),
+        (0, 1, 0, "a"),
+    ]:
+        with pytest.raises(ValueError, match="a profile needs"):
+            GapProfile(*fields)
+    # numpy numbers are read as the Python numbers of their values, integral counts as ints
+    profile = GapProfile(np.int64(1), 2.0, np.float32(-1.5), np.int64(1))
+    assert [type(v) for v in (profile.weak, profile.flips, profile.offset, profile.k_x)] == [int, int, float, int]
+    assert profile_csv(profile).splitlines()[-1] == "0.5,1.5"
+
+
 def test_profile_csv_layout():
     profile = gap_profile((1, -1), (0, 0), Fraction(1))
     text = profile_csv(profile)
@@ -323,3 +342,27 @@ def test_batch_gaps_match_scalar_sweep(n):
                 decoupled_gap(patterns, zero, params, topo),
                 [decoupled_gap(row, [0] * n, params, topo) for row in rows],
             )
+
+
+# one list of weight pairs: the exact sweep pairs, their floats and int outer weights
+WEIGHT_LIST = [
+    GapParams(k_y=ky, k_x=kx)
+    for ky, kx in SWEEP_WEIGHTS_EXACT + SWEEP_WEIGHTS + [(Fraction(1, 3), 1), (0.3, 3), (Fraction(1, 2), 2)]
+]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_gap_lists_match_the_per_pair_calls(n):
+    # entry [..., j] is params[j]'s own call in value and type, for a batch and for one vector
+    patterns = pattern_grid(n)
+    zero = np.zeros_like(patterns)
+    for topo in Topology:
+        for gap, args in ((zero_direction_gap, (patterns,)), (decoupled_gap, (patterns, zero))):
+            columns = gap(*args, WEIGHT_LIST, topo)
+            assert columns.shape == (len(patterns), len(WEIGHT_LIST))
+            for j, params in enumerate(WEIGHT_LIST):
+                assert_rows_equal(columns[:, j], gap(*args, params, topo).tolist())
+            for row in zip(*args):
+                assert_rows_equal(
+                    gap(*row, tuple(WEIGHT_LIST), topo), [gap(*row, params, topo) for params in WEIGHT_LIST]
+                )
