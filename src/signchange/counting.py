@@ -35,13 +35,25 @@ _MAX_ROWS = 3**12
 
 def _finite(value) -> bool:
     """The one scalar rule: ints and Fractions are finite without a float
-    conversion (which could overflow); any other real must pass math.isfinite.
-    A float is tested first, with a type test rather than the slower ABC ones."""
+    conversion (which could overflow), a numpy float in its own precision (a
+    longdouble beyond float64 is finite, as _entries reads it), any other real
+    by math.isfinite.  A float is tested first, by type rather than by ABC."""
     if isinstance(value, float):
         return math.isfinite(value)
-    return isinstance(value, numbers.Rational) or (
-        isinstance(value, numbers.Real) and math.isfinite(value)
-    )
+    if isinstance(value, numbers.Rational):
+        return True
+    if isinstance(value, np.floating):
+        return bool(np.isfinite(value))
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _finite_real(value, what: str):
+    """value once finite, else ValueError naming what.  A numpy number becomes the
+    Python number _entries reads, which compares with a Fraction, cannot wrap and
+    overflows to inf without a warning."""
+    if not _finite(value):
+        raise ValueError(f"{what} must be finite")
+    return _entries((value,))[0] if isinstance(value, np.generic) else value
 
 
 def _real(value, name: str) -> float:

@@ -8,9 +8,9 @@ subgradient sweeps, norm bound chains, Hadamard identity checks, the 2-D
 Hessian eigenvalue table, the exact zero-direction gap identity and the 4-D
 feasibility certificates.  The finite-direction system behind those
 certificates is built only here, by lattice enumeration and a per-pair loop,
-and decided once by exact Gauss-Jordan elimination.  Every oracle reports
-through _sweep: its first failed check in sweep order (draw order for the
-two random samples), or its check count.
+and its verdict is cross-checked once by exact elimination on the augmented
+rows.  Every oracle reports through _sweep: its first failed check in sweep
+order (draw order for the two random samples), or its check count.
 """
 
 from __future__ import annotations
@@ -548,46 +548,26 @@ def _lattice_system(z: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]], lis
     return t, rows, [t - _pair_form(d) for d in rows]
 
 
-def _solve_rational_system(rows: Sequence[Sequence[int]], rhs: Sequence[int]):
-    """Decide A x = b over the rationals by Gauss-Jordan elimination.
-
-    Returns ('feasible', witness) with free variables set to zero, or
-    ('infeasible', combo, value) where combo is a list of
-    (original row index, Fraction coefficient) combining to the
-    contradiction 0 = value != 0.
-    """
-    if not rows or len(rows) != len(rhs):
-        raise ValueError("need a nonempty system with one right-hand side per row")
-    # each row carries its right-hand side and its combination of the input rows
-    work = [
-        ([Fraction(v) for v in row], Fraction(b), {idx: Fraction(1)})
-        for idx, (row, b) in enumerate(zip(rows, rhs))
-    ]
-    pivots: dict[int, int] = {}  # column -> its pivot row
-    for col in range(len(rows[0])):
-        pivot = next((r for r, w in enumerate(work) if w[0][col] and r not in pivots.values()), None)
-        if pivot is None:
+def _solvable(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
+    """Whether A x = b has a rational solution, by exact Gaussian elimination
+    over Fraction on the augmented rows [A | b]: each nonzero row in turn is a
+    pivot eliminating its leading column from the rest, and a pivot whose
+    leading entry lies in the b column reads 0 = b != 0."""
+    if not rows or len(rows) != len(rhs) or len({len(row) for row in rows}) != 1:
+        raise ValueError("need a nonempty system of equal-length rows, one right-hand side per row")
+    pending = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    while pending:
+        pivot = pending.pop()
+        col = next((c for c, v in enumerate(pivot) if v), None)
+        if col is None:
             continue
-        pivots[col] = pivot
-        prow, pb, pcombo = work[pivot]
-        for r, (row, b, combo) in enumerate(work):
-            factor = row[col] / prow[col]
-            if r != pivot and factor:
-                work[r] = (
-                    [v - factor * p for v, p in zip(row, prow)],
-                    b - factor * pb,
-                    {i: combo.get(i, 0) - factor * pcombo.get(i, 0) for i in combo.keys() | pcombo},
-                )
-    # every column is eliminated from the rows that hold no pivot, so b != 0 there is 0 = b
-    for r, (_, b, combo) in enumerate(work):
-        if b and r not in pivots.values():
-            return ("infeasible", sorted((i, c) for i, c in combo.items() if c), b)
-    witness = [Fraction(0)] * len(rows[0])
-    for col, r in pivots.items():
-        witness[col] = work[r][1] / work[r][0][col]
-    for row, b in zip(rows, rhs):
-        assert sum(Fraction(v) * w for v, w in zip(row, witness)) == b
-    return ("feasible", witness)
+        if col == len(pivot) - 1:
+            return False
+        for row in pending:
+            if row[col]:
+                factor = row[col] / pivot[col]
+                row[:] = [v - factor * p for v, p in zip(row, pivot)]
+    return True
 
 
 def _certificate_fault(cert, rows: list[tuple[int, ...]], rhs: list[int]) -> dict | None:
@@ -608,8 +588,9 @@ def _oracle_feasibility_n4() -> VerifyReport:
     """The pure-axis decision of finite_direction_feasibility on every n = 4
     candidate, against the lattice rows rebuilt here by enumeration and a
     per-pair loop: each certificate must recombine them to 0 = value != 0.
-    A valid certificate proves infeasibility, so exact Gauss-Jordan
-    elimination runs once, on the alternating candidate, as a cross-check.
+    A valid certificate proves infeasibility, so an exact elimination on the
+    augmented rows runs once, on the alternating candidate, as a verdict-only
+    cross-check.
     Each candidate has two checks: its result, then its certificate."""
     candidates = list(product((-1, 0, 1), repeat=4))
     faults = []
@@ -618,7 +599,7 @@ def _oracle_feasibility_n4() -> VerifyReport:
         result = finite_direction_feasibility(z)
         if result.feasible or (result.t, result.n_directions) != (t, len(rows)):
             faults.append(({"result": repr(result)}, None))
-        elif z == (1, -1, 1, -1) and _solve_rational_system(rows, rhs)[0] != "infeasible":
+        elif z == (1, -1, 1, -1) and _solvable(rows, rhs):
             faults.append(({"elimination": "feasible"}, None))
         else:
             faults.append((None, _certificate_fault(result.certificate, rows, rhs)))

@@ -13,8 +13,8 @@ the sign grid turns the ansatz into a linear system for the multipliers.
 The pure-axis lemma decides it in O(n) exact rational operations, without
 building the system; infeasibility comes with a machine-checkable
 certificate (a rational combination of two equations that reduces to
-0 = nonzero).  The lattice enumeration and the Gauss-Jordan elimination
-that cross-check it live in the feasibility_n4 oracle.
+0 = nonzero).  The lattice enumeration and the verdict-only elimination on
+its augmented rows that cross-check it live in the feasibility_n4 oracle.
 """
 
 from __future__ import annotations
@@ -314,8 +314,8 @@ def finite_direction_feasibility(z: Sequence[int]) -> FeasibilityResult:
     order, with equation indices in the lexicographic order of the
     directions.  The registered oracle feasibility_n4 enumerates the
     directions itself, recombines every certificate on them, and
-    cross-checks one representative candidate by exact Gauss-Jordan
-    elimination.
+    cross-checks one representative candidate's verdict by exact
+    elimination on the augmented rows [A | b].
     """
     pattern = _integer_vector(z, 4, signs=True)
     n = len(pattern)

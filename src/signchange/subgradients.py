@@ -17,10 +17,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counting import _check_rows, _displaced, _entries, _finite, _integral, _is_batch, _real, _signs
+from .counting import _check_rows, _displaced, _entries, _finite, _finite_real, _integral, _is_batch
+from .counting import _real, _signs
 from .transitions import (
     Topology,
-    _check_weight,
     _norm_sq,
     _per_row,
     pair_counts,
@@ -50,7 +50,7 @@ class GapParams:
         # the bounds below admit |k_x| = inf and cannot compare a non-number;
         # a numpy weight is kept as the Python number of its value
         for name in ("k_y", "k_x"):
-            object.__setattr__(self, name, _check_weight(getattr(self, name)))
+            object.__setattr__(self, name, _finite_real(getattr(self, name), f"gap weight {name}"))
         if not 0 < abs(self.k_y) <= Fraction(1, 2) <= abs(self.k_x):
             raise ValueError("gap weights must satisfy 0 < |k_y| <= 1/2 <= |k_x|")
 
@@ -89,12 +89,17 @@ def _displaced_signs(x, d) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _per_pair(params, gap, what, *columns):
-    """_per_row over gap(p) for each weight pair p; one GapParams takes column 0."""
+    """_per_row over gap(p) for each weight pair p; one GapParams takes column 0.
+    Where an int or Fraction beyond float64 meets a float, in gap(p) or in its
+    formula, Python's OverflowError becomes the ValueError of _within_float64."""
     if isinstance(params, GapParams):
-        return _per_row([gap(params)], what, *columns).T[0]
+        return _per_pair([params], gap, what, *columns).T[0]
     if not (isinstance(params, (list, tuple)) and params and all(isinstance(p, GapParams) for p in params)):
         raise ValueError("params must be a GapParams or a nonempty list or tuple of them")
-    return _per_row([gap(p) for p in params], what, *columns)
+    try:
+        return _per_row([gap(p) for p in params], what, *columns)
+    except OverflowError:
+        raise ValueError(f"{what} leaves the float64 range") from None
 
 
 def decoupled_gap(
@@ -182,9 +187,13 @@ class GapProfile:
         return 4 * self.flips
 
     def value(self, k):
-        if not (_finite(k) and 0 < k <= Fraction(1, 2)):
+        k = _finite_real(k, "profile weight")
+        if not 0 < k <= Fraction(1, 2):
             raise ValueError("profile weight must lie in (0, 1/2]")
-        return self.weak + self.quad_coeff * k * k + self.offset
+        try:
+            return self.weak + self.quad_coeff * k * k + self.offset
+        except OverflowError:
+            raise ValueError("a gap profile value leaves the float64 range") from None
 
 
 def gap_profile(
@@ -194,7 +203,8 @@ def gap_profile(
     topology: Topology = Topology.CIRCULAR,
 ) -> GapProfile:
     """Gap at fixed displacement as an exact quadratic in the inner weight."""
-    if not (_finite(k_x) and abs(k_x) >= Fraction(1, 2)):
+    k_x = _finite_real(k_x, "outer weight k_x")
+    if abs(k_x) < Fraction(1, 2):
         raise ValueError("outer weight must satisfy |k_x| >= 1/2")
     base, moved = _displaced(x, d)
     weak, flips = pair_counts(moved, topology)
@@ -208,9 +218,9 @@ def gap_profile(
 
 def profile_csv(profile: GapProfile, step: Fraction = Fraction(1, 200)) -> str:
     """CSV rows 'k,gap' for k = step, 2*step, ... up to 1/2."""
-    if not (_finite(step) and 0 < step <= Fraction(1, 2)):
+    step = Fraction(_finite_real(step, "profile step"))
+    if not 0 < step <= Fraction(1, 2):
         raise ValueError("step must lie in (0, 1/2]")
-    step = Fraction(step)
     _check_rows(Fraction(1, 2) // step, "the profile")
     lines = ["k,gap"]
     k = step

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import _entries, _finite, _is_batch, _real, _row_dot, _signs, _within_float64, as_vector
+from .counting import _finite_real, _is_batch, _real, _row_dot, _signs, _within_float64, as_vector
 
 __all__ = [
     "Topology",
@@ -75,14 +75,6 @@ class Topology(enum.Enum):
             raise ValueError(f"unknown topology {name!r}; use 'circular' or 'linear'") from None
 
 
-def _check_weight(k):
-    """k as a finite weight; a numpy number becomes the Python int or float of
-    its value, whose arithmetic cannot wrap and overflows to inf without a warning."""
-    if not _finite(k):
-        raise ValueError("transition weight k must be finite")
-    return _entries((k,))[0] if isinstance(k, np.generic) else k
-
-
 def _transition_values(a, b, k):
     """(a + b + k*a*b) * (a*b - 1) on signs or on arrays of signs."""
     prod = a * b
@@ -92,7 +84,7 @@ def _transition_values(a, b, k):
 def transition_map(x: Iterable[float], k, topology: Topology = Topology.CIRCULAR) -> tuple:
     """Transition values over the adjacency pairs of x, in pair order."""
     # on Python-int signs each value is exact, of the type the formula gives on ints
-    k = _check_weight(k)
+    k = _finite_real(k, "transition weight k")
     a, b = topology.neighbors(_signs(x).astype(object))
     with np.errstate(over="ignore", invalid="ignore"):
         values = _transition_values(a, b, k).tolist()
@@ -146,46 +138,30 @@ def _norm_sq(weak: int, flips: int, four_k_sq):
     return weak + four_k_sq * flips
 
 
-def _int_codes(columns):
-    """One int64 per row, equal exactly where the rows of the non-empty integer
-    columns are, or None when a column is not integer or a code could pass 2^62.
-
-    Each column is offset by its minimum and the offsets are read as the digits
-    of one mixed-radix number whose radices are the column spans.
-    """
-    if any(c.dtype.kind not in "iu" for c in columns):
-        return None
-    lows = [int(c.min()) for c in columns]
-    spans = [int(c.max()) - low + 1 for c, low in zip(columns, lows)]
-    if math.prod(spans) > 2**62:
-        return None
-    codes = 0
-    for c, low, span in zip(columns, lows, spans):
-        # c - low lies in [0, span), so neither the difference nor the cast can wrap
-        if c.dtype.kind == "u":
-            offset = (c.astype(np.uint64) - np.uint64(low)).astype(np.int64)
-        else:
-            offset = c.astype(np.int64, copy=False) - low
-        codes = codes * span + offset
-    return codes
-
-
-# on short columns the codes' per-column reductions cost what the byte sort saves:
-# slower at 81 rows, about even at 243, twice as fast at 729
-_INT_CODE_MIN_ROWS = 256
-
-
 def _classes(*columns):
     """Group the rows of equal-length 1-D columns by their exact values.
 
     Returns (rep, inverse): one row index per class and each row's class, so
-    column[rep][inverse] reproduces every column bit for bit.  Integer
-    columns of at least _INT_CODE_MIN_ROWS rows group by one int64 code per
-    row; others by the bytes of their values, where columns of mixed dtypes
-    compare in their common dtype (int counts are exact in float64) and
-    equal NaNs group together, unlike under ==.
+    column[rep][inverse] reproduces every column bit for bit.  Rows of signed
+    integer columns group by one int64 code: each column offset by its minimum
+    is one digit of a mixed-radix number whose radices are the column spans,
+    while their running product stays within 2^62.  Other rows group by the
+    bytes of their values, where columns of mixed dtypes compare in their
+    common dtype (int counts are exact in float64) and equal NaNs group
+    together, unlike under ==.
     """
-    keys = _int_codes(columns) if len(columns[0]) >= _INT_CODE_MIN_ROWS else None
+    keys = None
+    if len(columns[0]) and all(c.dtype.kind == "i" for c in columns):
+        keys, radix = 0, 1
+        for c in columns:
+            low = int(c.min())
+            span = int(c.max()) - low + 1
+            radix *= span
+            if radix > 2**62:
+                keys = None
+                break
+            # c - low lies in [0, span) and keys in [0, radix / span), so nothing wraps
+            keys = keys * span + (c.astype(np.int64, copy=False) - low)
     if keys is None:
         stacked = np.stack(columns, axis=-1)
         # a 1-D unique over one void scalar per row, several times faster than unique(axis=0)
@@ -237,7 +213,7 @@ def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRC
     row, equal in value and type to the call on that row; k is then one
     weight, or a sequence with one weight per row, and row r takes k[r].
     """
-    k = _weights(k, x, _check_weight)
+    k = _weights(k, x, lambda w: _finite_real(w, "transition weight k"))
     weak, flips = pair_stats(_signs(x, _is_batch(x)), topology)
     what = "transition_norm_sq at this k"
     if isinstance(k, list):

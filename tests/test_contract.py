@@ -465,6 +465,46 @@ def test_wide_floats_beyond_float64_are_value_error():
         transition_hessian_2d(wide, 0.5)
 
 
+# a float weight beside an int or Fraction weight beyond float64: Python raised
+# OverflowError where the two met, in a gap formula, in k_y +- k_x or in a profile value
+HUGE = GapParams(0.5, 10**400)
+MIXED_BEYOND_FLOAT64 = {
+    "decoupled_int": lambda: decoupled_gap([1, -1], [0, 0], HUGE),
+    "decoupled_fraction": lambda: decoupled_gap([1, -1], [0, 0], GapParams(0.5, Fraction(10**400, 3))),
+    "decoupled_batch_list": lambda: decoupled_gap(ROWS, np.zeros_like(ROWS), [PARAMS, HUGE]),
+    "zero_direction": lambda: zero_direction_gap([1, -1], HUGE),
+    "zero_direction_batch": lambda: zero_direction_gap(ROWS, HUGE),
+    "zero_direction_list": lambda: zero_direction_gap([1, -1], [PARAMS, HUGE]),
+    "profile_value": lambda: GapProfile(0, 1, -(10**400), 1).value(0.25),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(MIXED_BEYOND_FLOAT64))
+def test_float_weights_meeting_exact_ones_beyond_float64(name):
+    with pytest.raises(ValueError, match="leaves the float64 range"):
+        MIXED_BEYOND_FLOAT64[name]()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).max == np.finfo(np.float64).max, reason="longdouble is float64 here"
+)
+def test_longdouble_weights_beyond_float64_are_finite():
+    # finite in its own precision, as sign_vector reads it: the Fraction of its value
+    wide, tiny = np.longdouble("1e400"), np.longdouble("1e-400")
+    exact = Fraction(*wide.as_integer_ratio())
+    assert sign_vector([wide, -1]) == (1, -1)
+    assert transition_norm_sq([1, -1], wide) == transition_norm_sq([1, -1], exact)
+    assert GapParams(0.5, wide).k_x == exact
+    assert gap_profile([1, -1], [0, 0], wide) == gap_profile([1, -1], [0, 0], exact)
+    # a longdouble profile weight or step compares with the Fraction bounds (was TypeError)
+    assert GapProfile(0, 1, 0, 1).value(tiny) == 4 * Fraction(*tiny.as_integer_ratio()) ** 2
+    for step in (wide, tiny):
+        with pytest.raises(ValueError):
+            profile_csv(gap_profile([1, -1], [0, 0], 1), step=step)
+
+
 # 3^12 rows, the n = 12 pattern grid; each case asks for one row past it
 CEILING = 3**12
 

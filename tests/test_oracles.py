@@ -610,7 +610,7 @@ def test_feasibility_n4_counts_the_checks_up_to_its_first_failure(monkeypatch, i
 
 
 def test_feasibility_n4_reports_an_elimination_that_disagrees(monkeypatch):
-    monkeypatch.setattr(oracles, "_solve_rational_system", lambda rows, rhs: ("feasible", []))
+    monkeypatch.setattr(oracles, "_solvable", lambda rows, rhs: True)
     report = run_oracle("feasibility_n4")
     assert report.checks == 2 * FEASIBILITY_CANDIDATES.index((1, -1, 1, -1)) + 1
     assert report.counterexample == {"z": (1, -1, 1, -1), "elimination": "feasible"}

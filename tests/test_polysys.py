@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from signchange import oracles, polysys
 from signchange.cli import run
-from signchange.oracles import _lattice_system, _pair_form, _solve_rational_system
+from signchange.oracles import _lattice_system, _pair_form, _solvable
 from signchange.polysys import (
     ADMISSIBLE_RHO_SQUARED,
     Certificate,
@@ -315,39 +315,47 @@ def test_pair_form_values(d, expected):
     assert _pair_form(d) == expected
 
 
-def test_solver_feasible_witness():
-    outcome = _solve_rational_system([[1, 0], [0, 2], [1, 2]], [3, 4, 7])
-    assert outcome[0] == "feasible"
-    assert outcome[1] == [Fraction(3), Fraction(2)]
+@pytest.mark.parametrize(
+    "rows,rhs,solvable",
+    [
+        # x = (3, 2)
+        ([[1, 0], [0, 2], [1, 2]], [3, 4, 7], True),
+        # underdetermined
+        ([[1, 1, 0]], [4], True),
+        # the second row is twice the first with 3 != 2 * 1
+        ([[1, 1], [2, 2], [1, 0]], [1, 3, 0], False),
+    ],
+    ids=["determined", "underdetermined", "inconsistent"],
+)
+def test_solvable_verdicts(rows, rhs, solvable):
+    assert _solvable(rows, rhs) is solvable
 
 
-def test_solver_underdetermined_sets_free_to_zero():
-    outcome = _solve_rational_system([[1, 1, 0]], [4])
-    assert outcome == ("feasible", [Fraction(4), Fraction(0), Fraction(0)])
+def test_solvable_validation():
+    for rows, rhs in [([], []), ([[1]], [1, 2]), ([[1, 0], [1]], [1, 2])]:
+        with pytest.raises(ValueError):
+            _solvable(rows, rhs)
 
 
-def test_solver_infeasible_certificate_combines_to_contradiction():
-    rows = [[1, 1], [2, 2], [1, 0]]
-    rhs = [1, 3, 0]
-    outcome = _solve_rational_system(rows, rhs)
-    assert outcome[0] == "infeasible"
-    combo, value = outcome[1], outcome[2]
-    assert value != 0
-    total_row = [Fraction(0), Fraction(0)]
-    total_rhs = Fraction(0)
-    for idx, coeff in combo:
-        for c in range(2):
-            total_row[c] += coeff * rows[idx][c]
-        total_rhs += coeff * rhs[idx]
-    assert total_row == [0, 0]
-    assert total_rhs == value
+def test_every_lattice_system_is_unsolvable():
+    assert not any(_solvable(*_lattice_system(z)[1:]) for z in CANDIDATES)
 
 
-def test_solver_validation():
-    with pytest.raises(ValueError):
-        _solve_rational_system([], [])
-    with pytest.raises(ValueError):
-        _solve_rational_system([[1]], [1, 2])
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 5), st.integers(1, 6))
+def test_solvable_systems_are_the_consistent_ones(data, width, height):
+    entries = st.integers(-4, 4)
+    solution = data.draw(st.lists(entries, min_size=width, max_size=width))
+    row = st.lists(entries, min_size=width, max_size=width)
+    rows = data.draw(st.lists(row, min_size=height, max_size=height))
+    rhs = [sum(a * x for a, x in zip(row, solution)) for row in rows]
+    assert _solvable(rows, rhs)
+    # a combination of the rows with a shifted right-hand side reads 0 = shift != 0
+    weights = data.draw(st.lists(entries, min_size=height, max_size=height))
+    shift = data.draw(st.integers(-4, 4).filter(bool))
+    combined = [sum(w * row[c] for w, row in zip(weights, rows)) for c in range(width)]
+    value = sum(w * b for w, b in zip(weights, rhs)) + shift
+    assert not _solvable(rows + [combined], rhs + [value])
 
 
 def test_feasibility_certificate_for_alternating_candidate():
@@ -448,7 +456,7 @@ def test_decision_neither_eliminates_nor_enumerates(monkeypatch):
         assert not hasattr(polysys, name)
     z = (1, -1, 1, -1)
     _, directions, _ = _lattice_system(z)
-    monkeypatch.setattr(oracles, "_solve_rational_system", forbidden)
+    monkeypatch.setattr(oracles, "_solvable", forbidden)
     monkeypatch.setattr(oracles, "_lattice_system", forbidden)
     # and the decision builds no numpy array
     monkeypatch.setattr(polysys, "np", None)

@@ -226,9 +226,8 @@ def test_profile_validation():
 
 @pytest.mark.filterwarnings("error")
 def test_profile_fields_are_counts_and_finite_reals():
-    # profile_csv raised TypeError for the first two: a longdouble beyond float64 and a string count
+    # profile_csv raised TypeError for a string count
     for fields in [
-        (0, 1, np.longdouble("1e400"), 1),
         ("1", 1, 0, 1),
         (-1, 0, 0, 1),
         (0, 1.5, 0, 1),
@@ -241,6 +240,14 @@ def test_profile_fields_are_counts_and_finite_reals():
     profile = GapProfile(np.int64(1), 2.0, np.float32(-1.5), np.int64(1))
     assert [type(v) for v in (profile.weak, profile.flips, profile.offset, profile.k_x)] == [int, int, float, int]
     assert profile_csv(profile).splitlines()[-1] == "0.5,1.5"
+    # a longdouble beyond float64 is finite: the exact Fraction of its value, which
+    # profile_csv cannot print as a float (it raised TypeError from the longdouble)
+    wide = np.longdouble("1e400")
+    if np.isfinite(wide):
+        profile = GapProfile(0, 1, wide, 1)
+        assert profile.offset == Fraction(*wide.as_integer_ratio())
+        with pytest.raises(ValueError, match="a gap value"):
+            profile_csv(profile)
 
 
 def test_profile_csv_layout():
