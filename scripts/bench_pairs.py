@@ -17,10 +17,11 @@ workload of ``BENCHMARK.json`` then gets N pairs of its own, on the same seeds.
 FILE receives, per workload and per end-to-end metric of ``BENCHMARK.json``,
 each side's values in pair order, their medians and quartiles
 (``statistics.quantiles(n=4)``, the exclusive method), and the wins and ties
-of the change.  For ``pass_s`` on NAME it also records whether the claim
-rule holds: the change wins at least nine pairs in ten, and its median beats
-the parent's by more than the parent's interquartile range.  Exits 1 when a
-run reports a wrong output; a run that fails stops the script.
+of the change.  Its claim block gives, for every end-to-end metric on NAME,
+the wins, the gain, the medians and whether the claim rule holds: the change
+wins at least nine pairs in ten, and its median beats the parent's by more
+than the parent's interquartile range.  Exits 1 when a run reports a wrong
+output; a run that fails stops the script.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the metric a gain is claimed on, the share of pairs the change must win, and the
-# least number of pairs
-CLAIM_METRIC = "pass_s"
+# the share of pairs the change must win for a claim, and the least number of pairs
 CLAIM_WIN_SHARE = 0.9
 CLAIM_MIN_PAIRS = 10
 # run in the root of each tree before any pair; -f rewrites bytecode whose header
@@ -113,6 +112,18 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def claim(workload: str, metrics: dict) -> dict:
+    """The claim rule's figures for every metric of one workload, from compare's statistics."""
+    keys = ("wins", "ties", "pairs", "gain", "parent_iqr", "medians")
+    return {
+        "workload": workload,
+        "metrics": {
+            name: {**{k: stats[k] for k in keys}, "holds": stats["claim_holds"]}
+            for name, stats in metrics.items()
+        },
+    }
+
+
 def run_pairs(parent: Path, workload: str, pairs: int, first_seed: int, seconds: float, spec: dict) -> dict:
     """pairs alternating runs of one workload; the statistics of every end-to-end metric."""
     runs = []
@@ -172,7 +183,6 @@ def main(argv=None) -> int:
             name: run_pairs(Path(tmp), name, pairs, args.first_seed, seconds, spec) for name, pairs in plan
         }
 
-    claimed = workloads[args.workload]["metrics"][CLAIM_METRIC]
     record = {
         "what": args.what,
         "parent_commit": commit,
@@ -183,12 +193,7 @@ def main(argv=None) -> int:
         "the parent from git archive of its commit and the change from this checkout, "
         "both prepared by the command in prepare; "
         "times in perfbench reference seconds; quartiles by statistics.quantiles(n=4)",
-        "claim": {
-            "workload": args.workload,
-            "metric": CLAIM_METRIC,
-            **{k: claimed[k] for k in ("wins", "ties", "pairs", "gain", "parent_iqr", "medians")},
-            "holds": claimed["claim_holds"],
-        },
+        "claim": claim(args.workload, workloads[args.workload]["metrics"]),
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

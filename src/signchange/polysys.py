@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +69,9 @@ PAIR_TERMS = {
 
 # term = (integer coefficient, {variable: positive exponent})
 Term = tuple[int, dict[str, int]]
+
+# json.dumps(..., sort_keys=True) without its circular-reference bookkeeping
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 @dataclass(frozen=True)
@@ -187,30 +190,30 @@ def _payload(system: PolySystem) -> dict:
 def export_system(system: PolySystem, fmt: str = "json") -> str:
     """The system as text: 'json' or 'plain'.
 
-    The JSON text is json.dumps(payload, sort_keys=True) plus a newline, one
-    line from json's C encoder, where payload holds the variables, the
-    equations as [coefficient, powers] pairs and the metadata; parse_system
-    reads it back, as it reads the CLI's indented print of the same payload.
-    The plain text is a header from the metadata's candidate, t and
-    admissible_rho_squared, then one 'lhs = 0' line per equation; metadata
-    without one of them, or a value JSON cannot encode, raises ValueError.
+    The JSON text is json.dumps(_payload(system), sort_keys=True) plus a newline,
+    from one reused json C encoder; parse_system reads it back, and the CLI's
+    indented print of the same payload.  The plain text is a header from the
+    metadata's candidate, t and admissible_rho_squared, then one 'lhs = 0' line
+    per equation; metadata without one of them, a term parse_system refuses, a
+    value JSON cannot encode or a system that holds itself raises ValueError.
     """
     if fmt == "json":
         try:
-            return json.dumps(_payload(system), sort_keys=True) + "\n"
-        except TypeError as error:
+            return _ENCODER.encode(_payload(system)) + "\n"
+        except (TypeError, RecursionError) as error:
             raise ValueError(f"the system holds a value JSON cannot encode: {error}") from None
     if fmt == "plain":
         meta = system.metadata
         for key in ("candidate", "t", "admissible_rho_squared"):
             if not isinstance(meta, dict) or key not in meta:
                 raise ValueError(f"plain export needs the metadata key {key!r}")
+        equations = _read_equations(system.equations, frozenset(system.variables))
         lines = [
             f"# candidate z = {tuple(meta['candidate'])}",
             f"# sign changes t(z) = {meta['t']}",
             f"# admissible rho^2 values: {meta['admissible_rho_squared']}",
         ]
-        for eq in system.equations:
+        for eq in equations:
             lines.append(_format_equation(eq, system.variables))
         return "\n".join(lines) + "\n"
     raise ValueError("format must be 'json' or 'plain'")
@@ -228,14 +231,24 @@ def _read_int(value) -> int:
 
 
 def _read_powers(powers: dict, names: frozenset) -> dict[str, int]:
-    """One term's exponents, integers >= 0 on listed variables; json's own dict
-    passes as it is when its keys are listed and its exponents are plain ints."""
-    if powers.keys() <= names and all(type(e) is int and e >= 0 for e in powers.values()):
-        return powers
+    """One term's exponents, integers >= 0 on listed variables."""
     read = {k: _read_int(e) for k, e in powers.items()}
-    if not read.keys() <= names or min(read.values()) < 0:
+    if not read.keys() <= names or min(read.values(), default=0) < 0:
         raise ValueError(f"exponents must be nonnegative, on listed variables: {powers!r}")
     return read
+
+
+def _read_equations(rows, names: frozenset) -> tuple[tuple[Term, ...], ...]:
+    """The rows' (coefficient, powers) terms by the integer rule: kept as they are when one
+    whole-system check, each pass in C, finds them all so, else read term by term."""
+    terms = [*chain.from_iterable(rows)]
+    coeffs, powers = zip(*terms, strict=True) if terms else ((), ())
+    if {*map(type, powers)} <= {dict}:
+        exponents = [*chain.from_iterable(map(dict.values, powers))]
+        if ({*map(type, coeffs), *map(type, exponents)} <= {int} and min(exponents, default=0) >= 0
+                and names.issuperset(set().union(*powers))):
+            return tuple(tuple(map(tuple, eq)) for eq in rows)
+    return tuple(tuple((_read_int(c), _read_powers(p, names)) for c, p in eq) for eq in rows)
 
 
 def parse_system(text: str) -> PolySystem:
@@ -246,6 +259,7 @@ def parse_system(text: str) -> PolySystem:
     and exponents are read by the integer rule, so 1.5 is refused rather than
     truncated; an exponent must be nonnegative and on a listed variable, and
     any other layout, or text nested too deep for json, raises ValueError.
+    A whole-system check passes exported terms through; others go term by term.
     """
     try:
         payload = json.loads(text)
@@ -259,11 +273,7 @@ def parse_system(text: str) -> PolySystem:
         # every term a [coefficient, powers] pair, and the metadata a JSON object
         if type(metadata) is not dict or any({*map(type, eq), *map(len, eq)} - {list, 2} for eq in rows):
             raise ValueError(_NOT_EXPORTED)
-        equations = tuple(
-            tuple((c if type(c) is int else _read_int(c), _read_powers(p, names)) for c, p in eq)
-            for eq in rows
-        )
-        return PolySystem(tuple(variables), equations, metadata)
+        return PolySystem(tuple(variables), _read_equations(rows, names), metadata)
     except (KeyError, TypeError, AttributeError, RecursionError):
         raise ValueError(_NOT_EXPORTED) from None
 

@@ -28,6 +28,7 @@ from signchange import (
     GapProfile,
     Hessian2,
     OneDProblem,
+    PolySystem,
     Topology,
     build_4d_system,
     center_symmetry_check,
@@ -111,6 +112,15 @@ EXTREMES = (
 PROFILE = gap_profile((1, -1), (0, 0), 1)
 FEASIBILITY = finite_direction_feasibility((1, -1, 1, -1))
 SYSTEM_TEXT = '{"variables": ["a"], "equations": [[[%s, {"a": 1}]]], "metadata": {}}'
+PLAIN_METADATA = {"candidate": [1, -1, 1, -1], "t": 4, "admissible_rho_squared": [1]}
+
+
+def holding_itself(value) -> dict:
+    """Metadata that holds the value and itself."""
+    metadata = {"value": value}
+    metadata["self"] = metadata
+    return metadata
+
 
 # public functions that take no vector or sign pattern, one call per argument of its own
 # type, each taking one extreme value; an object argument that a library call builds is
@@ -165,6 +175,12 @@ EXTREME_CALLS = {
     "export_system": [
         lambda v: export_system(build_4d_system((1, -1, 1, -1)), fmt=v),
         lambda v: export_system(build_4d_system((1, -1, 1, -1), mu=[v, 0, 0, 0])),
+        # a system built by hand: a term of three entries, metadata that holds itself,
+        # and plain export of the value as a coefficient and as an exponent
+        lambda v: export_system(PolySystem(("a",), (((1, {"a": 1}, v),),), {})),
+        lambda v: export_system(PolySystem(("a",), (((1, {"a": 1}),),), holding_itself(v))),
+        lambda v: export_system(PolySystem(("a",), (((v, {"a": 1}),),), PLAIN_METADATA), "plain"),
+        lambda v: export_system(PolySystem(("a",), (((1, {"a": v}),),), PLAIN_METADATA), "plain"),
     ],
     # JSON text, and the extreme values as the text's coefficient; more in test_polysys.py
     "parse_system": [parse_system, lambda v: parse_system(SYSTEM_TEXT % (v,))],

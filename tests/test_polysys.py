@@ -228,6 +228,115 @@ def test_json_export_refuses_values_json_cannot_encode():
             export_system(system)
 
 
+def test_json_export_refuses_systems_holding_themselves_and_terms_that_are_not_pairs():
+    looped = {"t": 1}
+    looped["self"] = looped
+    # json's circular-reference check said "Circular reference detected"
+    with pytest.raises(ValueError):
+        export_system(PolySystem(("a",), (((1, {"a": 1}),),), looped))
+    for term in ((1, {"a": 1}, 2), (1,), [1, {"a": 1}, 2]):
+        with pytest.raises(ValueError):
+            export_system(PolySystem(("a",), ((term,),), {}))
+
+
+PLAIN_METADATA = {"candidate": [1, -1, 1, -1], "t": 4, "admissible_rho_squared": [1]}
+
+
+@pytest.mark.parametrize(
+    "term",
+    [(1, {"b": 2}), (1, {"a": -2}), (1, {"a": 1.5}), (2.5, {"a": 1}), (True, {"a": 1})],
+    ids=["unlisted-variable", "negative-exponent", "float-exponent", "float-coefficient", "bool"],
+)
+def test_plain_export_refuses_terms_that_parse_system_refuses(term):
+    # printed as "1 = 0", "1 = 0", "a^1.5 = 0", "2.5*a = 0" and "a = 0"
+    system = PolySystem(("a",), (((1, {"a": 1}), term),), PLAIN_METADATA)
+    with pytest.raises(ValueError):
+        export_system(system, "plain")
+    payload = json.loads(export_system(system))
+    with pytest.raises(ValueError):
+        parse_system(json.dumps(payload))
+
+
+def test_plain_export_prints_terms_as_parse_system_reads_them():
+    system = PolySystem(("a", "b"), (((2.0, {"a": 3.0}), (-1, {"b": 0}), (np.int64(4), {})),), PLAIN_METADATA)
+    assert export_system(system, "plain").splitlines()[-1] == "2*a^3 - 1 + 4 = 0"
+
+
+def _list_payload(system):
+    """A system's JSON payload built from lists and dicts: the reference for the export's bytes."""
+    return {
+        "variables": list(system.variables),
+        "equations": [[[coeff, dict(powers)] for coeff, powers in eq] for eq in system.equations],
+        "metadata": system.metadata,
+    }
+
+
+@pytest.mark.parametrize("mu", [None, (1, 2, -3, 0), (0, 0, 0, 0)], ids=["symbolic", "mixed", "zero"])
+def test_json_export_bytes_match_json_dumps_of_lists(capsys, mu):
+    for z in CANDIDATES:
+        system = build_4d_system(z, mu)
+        payload = _list_payload(system)
+        assert export_system(system) == json.dumps(payload, sort_keys=True) + "\n"
+        indented = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert _polysys_stdout(capsys, z, mu) == indented
+
+
+# each deviation from an exported term, and the term it is read as
+READ_AS = {
+    "coefficient-2.0": (lambda c, p: [2.0, p], lambda c, p: [2, p]),
+    "exponent-2.0": (lambda c, p: [c, {**p, "rho": 2.0}], lambda c, p: [c, {**p, "rho": 2}]),
+}
+REFUSED = {
+    "coefficient-1.5": lambda c, p: [1.5, p],
+    "exponent-1.5": lambda c, p: [c, {**p, "rho": 1.5}],
+    "coefficient-true": lambda c, p: [True, p],
+    "exponent-true": lambda c, p: [c, {**p, "rho": True}],
+    "negative-exponent": lambda c, p: [c, {**p, "rho": -1}],
+    "unlisted-variable": lambda c, p: [c, {**p, "x": 1}],
+    "powers-not-a-dict": lambda c, p: [c, [["rho", 1]]],
+    "three-entries": lambda c, p: [c, p, 0],
+}
+
+
+def _deviated(deviate, first):
+    """The exported text of one 4-D system with deviate applied to its first
+    term (of the first equation) or its last (of the last equation)."""
+    payload = json.loads(export_system(build_4d_system((1, -1, 0, 1))))
+    eq, k = (0, 0) if first else (-1, -1)
+    payload["equations"][eq][k] = deviate(*payload["equations"][eq][k])
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first-term", "last-term"])
+@pytest.mark.parametrize("name", sorted(READ_AS))
+def test_whole_system_check_reads_integral_floats_in_any_term(name, first):
+    deviate, read_as = READ_AS[name]
+    parsed = parse_system(_deviated(deviate, first))
+    assert parsed == parse_system(_deviated(read_as, first))
+    values = [v for eq in parsed.equations for c, p in eq for v in (c, *p.values())]
+    assert {type(v) for v in values} == {int}
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first-term", "last-term"])
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_whole_system_check_refuses_a_deviation_in_any_term(name, first):
+    with pytest.raises(ValueError):
+        parse_system(_deviated(REFUSED[name], first))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_parse_inverts_json_export(data):
+    variables = data.draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    # empty powers and zero exponents included
+    powers = st.dictionaries(st.sampled_from(variables), st.integers(0, 6), max_size=len(variables))
+    term = st.tuples(st.integers(-(10**30), 10**30), powers)
+    equations = data.draw(st.lists(st.lists(term, max_size=5).map(tuple), max_size=4).map(tuple))
+    metadata = data.draw(st.dictionaries(st.text(max_size=3), st.integers() | st.text(max_size=3), max_size=3))
+    system = PolySystem(tuple(variables), equations, metadata)
+    assert parse_system(export_system(system)) == system
+
+
 def _evaluate(system, assignment):
     """Every equation's left side at an assignment of all of the system's variables."""
     return [

@@ -47,6 +47,27 @@ def test_bench_pairs_statistics_follow_the_better_direction():
     assert single["wins"] == 1 and not single["claim_holds"]
 
 
+def test_bench_pairs_claim_covers_every_metric():
+    script = load_script("bench_pairs")
+    metrics = {
+        "pass_s": script.compare(PARENT, [v - 6.0 for v in PARENT], "lower"),
+        "op_p50_ms": script.compare(PARENT, [v - 5.0 for v in PARENT], "lower"),
+        "peak_rss_mb": script.compare(PARENT, [v + 1.0 for v in PARENT], "lower"),
+    }
+    block = script.claim("lattice", metrics)
+    assert block["workload"] == "lattice"
+    assert list(block["metrics"]) == ["pass_s", "op_p50_ms", "peak_rss_mb"]
+    assert {name: figures["holds"] for name, figures in block["metrics"].items()} == {
+        "pass_s": True,
+        "op_p50_ms": False,
+        "peak_rss_mb": False,
+    }
+    op = block["metrics"]["op_p50_ms"]
+    assert (op["wins"], op["ties"], op["pairs"], op["gain"], op["parent_iqr"]) == (10, 0, 10, 5.0, 5.5)
+    assert op["medians"] == {"parent": 14.5, "change": 9.5}
+    assert block["metrics"]["peak_rss_mb"]["gain"] == -1.0
+
+
 def current_bytecode(root):
     """Each module under root/src, and whether its __pycache__ file is current for its
     source by the check the import system makes: source mtime and size, or a hash."""
