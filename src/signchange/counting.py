@@ -247,15 +247,29 @@ def sign_vector(x: Iterable[float]) -> tuple[int, ...]:
     return tuple(_signs(x).tolist())
 
 
-def _nonzeros(values, axis=None):
-    """Nonzero entries of a vector or batch read by _vector, along axis.
+def _row_nonzeros(values: np.ndarray):
+    """Nonzero entries of a numeric vector, or of each row of a 2-D batch, as numpy integers.
+
+    One vector is counted by np.count_nonzero, one C call.  A batch's nonzero
+    mask is summed per row as int8 into intp by one einsum, a single reduction
+    that count_nonzero(axis=-1) would run row by row; intp holds the count of
+    any row, where a narrower sum (a uint8 matmul) would wrap.
+    """
+    if values.ndim == 1:
+        return np.count_nonzero(values)
+    mask = values if values.dtype == bool else values != 0
+    return np.einsum("ij->i", mask.view(np.int8), dtype=np.intp)
+
+
+def _nonzeros(values):
+    """Nonzero entries of a vector read by _vector, or of each row of a batch.
 
     A numeric array is counted as it is, with no sign array (-0.0 is zero);
     lists, tuples and object arrays take the exact sign pass.
     """
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiub"):
         values = _sign_array(values)
-    return np.count_nonzero(values, axis=axis)
+    return _row_nonzeros(values)
 
 
 def count_nonzero(x: Iterable[float]) -> int:
@@ -318,7 +332,7 @@ def sign_minorant_gap(x: Iterable[float]) -> float:
     """
     batch = _is_batch(x)
     x = _vector(x, batch)
-    count = _nonzeros(x, axis=-1)
+    count = _nonzeros(x)
     if not count.all():
         raise ValueError("minorant gap is undefined at the origin")
     mags = _unit_magnitudes(x)

@@ -21,20 +21,28 @@ __all__ = ["pattern_grid", "GridTable", "enumerate_grid", "center_symmetry_check
 MAX_GRID_DIM = 12
 
 
+# the three digit values of one component, as a column that broadcasts over its blocks
+_DIGITS = np.arange(-1, 2, dtype=np.int8)[:, None]
+
+
 def pattern_grid(n: int) -> np.ndarray:
-    """All 3^n sign patterns as an int8 array in lexicographic order.
+    """All 3^n sign patterns as a C-contiguous int8 array in lexicographic order.
 
     Row r holds the base-3 digits of r shifted to {-1, 0, 1}, so the
     ordering matches itertools.product((-1, 0, 1), repeat=n) and the
-    negation of row r is row 3^n - 1 - r.
+    negation of row r is row 3^n - 1 - r.  Component j runs through -1, 0
+    and 1 in blocks of 3^(n-1-j) rows, 3^j times over: each column is
+    written in int8 through one view of the grid, with no division.
     """
     # an integral n in range, checked before 3^n is formed
     if not (_integral(n) and 2 <= n <= MAX_GRID_DIM):
         raise ValueError(f"pattern dimension must be an integer in [2, {MAX_GRID_DIM}], got {n!r}")
     n = int(n)
-    powers = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    idx = np.arange(3**n, dtype=np.int64)
-    return ((idx[:, None] // powers[None, :]) % 3 - 1).astype(np.int8)
+    grid = np.empty((3**n, n), dtype=np.int8)
+    for j in range(n):
+        # reshaping the C-contiguous grid is a view, so the write lands in it
+        grid.reshape(3**j, 3, 3 ** (n - 1 - j), n)[..., j] = _DIGITS
+    return grid
 
 
 @dataclass(frozen=True)

@@ -171,9 +171,9 @@ def _format_equation(terms: tuple[Term, ...], variables: tuple[str, ...]) -> str
     for idx, (coeff, powers) in enumerate(terms):
         body = _format_term(coeff, powers, variables)
         if idx == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
+            pieces.append(body if coeff >= 0 else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if coeff >= 0 else f"- {body}")
     return " ".join(pieces) + " = 0"
 
 
@@ -194,8 +194,9 @@ def export_system(system: PolySystem, fmt: str = "json") -> str:
     from one reused json C encoder; parse_system reads it back, and the CLI's
     indented print of the same payload.  The plain text is a header from the
     metadata's candidate, t and admissible_rho_squared, then one 'lhs = 0' line
-    per equation; metadata without one of them, a term parse_system refuses, a
-    value JSON cannot encode or a system that holds itself raises ValueError.
+    per equation, where a zero coefficient prints with a plus sign; metadata
+    without one of them, an equation or term parse_system refuses, a value
+    JSON cannot encode or a system that holds itself raises ValueError.
     """
     if fmt == "json":
         try:
@@ -207,7 +208,10 @@ def export_system(system: PolySystem, fmt: str = "json") -> str:
         for key in ("candidate", "t", "admissible_rho_squared"):
             if not isinstance(meta, dict) or key not in meta:
                 raise ValueError(f"plain export needs the metadata key {key!r}")
-        equations = _read_equations(system.equations, frozenset(system.variables))
+        try:
+            equations = _read_equations(system.equations, frozenset(system.variables))
+        except (TypeError, AttributeError):
+            raise ValueError("plain export needs equations of (coefficient, powers) terms") from None
         lines = [
             f"# candidate z = {tuple(meta['candidate'])}",
             f"# sign changes t(z) = {meta['t']}",

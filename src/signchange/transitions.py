@@ -20,7 +20,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import _finite_real, _is_batch, _real, _row_dot, _signs, _within_float64, as_vector
+from .counting import (
+    _finite_real,
+    _is_batch,
+    _real,
+    _row_dot,
+    _row_nonzeros,
+    _signs,
+    _within_float64,
+    as_vector,
+)
 
 __all__ = [
     "Topology",
@@ -103,22 +112,37 @@ def pair_stats(signs: np.ndarray, topology: Topology):
     when the signs are opposite; t = weak + flips counts the pairs that differ.
     The signs are read through one int8 cast, and each pair gets the code
     a ^ b: 0 when the signs are equal, -2 on a flip (1 ^ -1) and +-1 when
-    weak.  On the circle the wrap pair is coded from the two end columns and
-    added to the counts of the linear pairs.  Not in __all__: an entry outside
-    -1..1 is miscounted, so only callers holding a reader's signs use it; it
-    keeps an unprefixed name, which perfbench's tracer times as a layer.
+    weak.  One vector xors the pair views of Topology.pairs and counts them
+    with np.count_nonzero, one C call; on the circle it adds the wrap pair's
+    code, read as Python ints.  A batch is coded in one xor over its rows
+    laid end to end, written into a C-contiguous int8 array shaped like the
+    signs; each row's last column, which that xor paired with the first
+    entry of the next row, is then overwritten with the row's wrap code on
+    the circle and 0 on the chain.  Its rows are counted by
+    counting._row_nonzeros, one reduction over the whole batch rather than a
+    loop over its rows, exact for any row length.  Not in __all__: an entry
+    outside -1..1 is miscounted, so only callers holding a reader's signs use
+    it; it keeps an unprefixed name, which perfbench's tracer times as a layer.
     """
-    (a, b), wrap = topology.pairs(signs.astype(np.int8, copy=False))
-    # without an axis count_nonzero is one C call, several times faster on short vectors
-    axis = None if a.ndim == 1 else -1
-    codes = a ^ b
-    flips = np.count_nonzero(codes == _FLIP, axis=axis)
-    differ = np.count_nonzero(codes, axis=axis)
-    if wrap is not None:
-        code = wrap[0] ^ wrap[1]
-        flips = flips + (code == _FLIP)
-        differ = differ + (code != 0)
-    return differ - flips, flips
+    signs = signs.astype(np.int8, copy=False)
+    if signs.ndim != 2:
+        (a, b), wrap = topology.pairs(signs)
+        codes = a ^ b
+        flips = np.count_nonzero(codes == _FLIP)
+        differ = np.count_nonzero(codes)
+        if wrap is not None:
+            code = wrap[0].item() ^ wrap[1].item()
+            flips = flips + (code == -2)
+            differ = differ + (code != 0)
+        return differ - flips, flips
+    _, wrap = topology.pairs(signs)
+    codes = np.empty(signs.shape, dtype=np.int8)
+    # the rows end to end, copied only where they are not C-contiguous
+    flat = signs.reshape(-1)
+    np.bitwise_xor(flat[:-1], flat[1:], out=codes.reshape(-1)[:-1])
+    codes[:, -1] = 0 if wrap is None else wrap[0] ^ wrap[1]
+    flips = _row_nonzeros(codes == _FLIP)
+    return _row_nonzeros(codes) - flips, flips
 
 
 def pair_counts(x: Iterable[float], topology: Topology = Topology.CIRCULAR) -> tuple[int, int]:
@@ -214,8 +238,11 @@ def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRC
     weight, or a sequence with one weight per row, and row r takes k[r].
     """
     k = _weights(k, x, lambda w: _finite_real(w, "transition weight k"))
-    weak, flips = pair_stats(_signs(x, _is_batch(x)), topology)
+    batch = _is_batch(x)
+    weak, flips = pair_stats(_signs(x, batch), topology)
     what = "transition_norm_sq at this k"
+    if not batch:
+        return _within_float64(_norm_sq(int(weak), int(flips), 4 * k * k), what)
     if isinstance(k, list):
         # rows that share (weak, flips) may differ in k, so the formula runs once per row
         rows = zip(weak.tolist(), flips.tolist(), k)

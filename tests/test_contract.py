@@ -181,6 +181,9 @@ EXTREME_CALLS = {
         lambda v: export_system(PolySystem(("a",), (((1, {"a": 1}),),), holding_itself(v))),
         lambda v: export_system(PolySystem(("a",), (((v, {"a": 1}),),), PLAIN_METADATA), "plain"),
         lambda v: export_system(PolySystem(("a",), (((1, {"a": v}),),), PLAIN_METADATA), "plain"),
+        # plain export of the value as a whole term, and as the whole list of equations
+        lambda v: export_system(PolySystem(("a",), ((v,),), PLAIN_METADATA), "plain"),
+        lambda v: export_system(PolySystem(("a",), v, PLAIN_METADATA), "plain"),
     ],
     # JSON text, and the extreme values as the text's coefficient; more in test_polysys.py
     "parse_system": [parse_system, lambda v: parse_system(SYSTEM_TEXT % (v,))],

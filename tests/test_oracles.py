@@ -42,10 +42,11 @@ from signchange.transitions import (
 dims = st.integers(min_value=2, max_value=6)
 
 
-def test_pattern_grid_matches_product_order():
-    grid = pattern_grid(3)
-    expected = list(product((-1, 0, 1), repeat=3))
-    assert [tuple(int(v) for v in row) for row in grid] == expected
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pattern_grid_matches_product_order(n):
+    grid = pattern_grid(n)
+    assert grid.dtype == np.int8 and grid.flags.c_contiguous
+    assert list(map(tuple, grid.tolist())) == list(product((-1, 0, 1), repeat=n))
 
 
 @given(dims)

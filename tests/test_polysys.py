@@ -262,6 +262,13 @@ def test_plain_export_prints_terms_as_parse_system_reads_them():
     assert export_system(system, "plain").splitlines()[-1] == "2*a^3 - 1 + 4 = 0"
 
 
+def test_plain_export_prints_a_zero_coefficient_with_a_plus_sign():
+    leading = PolySystem(("a",), (((0, {"a": 1}), (1, {})),), PLAIN_METADATA)
+    assert export_system(leading, "plain").splitlines()[-1] == "0*a + 1 = 0"
+    after = PolySystem(("a",), (((-1, {}), (0, {"a": 2}), (0, {})),), PLAIN_METADATA)
+    assert export_system(after, "plain").splitlines()[-1] == "-1 + 0*a^2 + 0 = 0"
+
+
 def _list_payload(system):
     """A system's JSON payload built from lists and dicts: the reference for the export's bytes."""
     return {

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from batching import assert_rows_equal, batches, object_array, rowwise, weights
 from signchange.counting import _signs, count_nonzero, sign_vector
+from signchange.grid import pattern_grid
 from signchange.oracles import _reference_pair_counts
 from signchange.transitions import (
     Hessian2,
@@ -423,9 +424,10 @@ def test_per_row_weights_keep_their_types():
     x = np.array([[1, -1, 0], [1, 1, -1], [0, 1, -1], [-1, 1, 0]])
     ks = [2, Fraction(1, 3), 0.5, np.int64(2**40)]
     values = transition_norm_sq(x, ks).tolist()
-    assert values == [transition_norm_sq(row, k) for row, k in zip(x, ks)]
+    singles = [transition_norm_sq(row, k) for row, k in zip(x, ks)]
+    assert values == singles
     # int, Fraction, float, and a numpy integer read as the Python int of its value
-    assert [type(v) for v in values] == [int, Fraction, float, int]
+    assert [type(v) for v in values] == [type(v) for v in singles] == [int, Fraction, float, int]
     assert values[1] == Fraction(8, 9) and values[3] == 2 + 4 * 2**80
     # a numeric weight array gives its entries as Python numbers
     assert transition_norm_sq(x, np.array([2, 0, 1, 3])).tolist() == [18, 0, 6, 38]
@@ -459,6 +461,36 @@ def test_batch_validation(call):
     for bad in (np.zeros((2, 1)), np.array([[1.0, math.nan]]), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError):
             call(bad)
+
+
+GRID = pattern_grid(4)
+# the rows of GRID in the layouts a batch may come in, each counted row by row below
+BATCH_LAYOUTS = {
+    "every_other_row": GRID[::2],
+    "reversed_columns": GRID[:, ::-1],
+    "fortran_order": np.asfortranarray(GRID),
+    "no_rows": GRID[:0],
+    "one_row": GRID[40:41],
+    "two_columns": GRID[:, :2],
+    "int64": GRID.astype(np.int64),
+    "bool": GRID != 0,
+}
+
+
+@pytest.mark.parametrize("layout", sorted(BATCH_LAYOUTS))
+@pytest.mark.parametrize("topology", list(Topology))
+def test_batch_pair_stats_match_the_one_vector_call(layout, topology):
+    signs = BATCH_LAYOUTS[layout]
+    weak, flips = pair_stats(signs, topology)
+    assert weak.dtype == flips.dtype == np.intp and weak.shape == flips.shape == (len(signs),)
+    by_row = [tuple(map(int, pair_stats(row, topology))) for row in signs]
+    assert list(zip(weak.tolist(), flips.tolist())) == by_row
+
+
+def test_batch_pair_stats_count_rows_longer_than_a_byte_holds():
+    # 300 flips per row, which a sum in 8 bits would wrap
+    weak, flips = pair_stats(np.tile(np.array([1, -1], dtype=np.int8), (3, 150)), Topology.CIRCULAR)
+    assert weak.tolist() == [0, 0, 0] and flips.tolist() == [300, 300, 300]
 
 
 def _byte_partition(columns):
