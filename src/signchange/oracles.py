@@ -51,6 +51,11 @@ SWEEP_WEIGHTS_EXACT = [
     for kx in (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2))
 ]
 SWEEP_WEIGHTS = [(float(ky), float(kx)) for ky, kx in SWEEP_WEIGHTS_EXACT]
+# the exact pairs as the gap functions take them, and the steps 4(ky^2 - kx^2) that
+# qhat_identity multiplies by the flips, built once (frozen GapParams, a read-only array)
+_SWEEP_PARAMS = tuple(GapParams(k_y=ky, k_x=kx) for ky, kx in SWEEP_WEIGHTS_EXACT)
+_SWEEP_STEPS = np.array([4 * (ky * ky - kx * kx) for ky, kx in SWEEP_WEIGHTS_EXACT], dtype=object)
+_SWEEP_STEPS.flags.writeable = False
 
 # the draws of the hadamard_random and signminor_random oracles
 _RANDOM_SEED = 20240817
@@ -440,19 +445,17 @@ def _oracle_qhat_identity(n: int) -> VerifyReport:
     are decided once per class of rows sharing all of them and weight pair."""
     patterns = pattern_grid(n)
     zero = np.zeros_like(patterns)
-    params = [GapParams(k_y=ky, k_x=kx) for ky, kx in SWEEP_WEIGHTS_EXACT]
-    steps = np.array([4 * (ky * ky - kx * kx) for ky, kx in SWEEP_WEIGHTS_EXACT], dtype=object)
 
     def blocks():
         for topology in Topology:
             _, flips = pair_stats(patterns, topology)
-            closed = zero_direction_gap(patterns, params, topology)
-            direct = decoupled_gap(patterns, zero, params, topology)
+            closed = zero_direction_gap(patterns, _SWEEP_PARAMS, topology)
+            direct = decoupled_gap(patterns, zero, _SWEEP_PARAMS, topology)
             # each list keeps its entries alive while their ids are read, so equal ids mean one object
             ids = [np.fromiter(map(id, v.tolist()), dtype=np.uintp) for v in (*closed.T, *direct.T)]
             rep, classes = _classes(*ids, flips)
             closed, direct = closed[rep], direct[rep]
-            reduced = steps * flips[rep].astype(object)[:, None]
+            reduced = _SWEEP_STEPS * flips[rep].astype(object)[:, None]
             # failed[r, w, c]: check c (direct, reduction, sign) of pattern r at weight pair w
             failed = np.stack((closed != direct, closed != reduced, closed > 0), axis=-1)[classes]
 

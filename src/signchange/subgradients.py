@@ -21,6 +21,7 @@ from .counting import _check_rows, _displaced, _entries, _finite, _finite_real, 
 from .counting import _real, _signs
 from .transitions import (
     Topology,
+    _linear_form,
     _norm_sq,
     _per_row,
     pair_counts,
@@ -88,6 +89,20 @@ def _displaced_signs(x, d) -> tuple[np.ndarray, np.ndarray]:
     return _signs(x, batch=True), np.array(rows, dtype=np.int8).reshape(x.shape)
 
 
+def _decoupled_coefficients(y, x):
+    """The coefficients of (wy, fy, wx, fx) in the decoupled gap, 1, 4 k_y^2, -1 and
+    -4 k_x^2, as (numerator, denominator) from those of y = k_y and x = k_x."""
+    (ny, dy), (nx, dx) = y, x
+    return (1, 1), (4 * ny * ny, dy * dy), (-1, 1), (-4 * nx * nx, dx * dx)
+
+
+def _zero_direction_coefficients(y, x):
+    """The coefficients of (q, l) in the zero-direction gap, k_y^2 - k_x^2 and
+    k_y - k_x, as (numerator, denominator) from those of y = k_y and x = k_x."""
+    (ny, dy), (nx, dx) = y, x
+    return (ny * ny * dx * dx - nx * nx * dy * dy, dy * dy * dx * dx), (ny * dx - nx * dy, dy * dx)
+
+
 def _per_pair(params, gap, what, *columns):
     """_per_row over gap(p) for each weight pair p; one GapParams takes column 0.
     Where an int or Fraction beyond float64 meets a float, in gap(p) or in its
@@ -115,12 +130,18 @@ def decoupled_gap(
     with d of the same shape gives an object array with one value per row,
     equal in value and type to the call on that row.  A list of GapParams adds a
     last axis, entry j equal in value and type to the call at params[j].  A float
-    value beyond float64 raises ValueError; int and Fraction weights stay exact.
+    value beyond float64 raises ValueError; int and Fraction weights stay exact:
+    wy + 4 k_y^2 fy - wx - 4 k_x^2 fx is one integer sum over one denominator,
+    while any other weight pair keeps the expression of two norms, so float
+    results are unchanged.
     """
     base, moved = _displaced_signs(x, d)
     what = "decoupled_gap at this k_x"
 
     def gap(p):
+        form = _linear_form((p.k_y, p.k_x), _decoupled_coefficients)
+        if form is not None:
+            return form
         four_ky_sq, four_kx_sq = 4 * p.k_y * p.k_y, 4 * p.k_x * p.k_x
         return lambda wy, fy, wx, fx: _norm_sq(wy, fy, four_ky_sq) - _norm_sq(wx, fx, four_kx_sq)
 
@@ -138,9 +159,11 @@ def zero_direction_gap(
         (s_i s_j - 1)^2 ((k_y + k_x) s_i^2 s_j^2 + 2 s_i s_j (s_i + s_j))
     where s is the sign vector of x.  Each summand is 0 except on full
     flips, where it contributes 4(k_y^2 - k_x^2) <= 0.  The sum runs over
-    integer sign arrays in two weight-free parts; the weights enter only in
-    the two closing rational operations, so the value is exact for
-    Fraction weights, and a float value beyond float64 raises ValueError.
+    integer sign arrays in two weight-free parts q and l; for int and
+    Fraction weights the value (k_y^2 - k_x^2) q + (k_y - k_x) l is one
+    integer sum over one denominator, exact, while any other weight pair
+    keeps the expression (k_y - k_x) ((k_y + k_x) q + l), so float results
+    are unchanged, and a float value beyond float64 raises ValueError.
     A 2-D array of vectors (rows) gives an object array with one value per
     row, equal in value and type to the call on that row; a list of GapParams adds
     a last axis, entry j equal in value and type to the call at params[j].
@@ -155,6 +178,9 @@ def zero_direction_gap(
     def gap(p):
         if not 0 < p.k_y <= Fraction(1, 2) <= p.k_x:
             raise ValueError("closed form requires the positive branch 0 < k_y <= 1/2 <= k_x")
+        form = _linear_form((p.k_y, p.k_x), _zero_direction_coefficients)
+        if form is not None:
+            return form
         diff, total = p.k_y - p.k_x, p.k_y + p.k_x
         return lambda q, l: diff * (total * q + l)
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -162,6 +164,47 @@ def _norm_sq(weak: int, flips: int, four_k_sq):
     return weak + four_k_sq * flips
 
 
+def _linear_form(weights, coefficients):
+    """The function of integer statistics s_1, s_2, ... that gives sum a_i * s_i,
+    for exact weights, or None when a weight is no int or Fraction by exact type
+    (a float, a bool, any other Rational): the caller then keeps its own expression.
+
+    coefficients(*ratios) takes each weight as its (numerator, denominator) and
+    returns the a_i the same way, as ints, so no Fraction operator runs.  Each
+    a_i is scaled to L, the lcm of their reduced denominators: a value is one
+    integer sum and one Fraction(sum, L), reduced as every Fraction is, so it
+    equals the value and type of the same formula in Fraction arithmetic.  With
+    only int weights it is the int sum; one Fraction weight makes every value a
+    Fraction, a whole one too, as that arithmetic would.
+    """
+    ratios, fraction = [], False
+    for k in weights:
+        if type(k) is Fraction:
+            ratios.append((k.numerator, k.denominator))
+            fraction = True
+        elif type(k) is int:
+            ratios.append((k, 1))
+        else:
+            return None
+    terms = coefficients(*ratios)
+    common = math.lcm(*(d // math.gcd(n, d) for n, d in terms))
+    # n / d in lowest terms has a denominator dividing common, so d divides n * common
+    scaled = [n * common // d for n, d in terms]
+    if not fraction:
+        return lambda *stats: sum(map(operator.mul, scaled, stats))
+    return lambda *stats: Fraction(sum(map(operator.mul, scaled, stats)), common)
+
+
+def _norm_form(k):
+    """(weak, flips) -> weak + 4*k^2*flips: over one denominator for an exact k
+    (_linear_form), else _norm_sq's float or Rational expression."""
+    form = _linear_form((k,), lambda r: ((1, 1), (4 * r[0] * r[0], r[1] * r[1])))
+    if form is not None:
+        return form
+    four_k_sq = 4 * k * k
+    return lambda w, f: _norm_sq(w, f, four_k_sq)
+
+
 def _classes(*columns):
     """Group the rows of equal-length 1-D columns by their exact values.
 
@@ -204,8 +247,8 @@ def _per_row(formulas, what, *columns):
     A float value beyond float64 raises ValueError naming what.
 
     On a batch each formula runs once per distinct tuple of column values and
-    its result is broadcast back to the rows, so exact weights cost a handful
-    of rational operations per batch however many rows it has.
+    its result is broadcast back to the rows, so exact weights cost one
+    evaluation per class of rows however many rows the batch has.
     """
     batch = isinstance(columns[0], np.ndarray)
     rep, inverse = _classes(*columns) if batch else (None, 0)
@@ -233,6 +276,9 @@ def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRC
 
     The closed form avoids accumulating squares, so the result is exact
     for int or Fraction k and reproduces sign_changes exactly at k = +-1/2.
+    An int or Fraction k is summed in ints over one denominator, to the
+    value and type Fraction arithmetic gives; any other k keeps the
+    expression weak + (4*k*k)*flips, so float results are unchanged.
     A 2-D array of vectors (rows) gives an object array with one value per
     row, equal in value and type to the call on that row; k is then one
     weight, or a sequence with one weight per row, and row r takes k[r].
@@ -242,14 +288,13 @@ def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRC
     weak, flips = pair_stats(_signs(x, batch), topology)
     what = "transition_norm_sq at this k"
     if not batch:
-        return _within_float64(_norm_sq(int(weak), int(flips), 4 * k * k), what)
+        return _within_float64(_norm_form(k)(int(weak), int(flips)), what)
     if isinstance(k, list):
         # rows that share (weak, flips) may differ in k, so the formula runs once per row
         rows = zip(weak.tolist(), flips.tolist(), k)
-        values = [_within_float64(_norm_sq(w, f, 4 * kr * kr), what) for w, f, kr in rows]
+        values = [_within_float64(_norm_form(kr)(w, f), what) for w, f, kr in rows]
         return np.array(values, dtype=object)
-    four_k_sq = 4 * k * k
-    return _per_row([lambda w, f: _norm_sq(w, f, four_k_sq)], what, weak, flips).T[0]
+    return _per_row([_norm_form(k)], what, weak, flips).T[0]
 
 
 def hadamard_norm_sq(x: Iterable[float], k) -> float:

@@ -18,7 +18,8 @@ from signchange.subgradients import (
     profile_csv,
     zero_direction_gap,
 )
-from signchange.transitions import Topology, pair_stats, sign_changes
+from signchange.oracles import _reference_pair_counts
+from signchange.transitions import Topology, pair_stats, sign_changes, transition_norm_sq
 
 signs = st.sampled_from((-1, 0, 1))
 patterns = st.lists(signs, min_size=2, max_size=6).map(tuple)
@@ -373,3 +374,215 @@ def test_gap_lists_match_the_per_pair_calls(n):
                 assert_rows_equal(
                     gap(*row, tuple(WEIGHT_LIST), topo), [gap(*row, params, topo) for params in WEIGHT_LIST]
                 )
+
+
+# The expressions the gap and norm functions evaluate for every weight type but
+# int and Fraction, as they evaluated them for all types before exact weights
+# were summed over one denominator: the exact route must give their values and
+# types, and every other route their floats bit for bit.
+def _norm_expression(weak, flips, k):
+    return weak + (4 * k * k) * flips
+
+
+def _decoupled_expression(wy, fy, wx, fx, p):
+    return _norm_expression(wy, fy, p.k_y) - _norm_expression(wx, fx, p.k_x)
+
+
+def _zero_direction_expression(q, l, p):
+    if not 0 < p.k_y <= Fraction(1, 2) <= p.k_x:
+        raise ValueError("not the positive branch")
+    return (p.k_y - p.k_x) * ((p.k_y + p.k_x) * q + l)
+
+
+def _outcome(call, *args):
+    """call(*args), or ValueError where it raises that, overflows, or gives a float
+    beyond float64: what the library refuses with ValueError."""
+    try:
+        value = call(*args)
+    except (ValueError, OverflowError):
+        return ValueError
+    return ValueError if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _expected_table(rows):
+    """A table of outcomes as the batch call must give it: ValueError if any entry is one."""
+    return ValueError if any(v is ValueError for row in rows for v in row) else rows
+
+
+def _assert_same(got, want):
+    """Equal in value and type; floats bit for bit."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, float):
+        assert got.hex() == want.hex()
+    else:
+        assert got == want
+
+
+def _assert_table(call, want):
+    """call() gives the table want (rows of entries), or raises ValueError where want is one."""
+    if want is ValueError:
+        with pytest.raises(ValueError):
+            call()
+        return
+    got = call()
+    assert isinstance(got, np.ndarray) and got.dtype == object
+    got = got.reshape(len(want), -1).tolist()
+    assert [len(row) for row in got] == [len(row) for row in want]
+    for got_row, want_row in zip(got, want):
+        for g, w in zip(got_row, want_row):
+            _assert_same(g, w)
+
+
+def _as_read(k):
+    """A weight as the library reads it: a numpy integer as its int, a numpy float as its
+    float, or as the Fraction of its value where the type is wider than float64."""
+    if isinstance(k, np.integer):
+        return int(k)
+    if isinstance(k, np.floating):
+        return float(k) if k.itemsize <= 8 else Fraction(*k.as_integer_ratio())
+    return k
+
+
+BIG = 10**400
+# a positive rational with numerator and denominator up to 10**400
+big_ratios = st.builds(Fraction, st.integers(1, BIG), st.integers(1, BIG))
+signed = st.sampled_from((1, -1))
+
+
+def _inner(r):
+    """r folded into (0, 1/2]."""
+    return r if r <= Fraction(1, 2) else 1 / (4 * r)
+
+
+def _outer(r):
+    """r folded into [1/2, inf)."""
+    return r if r >= Fraction(1, 2) else 1 / (4 * r)
+
+
+# weights of every type the gap and norm functions take
+inner_weights = st.one_of(
+    st.builds(lambda r, s: s * _inner(r), big_ratios, signed),
+    st.builds(lambda v, s: s * v, st.floats(5e-324, 0.5), signed),
+    st.floats(0.01, 0.5).map(lambda v: np.longdouble(v) / 3 + np.longdouble(v) / 3),
+)
+outer_weights = st.one_of(
+    st.builds(lambda r, s: s * _outer(r), big_ratios, signed),
+    st.builds(lambda n, s: s * n, st.integers(1, BIG), signed),
+    st.just(True),
+    st.integers(1, 2**62).map(np.int64),
+    st.builds(lambda v, s: s * v, st.floats(0.5, 1.7e308), signed),
+    st.floats(0.8, 3.0).map(lambda v: np.longdouble(v) * 2 / 3),
+)
+norm_weights = st.one_of(
+    st.builds(lambda r, s: s * r, big_ratios, signed),
+    st.integers(-BIG, BIG),
+    st.booleans(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-4, 4).map(lambda v: np.longdouble(v) / 3),
+    inner_weights,
+)
+gap_param_lists = st.lists(
+    st.builds(GapParams, inner_weights, outer_weights), min_size=1, max_size=4
+)
+
+
+@st.composite
+def pattern_batches(draw):
+    """A 2-D list of sign patterns of one length, at least one row."""
+    n = draw(st.integers(2, 6))
+    return draw(st.lists(st.lists(signs, min_size=n, max_size=n), min_size=1, max_size=5))
+
+
+def _zero_direction_parts(pattern, topology):
+    """(q, l): the two weight-free sums of the zero-direction closed form, pair by pair."""
+    n = len(pattern)
+    q = l = 0
+    for i in range(n if topology is Topology.CIRCULAR else n - 1):
+        a, b = pattern[i], pattern[(i + 1) % n]
+        damp = (a * b - 1) ** 2
+        q += damp * (a * b) ** 2
+        l += damp * 2 * a * b * (a + b)
+    return q, l
+
+
+@given(pattern_batches(), st.lists(norm_weights, min_size=1, max_size=5), topologies)
+def test_norm_routes_match_the_expressions(batch, ks, topo):
+    stats = [_reference_pair_counts(tuple(row), topo) for row in batch]
+    reads = [_as_read(k) for k in ks]
+    # one vector, and a batch with one weight, at every weight
+    for k, kr in zip(ks, reads):
+        want = _expected_table([[_outcome(_norm_expression, *stats[0], kr)]])
+        _assert_table(lambda: np.array([transition_norm_sq(batch[0], k, topo)], dtype=object), want)
+        rows = _expected_table([[_outcome(_norm_expression, w, f, kr)] for w, f in stats])
+        _assert_table(lambda: transition_norm_sq(np.array(batch), k, topo), rows)
+    # one weight per row, cycling through the drawn weights
+    per_row = [ks[r % len(ks)] for r in range(len(batch))]
+    rows = _expected_table(
+        [[_outcome(_norm_expression, w, f, reads[r % len(ks)])] for r, (w, f) in enumerate(stats)]
+    )
+    _assert_table(lambda: transition_norm_sq(np.array(batch), per_row, topo), rows)
+
+
+@given(pattern_batches(), st.data(), gap_param_lists, topologies)
+def test_gap_routes_match_the_expressions(batch, data, params, topo):
+    moved = [data.draw(st.lists(signs, min_size=len(row), max_size=len(row))) for row in batch]
+    d = [[m - x for m, x in zip(mrow, xrow)] for mrow, xrow in zip(moved, batch)]
+    base_stats = [_reference_pair_counts(tuple(row), topo) for row in batch]
+    moved_stats = [_reference_pair_counts(tuple(row), topo) for row in moved]
+    parts = [_zero_direction_parts(row, topo) for row in batch]
+    decoupled = [
+        [_outcome(_decoupled_expression, *m, *b, p) for p in params] for m, b in zip(moved_stats, base_stats)
+    ]
+    closed = [[_outcome(_zero_direction_expression, *qs, p) for p in params] for qs in parts]
+    # a list of GapParams, one GapParams, on a batch and on one vector
+    _assert_table(lambda: decoupled_gap(np.array(batch), np.array(d), params, topo), _expected_table(decoupled))
+    _assert_table(lambda: zero_direction_gap(np.array(batch), params, topo), _expected_table(closed))
+    _assert_table(lambda: decoupled_gap(batch[0], d[0], params, topo), _expected_table(decoupled[:1]))
+    _assert_table(lambda: zero_direction_gap(batch[0], params, topo), _expected_table(closed[:1]))
+    for j, p in enumerate(params):
+        column = [[row[j]] for row in decoupled]
+        _assert_table(lambda: decoupled_gap(np.array(batch), np.array(d), p, topo), _expected_table(column))
+        column = [[row[j]] for row in closed]
+        _assert_table(lambda: zero_direction_gap(np.array(batch), p, topo), _expected_table(column))
+
+
+@pytest.mark.parametrize("topo", list(Topology))
+def test_gap_profile_agrees_with_the_decoupled_gap_on_the_grid(topo):
+    # every pair (x, d = s' - x) of the n = 3 grid, at the exact sweep weights
+    grid = pattern_grid(3)
+    x = np.repeat(grid, len(grid), axis=0)
+    d = np.tile(grid, (len(grid), 1)) - x
+    params = [GapParams(k_y=ky, k_x=kx) for ky, kx in SWEEP_WEIGHTS_EXACT]
+    gaps = decoupled_gap(x, d, params, topo)
+    for row, (point, step) in enumerate(zip(x.tolist(), d.tolist())):
+        profiles = {}
+        for j, (ky, kx) in enumerate(SWEEP_WEIGHTS_EXACT):
+            if kx not in profiles:
+                profiles[kx] = gap_profile(point, step, kx, topo)
+            value = profiles[kx].value(ky)
+            assert type(value) is type(gaps[row, j]) and value == gaps[row, j]
+
+
+def test_exact_gaps_make_no_fraction_arithmetic(monkeypatch):
+    # before exact weights were summed over one denominator, the two gaps made
+    # thousands of Fraction operations at n = 6
+    grid = pattern_grid(6)
+    zero = np.zeros_like(grid)
+    params = [GapParams(k_y=ky, k_x=kx) for ky, kx in SWEEP_WEIGHTS_EXACT]
+    calls = []
+    for method in ("add", "sub", "mul", "truediv"):
+        for name in (f"__{method}__", f"__r{method}__"):
+
+            def counted(self, other, operation=getattr(Fraction, name), name=name):
+                calls.append(name)
+                return operation(self, other)
+
+            monkeypatch.setattr(Fraction, name, counted)
+    assert Fraction(1, 2) + 1 == Fraction(3, 2) and calls == ["__add__"]
+    calls.clear()
+    for topo in Topology:
+        closed = zero_direction_gap(grid, params, topo)
+        direct = decoupled_gap(grid, zero, params, topo)
+        assert closed.shape == direct.shape == (len(grid), len(params))
+    assert calls == []
