@@ -104,6 +104,22 @@ def transition_map(x: Iterable[float], k, topology: Topology = Topology.CIRCULAR
 
 # the pair code of a full flip, as an int8 scalar: comparing with a Python int costs more
 _FLIP = np.int8(-2)
+# The longest vector pair_stats counts by one big-int xor over its sign bytes;
+# longer ones take numpy.  The big-int route has the smaller fixed cost and
+# the larger cost per entry, and the two cross between 512 and 1,024 entries.
+# pair_stats of one int8 vector on the circle, best of 7 on one core of a
+# 2-vCPU x86-64 VM (numpy 2.4.6, Python 3.11.7), whose speed drifts 10-25 %:
+#
+#        n   numpy    bytes
+#        6   3.5 us   1.4 us
+#      256   3.4 us   2.3 us
+#      512   3.7 us   3.4 us
+#    1,024   4.0 us   5.5 us
+#    4,096   4.5 us  15-25 us
+#     10^6   0.21 ms  9.6 ms
+_SHORT = 512
+# np.intp(k) costs about 0.5 us; the counts of a short vector are read from here
+_SHORT_COUNTS = tuple(np.arange(_SHORT + 1, dtype=np.intp))
 
 
 def pair_stats(signs: np.ndarray, topology: Topology):
@@ -114,20 +130,39 @@ def pair_stats(signs: np.ndarray, topology: Topology):
     when the signs are opposite; t = weak + flips counts the pairs that differ.
     The signs are read through one int8 cast, and each pair gets the code
     a ^ b: 0 when the signs are equal, -2 on a flip (1 ^ -1) and +-1 when
-    weak.  One vector xors the pair views of Topology.pairs and counts them
-    with np.count_nonzero, one C call; on the circle it adds the wrap pair's
-    code, read as Python ints.  A batch is coded in one xor over its rows
-    laid end to end, written into a C-contiguous int8 array shaped like the
-    signs; each row's last column, which that xor paired with the first
-    entry of the next row, is then overwritten with the row's wrap code on
-    the circle and 0 on the chain.  Its rows are counted by
-    counting._row_nonzeros, one reduction over the whole batch rather than a
-    loop over its rows, exact for any row length.  Not in __all__: an entry
-    outside -1..1 is miscounted, so only callers holding a reader's signs use
-    it; it keeps an unprefixed name, which perfbench's tracer times as a layer.
+    weak.  A vector of at most _SHORT entries is read as one big-endian
+    Python int w over its bytes; w ^ (w >> 8) holds every pair's code in one
+    byte (254 on a flip, 1 or 255 when weak), and bytes.count counts them:
+    one xor in place of numpy's five calls of fixed cost, but dearer per
+    entry, so _SHORT is the measured crossover.  A longer vector xors the
+    pair views of Topology.pairs and counts them with np.count_nonzero.  On
+    the circle both add the wrap pair's code, read as Python ints.  A batch
+    is coded in one xor over its rows laid end to end, written into a
+    C-contiguous int8 array shaped like the signs; each row's last column,
+    which that xor paired with the first entry of the next row, is then
+    overwritten with the row's wrap code on the circle and 0 on the chain.
+    Its rows are counted by counting._row_nonzeros, one reduction over the
+    whole batch rather than a loop over its rows, exact for any row length:
+    flips on the codes equal to -2, weak pairs on the odd codes.  Not in
+    __all__: an entry outside -1..1 is miscounted, so only callers holding a
+    reader's signs use it; it keeps an unprefixed name, which perfbench's
+    tracer times as a layer.
     """
     signs = signs.astype(np.int8, copy=False)
     if signs.ndim != 2:
+        n = signs.size
+        if signs.ndim == 1 and 2 <= n <= _SHORT:
+            # byte i of codes is raw[i - 1] ^ raw[i] for i >= 1; byte 0 is raw[0]
+            raw = signs.tobytes()
+            w = int.from_bytes(raw, "big")
+            codes = (w ^ (w >> 8)).to_bytes(n, "big")
+            flips = codes.count(254, 1)
+            differ = n - 1 - codes.count(0, 1)
+            if topology is Topology.CIRCULAR:
+                code = raw[-1] ^ raw[0]
+                flips += code == 254
+                differ += code != 0
+            return _SHORT_COUNTS[differ - flips], _SHORT_COUNTS[flips]
         (a, b), wrap = topology.pairs(signs)
         codes = a ^ b
         flips = np.count_nonzero(codes == _FLIP)
@@ -143,8 +178,8 @@ def pair_stats(signs: np.ndarray, topology: Topology):
     flat = signs.reshape(-1)
     np.bitwise_xor(flat[:-1], flat[1:], out=codes.reshape(-1)[:-1])
     codes[:, -1] = 0 if wrap is None else wrap[0] ^ wrap[1]
-    flips = _row_nonzeros(codes == _FLIP)
-    return _row_nonzeros(codes) - flips, flips
+    # a code is odd exactly on a weak pair: -2 (a flip) and 0 are even
+    return _row_nonzeros((codes & 1).view(bool)), _row_nonzeros(codes == _FLIP)
 
 
 def pair_counts(x: Iterable[float], topology: Topology = Topology.CIRCULAR) -> tuple[int, int]:

@@ -25,7 +25,7 @@ from signchange.transitions import (
     transition_map,
     transition_norm_sq,
 )
-from signchange.transitions import _classes
+from signchange.transitions import _SHORT, _classes
 
 signs = st.sampled_from((-1, 0, 1))
 patterns = st.lists(signs, min_size=2, max_size=8).map(tuple)
@@ -95,8 +95,11 @@ def test_sign_change_example_vector():
 
 
 def test_sign_changes_needs_two_components():
-    with pytest.raises(ValueError):
-        sign_changes([1.0])
+    # one entry, the length just below the shortest vector pair_stats counts
+    counts = [sign_changes, pair_counts, lambda x, topology: transition_norm_sq(x, 0.5, topology)]
+    for count, x, topology in product(counts, ([1.0], np.array([-1.0])), Topology):
+        with pytest.raises(ValueError, match="at least two components"):
+            count(x, topology)
 
 
 @given(patterns, topologies)
@@ -588,8 +591,9 @@ KERNEL_INPUTS = {
 }
 
 
-# the length of the long vector each kernel case is also read as
-LONG = 4096
+# the lengths of the long vectors each kernel case is also read as: both
+# sides of pair_stats' cut between its byte and numpy routes, and far past it
+LONGS = (_SHORT - 1, _SHORT, _SHORT + 1, 4096)
 
 
 def _entry_sign(v) -> int:
@@ -636,13 +640,16 @@ def test_sign_and_pair_kernels_match_the_per_entry_and_per_pair_rules(case, topo
     assert weak.dtype == flips.dtype == np.intp
     expected = [_reference_pair_counts(tuple(row), topology) for row in want]
     assert list(zip(weak.tolist(), flips.tolist())) == expected
-    # the same entries, repeated into one vector of LONG entries, so that no
-    # kernel path taken only by long inputs goes unchecked
-    flat = sum(entries, []) * -(-LONG // batch.size)
-    x = np.array(flat[:LONG], dtype=pool.dtype) if container == "array" else CONTAINERS[container](flat[:LONG])
-    signs_want = (sum(want, []) * -(-LONG // batch.size))[:LONG]
-    s = _signs(x)
-    assert s.dtype == np.int8 and s.flags.writeable and s.tolist() == signs_want
-    assert count_nonzero(x) == sum(map(bool, signs_want))
-    ref = _reference_pair_counts(tuple(signs_want), topology)
-    assert sign_changes(x, topology) == sum(ref) and pair_stats(s, topology) == ref
+    # the same entries, repeated into longer vectors, so that no kernel path
+    # taken only by long inputs goes unchecked
+    for size in LONGS:
+        flat = (sum(entries, []) * -(-size // batch.size))[:size]
+        x = np.array(flat, dtype=pool.dtype) if container == "array" else CONTAINERS[container](flat)
+        signs_want = (sum(want, []) * -(-size // batch.size))[:size]
+        s = _signs(x)
+        assert s.dtype == np.int8 and s.flags.writeable and s.tolist() == signs_want
+        assert count_nonzero(x) == sum(map(bool, signs_want))
+        ref = _reference_pair_counts(tuple(signs_want), topology)
+        assert sign_changes(x, topology) == sum(ref) and pair_counts(x, topology) == ref
+        stats = pair_stats(s, topology)
+        assert stats == ref and {type(v) for v in stats} == {np.intp}
