@@ -22,7 +22,7 @@ from .counting import _real, _signs
 from .transitions import (
     Topology,
     _linear_form,
-    _norm_sq,
+    _norm_form,
     _per_row,
     pair_counts,
     pair_stats,
@@ -97,10 +97,10 @@ def _decoupled_coefficients(y, x):
 
 
 def _zero_direction_coefficients(y, x):
-    """The coefficients of (q, l) in the zero-direction gap, k_y^2 - k_x^2 and
-    k_y - k_x, as (numerator, denominator) from those of y = k_y and x = k_x."""
+    """The coefficient of the flips in the zero-direction gap, 4(k_y^2 - k_x^2),
+    as (numerator, denominator) from those of y = k_y and x = k_x."""
     (ny, dy), (nx, dx) = y, x
-    return (ny * ny * dx * dx - nx * nx * dy * dy, dy * dy * dx * dx), (ny * dx - nx * dy, dy * dx)
+    return ((4 * (ny * ny * dx * dx - nx * nx * dy * dy), dy * dy * dx * dx),)
 
 
 def _per_pair(params, gap, what, *columns):
@@ -142,8 +142,8 @@ def decoupled_gap(
         form = _linear_form((p.k_y, p.k_x), _decoupled_coefficients)
         if form is not None:
             return form
-        four_ky_sq, four_kx_sq = 4 * p.k_y * p.k_y, 4 * p.k_x * p.k_x
-        return lambda wy, fy, wx, fx: _norm_sq(wy, fy, four_ky_sq) - _norm_sq(wx, fx, four_kx_sq)
+        inner, outer = _norm_form(p.k_y), _norm_form(p.k_x)
+        return lambda wy, fy, wx, fx: inner(wy, fy) - outer(wx, fx)
 
     return _per_pair(params, gap, what, *pair_stats(moved, topology), *pair_stats(base, topology))
 
@@ -157,22 +157,20 @@ def zero_direction_gap(
 
     (k_y - k_x) * sum over pairs of
         (s_i s_j - 1)^2 ((k_y + k_x) s_i^2 s_j^2 + 2 s_i s_j (s_i + s_j))
-    where s is the sign vector of x.  Each summand is 0 except on full
-    flips, where it contributes 4(k_y^2 - k_x^2) <= 0.  The sum runs over
-    integer sign arrays in two weight-free parts q and l; for int and
-    Fraction weights the value (k_y^2 - k_x^2) q + (k_y - k_x) l is one
-    integer sum over one denominator, exact, while any other weight pair
-    keeps the expression (k_y - k_x) ((k_y + k_x) q + l), so float results
-    are unchanged, and a float value beyond float64 raises ValueError.
-    A 2-D array of vectors (rows) gives an object array with one value per
-    row, equal in value and type to the call on that row; a list of GapParams adds
-    a last axis, entry j equal in value and type to the call at params[j].
+    where s is the sign vector of x.  The damping (s_i s_j - 1)^2 vanishes on
+    equal nonzero signs; where a sign is zero s_i s_j = 0, and on a full flip
+    s_i s_j = -1 and s_i + s_j = 0, so each summand is 0 except on the flips,
+    where it is 4(k_y + k_x).  The value is therefore 4(k_y^2 - k_x^2) * flips
+    <= 0, with flips read from pair_stats.  For int and Fraction weights it
+    is one integer product over one denominator, exact, while any other
+    weight pair keeps the expression (k_y - k_x) ((k_y + k_x) (4 flips)), so
+    float results are unchanged, and a float value beyond float64 raises
+    ValueError.  A 2-D array of vectors (rows) gives an object array with
+    one value per row, equal in value and type to the call on that row; a
+    list of GapParams adds a last axis, entry j equal in value and type to
+    the call at params[j].
     """
-    a, b = topology.neighbors(_signs(x, _is_batch(x)).astype(np.int64))
-    prod = a * b
-    damp = (prod - 1) ** 2
-    quadratic = np.sum(damp * prod * prod, axis=-1)
-    linear = np.sum(damp * 2 * prod * (a + b), axis=-1)
+    _, flips = pair_stats(_signs(x, _is_batch(x)), topology)
     what = "zero_direction_gap at this k_x"
 
     def gap(p):
@@ -182,9 +180,9 @@ def zero_direction_gap(
         if form is not None:
             return form
         diff, total = p.k_y - p.k_x, p.k_y + p.k_x
-        return lambda q, l: diff * (total * q + l)
+        return lambda f: diff * (total * (4 * f))
 
-    return _per_pair(params, gap, what, quadratic, linear)
+    return _per_pair(params, gap, what, flips)
 
 
 @dataclass(frozen=True)

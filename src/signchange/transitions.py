@@ -194,11 +194,6 @@ def sign_changes(x: Iterable[float], topology: Topology = Topology.CIRCULAR) -> 
     return int(weak + flips)
 
 
-def _norm_sq(weak: int, flips: int, four_k_sq):
-    """weak + 4*k^2*flips, with the flip weight 4*k^2 computed once by the caller."""
-    return weak + four_k_sq * flips
-
-
 def _linear_form(weights, coefficients):
     """The function of integer statistics s_1, s_2, ... that gives sum a_i * s_i,
     for exact weights, or None when a weight is no int or Fraction by exact type
@@ -231,13 +226,15 @@ def _linear_form(weights, coefficients):
 
 
 def _norm_form(k):
-    """(weak, flips) -> weak + 4*k^2*flips: over one denominator for an exact k
-    (_linear_form), else _norm_sq's float or Rational expression."""
+    """(weak, flips) -> weak + 4*k^2*flips, the one place that writes the norm:
+    over one denominator for an exact k (_linear_form), else the expression
+    weak + (4*k*k)*flips with 4*k*k computed once, in float or Rational
+    arithmetic as k gives it."""
     form = _linear_form((k,), lambda r: ((1, 1), (4 * r[0] * r[0], r[1] * r[1])))
     if form is not None:
         return form
     four_k_sq = 4 * k * k
-    return lambda w, f: _norm_sq(w, f, four_k_sq)
+    return lambda w, f: w + four_k_sq * f
 
 
 def _classes(*columns):
@@ -358,17 +355,18 @@ def hadamard_norm_sq(x: Iterable[float], k) -> float:
 def smoothed_sign_changes(x: Iterable[float], eps, topology: Topology = Topology.CIRCULAR) -> float:
     """Sum of l_i^2 / (l_i^2 + eps) over the transition vector l of x at k = 1/2.
 
-    Monotonically nondecreasing as eps decreases, with limit sign_changes(x).
-    A 2-D array of vectors (rows) gives a float64 array with one value per
-    row, bit-identical to the call on that row.
+    At k = 1/2 each l_i^2 is 0 or 1 (1 exactly on the t pairs that differ),
+    so the sum is t / (1 + eps), computed as that one division from the
+    pair_stats counts.  Monotonically nondecreasing as eps decreases, with
+    limit sign_changes(x).  A 2-D array of vectors (rows) gives a float64
+    array with one value per row, bit-identical to the call on that row.
     """
     eps = _real(eps, "smoothing epsilon")
     if not eps > 0.0:
         raise ValueError("smoothing epsilon must be positive")
     batch = _is_batch(x)
-    a, b = topology.neighbors(_signs(x, batch))
-    sq = _transition_values(a, b, 0.5) ** 2
-    total = np.sum(sq / (sq + eps), axis=-1)
+    weak, flips = pair_stats(_signs(x, batch), topology)
+    total = (weak + flips) / (1.0 + eps)
     return total if batch else float(total)
 
 

@@ -213,3 +213,40 @@ def test_every_public_name_has_a_caller():
     uncalled = {name for name in signchange.__all__ if name not in read}
     # a name that gains a caller, or leaves __all__, leaves a stale entry
     assert uncalled == set(UNCALLED_PUBLIC_NAMES)
+
+
+# every call of Topology.neighbors in the package, by module and top-level definition, with
+# the reason it does not read pair_stats: a statistic of (weak, flips) reads pair_stats
+NEIGHBOR_CALLERS = {
+    ("transitions", "transition_map"): "returns the per-pair vector of transition values, "
+    "which no pair count gives",
+    ("transitions", "hadamard_norm_sq"): "the independent Hadamard-product route that the "
+    "hadamard oracles check transition_norm_sq against",
+    ("oracles", "classify_point"): "reads adjacent zeros of x, a pair statistic of the zero "
+    "mask that (weak, flips) does not hold",
+    ("optimality", "lagrangian_residual"): "sums the pair terms of a real direction d, not of "
+    "a sign vector",
+    ("oracles", "_oracle_zero_set"): "the oracle's own reference: it counts the nonzero "
+    "transition values pair by pair and checks them against pair_stats",
+}
+
+
+def _neighbor_callers() -> set[tuple[str, str]]:
+    """(module, top-level definition) for every call of a .neighbors attribute in the
+    package; a call outside any definition gives the name ""."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "neighbors"
+                ):
+                    found.add((path.stem, getattr(top, "name", "")))
+    return found
+
+
+def test_every_neighbors_caller_says_why_pair_stats_does_not_serve():
+    # a new caller fails until it gives its reason, a caller gone leaves a stale entry
+    assert _neighbor_callers() == set(NEIGHBOR_CALLERS)

@@ -547,6 +547,45 @@ def test_gap_routes_match_the_expressions(batch, data, params, topo):
         _assert_table(lambda: zero_direction_gap(np.array(batch), p, topo), _expected_table(column))
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+def test_zero_direction_gap_is_the_papers_sum(n):
+    # the library reads only the flips; the paper's per-pair sum is evaluated here in Fraction
+    patterns = pattern_grid(n)
+    rows = [tuple(row) for row in patterns.tolist()]
+    params = [GapParams(k_y=ky, k_x=kx) for ky, kx in SWEEP_WEIGHTS_EXACT]
+    for topo in Topology:
+        parts = [_zero_direction_parts(row, topo) for row in rows]
+        # the linear part 2 s_i s_j (s_i + s_j) of the summand never survives its damping
+        assert [l for _, l in parts] == [0] * len(rows)
+        for qs, values in zip(parts, zero_direction_gap(patterns, params, topo).tolist()):
+            for p, value in zip(params, values):
+                _assert_same(value, _zero_direction_expression(*qs, p))
+
+
+# weight pairs that take the float expressions: floats, a float beside a Fraction,
+# and an int or a bool outer weight
+FLOAT_ROUTE_WEIGHTS = [
+    (0.1, 0.75), (0.5, 2.0), (Fraction(1, 3), 0.75), (0.25, Fraction(3, 2)),
+    (0.3, 3), (0.2, True), (Fraction(1, 4), True),
+]
+
+
+@pytest.mark.parametrize("topo", list(Topology))
+def test_non_exact_gaps_keep_the_float_expressions(topo):
+    # the docstrings' promise that float results are unchanged, bit for bit
+    grid = pattern_grid(4)
+    d = np.random.default_rng(20240817).integers(-2, 3, size=grid.shape)
+    base = [_reference_pair_counts(tuple(row), topo) for row in grid.tolist()]
+    moved = [_reference_pair_counts(tuple(row), topo) for row in np.sign(grid + d).tolist()]
+    for ky, kx in FLOAT_ROUTE_WEIGHTS:
+        params = GapParams(k_y=ky, k_x=kx)
+        gaps = decoupled_gap(grid, d, params, topo).tolist()
+        closed = zero_direction_gap(grid, params, topo).tolist()
+        for (wy, fy), (wx, fx), gap, value in zip(moved, base, gaps, closed):
+            _assert_same(gap, (wy + (4 * ky * ky) * fy) - (wx + (4 * kx * kx) * fx))
+            _assert_same(value, (ky - kx) * ((ky + kx) * (4 * fx)))
+
+
 @pytest.mark.parametrize("topo", list(Topology))
 def test_gap_profile_agrees_with_the_decoupled_gap_on_the_grid(topo):
     # every pair (x, d = s' - x) of the n = 3 grid, at the exact sweep weights

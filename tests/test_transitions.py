@@ -171,12 +171,21 @@ def test_smoothed_count_below_count(y, topo):
 @given(patterns, topologies)
 def test_smoothed_changes_scale_on_patterns(pattern, topo):
     # transition entries on patterns are 0 or +-1 at k = 1/2, so the
-    # smoothed value collapses to t / (1 + eps)
+    # smoothed value collapses to t / (1 + eps), rounded once
     t = sign_changes(pattern, topo)
-    for eps in (1e-1, 1e-4, 1e-8):
+    for eps in (1e-1, 1e-3, 1e-4, 1e-8):
         value = smoothed_sign_changes(pattern, eps, topo)
-        assert value == pytest.approx(t / (1.0 + eps), abs=1e-9)
+        assert value == t / (1.0 + eps)
         assert value <= t
+
+
+@pytest.mark.parametrize("topo", list(Topology))
+def test_smoothed_batch_is_the_count_over_one_plus_eps(topo):
+    grid = pattern_grid(6)
+    counts = [sum(_reference_pair_counts(tuple(row), topo)) for row in grid.tolist()]
+    # at 1e-3 and 0.7 a per-pair sum of 1 / (1 + eps) misses that division by an ulp
+    for eps in (1e-1, 1e-3, 1e-4, 1e-8, 0.7):
+        assert smoothed_sign_changes(grid, eps, topo).tolist() == [t / (1.0 + eps) for t in counts]
 
 
 def test_smoothed_changes_monotone_in_eps():
