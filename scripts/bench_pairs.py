@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of benchmark runs, and the claim rule on them.
 
     python3 scripts/bench_pairs.py --parent REV --workload NAME --pairs 10 \\
-        --first-seed S --seconds 15 --out FILE [--other-pairs 1]
+        --first-seed S --seconds 15 --out FILE [--other-pairs 1] [--walls 5]
 
 The parent is extracted with ``git archive REV`` into a temporary
 directory; the change is this checkout as it stands.  Both trees are
@@ -13,6 +13,11 @@ while the other loads a ``__pycache__``.  Pair i runs
 each side, each in a fresh process from its own tree, the parent first on
 even i and the change first on odd i.  With ``--other-pairs N`` every other
 workload of ``BENCHMARK.json`` then gets N pairs of its own, on the same seeds.
+With ``--walls N`` the script last times N alternating pairs of two process
+walls, ``python -c "import signchange"`` and ``python -m signchange verify
+all``, each a fresh interpreter in its tree with that tree's ``src`` on
+``PYTHONPATH`` and one BLAS thread, in raw wall seconds; both sides of a
+pair must exit 0 and print the same stdout.
 
 FILE receives, per workload and per end-to-end metric of ``BENCHMARK.json``,
 each side's values in pair order, their medians and quartiles
@@ -20,21 +25,26 @@ each side's values in pair order, their medians and quartiles
 of the change.  Its claim block gives, for every end-to-end metric on NAME,
 the wins, the gain, the medians and whether the claim rule holds: the change
 wins at least nine pairs in ten, and its median beats the parent's by more
-than the parent's interquartile range.  Exits 1 when a run reports a wrong
+than the parent's interquartile range.  The walls get the same statistics
+under ``walls``, outside the claim block.  Exits 1 when a run reports a wrong
 output; a run that fails stops the script.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import math
+import os
+import shlex
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +54,12 @@ CLAIM_MIN_PAIRS = 10
 # run in the root of each tree before any pair; -f rewrites bytecode whose header
 # compileall would pass on mtime alone (a source rewritten within the same second)
 PREPARE = ["-m", "compileall", "-f", "-q", "src"]
+# the process walls of --walls, by metric name: the interpreter's arguments
+WALLS = {
+    "import_s": ["-c", "import signchange"],
+    "verify_all_s": ["-m", "signchange", "verify", "all"],
+}
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -156,6 +172,50 @@ def run_pairs(parent: Path, workload: str, pairs: int, first_seed: int, seconds:
     }
 
 
+def time_wall(root: Path, args: list[str]) -> dict:
+    """One fresh interpreter running args in root, root's src first on PYTHONPATH:
+    its wall seconds and the sha256 of its stdout.  A nonzero exit stops the script."""
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1"), "PYTHONPATH": path}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True, check=False)
+    seconds = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"python {' '.join(args)} in {root} exited {proc.returncode}:\n{proc.stderr.decode()}")
+    return {"s": seconds, "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()}
+
+
+def walls_record(runs: list[dict]) -> dict:
+    """The statistics of every wall over runs, each {"first": side, "parent": walls,
+    "change": walls} with walls mapping each name of WALLS to time_wall's result.
+    correct: in every pair both sides printed the same stdout."""
+
+    def column(side: str, name: str, key: str) -> list:
+        return [r[side][name][key] for r in runs]
+
+    return {
+        "commands": {name: shlex.join(["python", *args]) for name, args in WALLS.items()},
+        "first": [r["first"] for r in runs],
+        "correct": all(column("parent", n, "stdout_sha256") == column("change", n, "stdout_sha256") for n in WALLS),
+        "metrics": {n: compare(column("parent", n, "s"), column("change", n, "s"), "lower") for n in WALLS},
+        "runs": runs,
+    }
+
+
+def run_walls(parent: Path, pairs: int) -> dict:
+    """pairs alternating pairs of every wall, the parent first on even pair indices."""
+    runs = []
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        run = {"first": order[0]}
+        for side in order:
+            root = parent if side == "parent" else ROOT
+            run[side] = {name: time_wall(root, args) for name, args in WALLS.items()}
+            print(f"walls pair {i} {side}: {[w['s'] for w in run[side].values()]}", file=sys.stderr)
+        runs.append(run)
+    return walls_record(runs)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -164,13 +224,14 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=None, help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--other-pairs", type=int, default=0, help="pairs of every other workload")
+    parser.add_argument("--walls", type=int, default=0, help="pairs of the process walls")
     parser.add_argument("--what", default="", help="one line saying what the change is")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
-    if args.workload not in names or args.pairs < 1 or args.other_pairs < 0:
-        parser.error(f"need a workload of {names}, --pairs >= 1 and --other-pairs >= 0")
+    if args.workload not in names or args.pairs < 1 or args.other_pairs < 0 or args.walls < 0:
+        parser.error(f"need a workload of {names}, --pairs >= 1, --other-pairs >= 0 and --walls >= 0")
     seconds = args.seconds or spec["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -182,6 +243,7 @@ def main(argv=None) -> int:
         workloads = {
             name: run_pairs(Path(tmp), name, pairs, args.first_seed, seconds, spec) for name, pairs in plan
         }
+        walls = run_walls(Path(tmp), args.walls) if args.walls else None
 
     record = {
         "what": args.what,
@@ -196,9 +258,12 @@ def main(argv=None) -> int:
         "claim": claim(args.workload, workloads[args.workload]["metrics"]),
         "workloads": workloads,
     }
+    if walls:
+        record["walls"] = walls
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps(record["claim"]))
-    return 0 if all(w["correct"] for w in workloads.values()) else 1
+    correct = all(w["correct"] for w in workloads.values()) and (walls is None or walls["correct"])
+    return 0 if correct else 1
 
 
 if __name__ == "__main__":

@@ -180,19 +180,30 @@ def _sign_array(values) -> np.ndarray:
     no temporary as wide as the input (_vector has refused NaN, which
     compares as 0).
 
-    Lists, tuples and object arrays take one pass that reads and checks each
-    entry: an int by comparison, a Fraction by its numerator (its denominator
-    is positive), a finite float by comparison.  Any other entry sends the
-    vector through _entries and one more pass.  Either pass writes the byte
-    codes 1, 0 and 255 (-1 as int8) into one bytearray, read as int8 without
-    a copy.  So ints and Fractions never pass through float64 and keep their
-    signs beyond it.
+    Lists, tuples and object arrays are coded by _sign_codes into one
+    bytearray of the byte codes 1, 0 and 255 (-1 as int8), read here as int8
+    without a copy; transitions counts a short list or tuple from those
+    bytes alone, with no array.
     """
     is_array = isinstance(values, np.ndarray)
     if is_array and values.dtype.kind in "fiub":
         signs = (values > 0).view(np.int8)
         signs -= (values < 0).view(np.int8)
         return signs
+    signs = np.frombuffer(_sign_codes(values), dtype=np.int8)
+    return signs.reshape(values.shape) if is_array else signs
+
+
+def _sign_codes(values) -> bytearray:
+    """Signs of a list, tuple or object array read by _vector, flat, as the
+    byte codes 1, 0 and 255 (-1 as int8).
+
+    One pass reads and checks each entry: an int by comparison, a Fraction
+    by its numerator (its denominator is positive), a finite float by
+    comparison.  Any other entry sends the vector through _entries and one
+    more pass.  So ints and Fractions never pass through float64 and keep
+    their signs beyond it.
+    """
     # one comprehension with exact type tests and no call for int, Fraction
     # and float entries: the conditional form is faster than (v > 0) - (v < 0);
     # any other entry sets other, and the vector is then read through _entries
@@ -205,12 +216,11 @@ def _sign_array(values) -> np.ndarray:
         else (1 if v > 0 else 255 if v < 0 else 0)
         if type(v) is float and math.isfinite(v)
         else (other := True)
-        for v in (values.ravel().tolist() if is_array else values)
+        for v in (values.ravel().tolist() if isinstance(values, np.ndarray) else values)
     ]
     if other:
         codes = [1 if v > 0 else 255 if v < 0 else 0 for v in _entries(values)]
-    signs = np.frombuffer(bytearray(codes), dtype=np.int8)
-    return signs.reshape(values.shape) if is_array else signs
+    return bytearray(codes)
 
 
 def _is_batch(x) -> bool:

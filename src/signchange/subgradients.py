@@ -24,6 +24,7 @@ from .transitions import (
     _linear_form,
     _norm_form,
     _per_row,
+    _vector_counts,
     pair_counts,
     pair_stats,
     transition_norm_sq,
@@ -161,7 +162,7 @@ def zero_direction_gap(
     equal nonzero signs; where a sign is zero s_i s_j = 0, and on a full flip
     s_i s_j = -1 and s_i + s_j = 0, so each summand is 0 except on the flips,
     where it is 4(k_y + k_x).  The value is therefore 4(k_y^2 - k_x^2) * flips
-    <= 0, with flips read from pair_stats.  For int and Fraction weights it
+    <= 0, with flips read from the pair kernel.  For int and Fraction weights it
     is one integer product over one denominator, exact, while any other
     weight pair keeps the expression (k_y - k_x) ((k_y + k_x) (4 flips)), so
     float results are unchanged, and a float value beyond float64 raises
@@ -170,7 +171,8 @@ def zero_direction_gap(
     list of GapParams adds a last axis, entry j equal in value and type to
     the call at params[j].
     """
-    _, flips = pair_stats(_signs(x, _is_batch(x)), topology)
+    batch = _is_batch(x)
+    _, flips = pair_stats(_signs(x, batch), topology) if batch else _vector_counts(x, topology)
     what = "zero_direction_gap at this k_x"
 
     def gap(p):

@@ -28,7 +28,10 @@ from .counting import (
     _real,
     _row_dot,
     _row_nonzeros,
+    _sign_array,
+    _sign_codes,
     _signs,
+    _vector,
     _within_float64,
     as_vector,
 )
@@ -117,9 +120,30 @@ _FLIP = np.int8(-2)
 #    1,024   4.0 us   5.5 us
 #    4,096   4.5 us  15-25 us
 #     10^6   0.21 ms  9.6 ms
+#
+# sign_changes of a 6-entry tuple, the same way: 2.9-3.0 us through an int8
+# array and pair_stats, 2.0 us from its sign bytes by _vector_counts.
 _SHORT = 512
 # np.intp(k) costs about 0.5 us; the counts of a short vector are read from here
 _SHORT_COUNTS = tuple(np.arange(_SHORT + 1, dtype=np.intp))
+
+
+def _byte_counts(raw, circular: bool) -> tuple[int, int]:
+    """(weak, flips) as Python ints of one vector of 2 to _SHORT sign bytes
+    (1, 0 and 255), by one big-endian int w over them: byte i of
+    w ^ (w >> 8) is raw[i - 1] ^ raw[i] for i >= 1 (byte 0 is raw[0]), 254
+    on a flip, 1 or 255 when weak, and bytes.count counts those codes.  On
+    the circle the wrap code raw[-1] ^ raw[0] is added."""
+    n = len(raw)
+    w = int.from_bytes(raw, "big")
+    codes = (w ^ (w >> 8)).to_bytes(n, "big")
+    flips = codes.count(254, 1)
+    differ = n - 1 - codes.count(0, 1)
+    if circular:
+        code = raw[-1] ^ raw[0]
+        flips += code == 254
+        differ += code != 0
+    return differ - flips, flips
 
 
 def pair_stats(signs: np.ndarray, topology: Topology):
@@ -127,42 +151,33 @@ def pair_stats(signs: np.ndarray, topology: Topology):
     row of a 2-D batch of them, as numpy integers.
 
     A pair is weak when exactly one of its signs is zero and a full flip
-    when the signs are opposite; t = weak + flips counts the pairs that differ.
-    The signs are read through one int8 cast, and each pair gets the code
-    a ^ b: 0 when the signs are equal, -2 on a flip (1 ^ -1) and +-1 when
-    weak.  A vector of at most _SHORT entries is read as one big-endian
-    Python int w over its bytes; w ^ (w >> 8) holds every pair's code in one
-    byte (254 on a flip, 1 or 255 when weak), and bytes.count counts them:
-    one xor in place of numpy's five calls of fixed cost, but dearer per
-    entry, so _SHORT is the measured crossover.  A longer vector xors the
-    pair views of Topology.pairs and counts them with np.count_nonzero.  On
-    the circle both add the wrap pair's code, read as Python ints.  A batch
-    is coded in one xor over its rows laid end to end, written into a
-    C-contiguous int8 array shaped like the signs; each row's last column,
-    which that xor paired with the first entry of the next row, is then
-    overwritten with the row's wrap code on the circle and 0 on the chain.
-    Its rows are counted by counting._row_nonzeros, one reduction over the
-    whole batch rather than a loop over its rows, exact for any row length:
-    flips on the codes equal to -2, weak pairs on the odd codes.  Not in
-    __all__: an entry outside -1..1 is miscounted, so only callers holding a
-    reader's signs use it; it keeps an unprefixed name, which perfbench's
-    tracer times as a layer.
+    when the signs are opposite; t = weak + flips counts the pairs that
+    differ.  The signs are read through one int8 cast, and each pair gets the
+    code a ^ b: 0 when the signs are equal, -2 on a flip (1 ^ -1) and +-1
+    when weak.  A vector of at most _SHORT entries is counted from its bytes
+    by _byte_counts: one big-int xor that codes every pair in one byte, in
+    place of numpy's five calls of fixed cost, but dearer per entry, so
+    _SHORT is the measured crossover.  A list or tuple that short never
+    reaches pair_stats: _vector_counts codes it to bytes by
+    counting._sign_codes and counts them by _byte_counts, with no array.  A
+    longer vector xors the pair views of Topology.pairs and counts them with
+    np.count_nonzero.  On the circle both add the wrap pair's code, read as
+    Python ints.  A batch is coded in one xor over its rows laid end to end,
+    written into a C-contiguous int8 array shaped like the signs; each row's
+    last column, which that xor paired with the first entry of the next row,
+    is then overwritten with the row's wrap code on the circle and 0 on the
+    chain.  Its rows are counted by counting._row_nonzeros, one reduction
+    over the whole batch rather than a loop over its rows, exact for any row
+    length: flips on the codes equal to -2, weak pairs on the odd codes.  Not
+    in __all__: an entry outside -1..1 is miscounted, so only callers
+    holding a reader's signs use it; it keeps an unprefixed name, which
+    perfbench's tracer times as a layer.
     """
     signs = signs.astype(np.int8, copy=False)
     if signs.ndim != 2:
-        n = signs.size
-        if signs.ndim == 1 and 2 <= n <= _SHORT:
-            # byte i of codes is raw[i - 1] ^ raw[i] for i >= 1; byte 0 is raw[0]
-            raw = signs.tobytes()
-            w = int.from_bytes(raw, "big")
-            codes = (w ^ (w >> 8)).to_bytes(n, "big")
-            flips = codes.count(254, 1)
-            differ = n - 1 - codes.count(0, 1)
-            if topology is Topology.CIRCULAR:
-                code = raw[-1] ^ raw[0]
-                flips += code == 254
-                differ += code != 0
-            return _SHORT_COUNTS[differ - flips], _SHORT_COUNTS[flips]
+        if signs.ndim == 1 and 2 <= signs.size <= _SHORT:
+            weak, flips = _byte_counts(signs.tobytes(), topology is Topology.CIRCULAR)
+            return _SHORT_COUNTS[weak], _SHORT_COUNTS[flips]
         (a, b), wrap = topology.pairs(signs)
         codes = a ^ b
         flips = np.count_nonzero(codes == _FLIP)
@@ -182,16 +197,27 @@ def pair_stats(signs: np.ndarray, topology: Topology):
     return _row_nonzeros((codes & 1).view(bool)), _row_nonzeros(codes == _FLIP)
 
 
+def _vector_counts(x, topology: Topology) -> tuple[int, int]:
+    """(weak, flips) of one vector x as Python ints, the route of every scalar
+    pair statistic: x read by _vector, then a list or tuple of 2 to _SHORT
+    entries counted by _byte_counts from its _sign_codes, with no array; any
+    other x, every ndarray among them, through pair_stats of its signs."""
+    x = _vector(x)
+    if isinstance(x, (list, tuple)) and 2 <= len(x) <= _SHORT:
+        return _byte_counts(_sign_codes(x), topology is Topology.CIRCULAR)
+    weak, flips = pair_stats(_sign_array(x), topology)
+    return int(weak), int(flips)
+
+
 def pair_counts(x: Iterable[float], topology: Topology = Topology.CIRCULAR) -> tuple[int, int]:
     """(weak transitions, full flips) over the adjacency pairs of x."""
-    weak, flips = pair_stats(_signs(x), topology)
-    return int(weak), int(flips)
+    return _vector_counts(x, topology)
 
 
 def sign_changes(x: Iterable[float], topology: Topology = Topology.CIRCULAR) -> int:
     """Number of adjacent pairs whose componentwise signs differ."""
-    weak, flips = pair_stats(_signs(x), topology)
-    return int(weak + flips)
+    weak, flips = _vector_counts(x, topology)
+    return weak + flips
 
 
 def _linear_form(weights, coefficients):
@@ -316,11 +342,10 @@ def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRC
     weight, or a sequence with one weight per row, and row r takes k[r].
     """
     k = _weights(k, x, lambda w: _finite_real(w, "transition weight k"))
-    batch = _is_batch(x)
-    weak, flips = pair_stats(_signs(x, batch), topology)
     what = "transition_norm_sq at this k"
-    if not batch:
-        return _within_float64(_norm_form(k)(int(weak), int(flips)), what)
+    if not _is_batch(x):
+        return _within_float64(_norm_form(k)(*_vector_counts(x, topology)), what)
+    weak, flips = pair_stats(_signs(x, batch=True), topology)
     if isinstance(k, list):
         # rows that share (weak, flips) may differ in k, so the formula runs once per row
         rows = zip(weak.tolist(), flips.tolist(), k)
@@ -357,17 +382,17 @@ def smoothed_sign_changes(x: Iterable[float], eps, topology: Topology = Topology
 
     At k = 1/2 each l_i^2 is 0 or 1 (1 exactly on the t pairs that differ),
     so the sum is t / (1 + eps), computed as that one division from the
-    pair_stats counts.  Monotonically nondecreasing as eps decreases, with
+    pair counts.  Monotonically nondecreasing as eps decreases, with
     limit sign_changes(x).  A 2-D array of vectors (rows) gives a float64
     array with one value per row, bit-identical to the call on that row.
     """
     eps = _real(eps, "smoothing epsilon")
     if not eps > 0.0:
         raise ValueError("smoothing epsilon must be positive")
-    batch = _is_batch(x)
-    weak, flips = pair_stats(_signs(x, batch), topology)
-    total = (weak + flips) / (1.0 + eps)
-    return total if batch else float(total)
+    if not _is_batch(x):
+        return sum(_vector_counts(x, topology)) / (1.0 + eps)
+    weak, flips = pair_stats(_signs(x, batch=True), topology)
+    return (weak + flips) / (1.0 + eps)
 
 
 @dataclass(frozen=True)

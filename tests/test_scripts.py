@@ -68,6 +68,47 @@ def test_bench_pairs_claim_covers_every_metric():
     assert block["metrics"]["peak_rss_mb"]["gain"] == -1.0
 
 
+
+def _canned_walls(import_parent, import_change, verify_parent, verify_change):
+    """Wall runs as run_walls records them, from per-pair seconds, every stdout alike."""
+    runs = []
+    for i, seconds in enumerate(zip(import_parent, import_change, verify_parent, verify_change)):
+        walls = {
+            side: {
+                "import_s": {"s": seconds[j], "stdout_sha256": "e3b0"},
+                "verify_all_s": {"s": seconds[2 + j], "stdout_sha256": "21c1"},
+            }
+            for j, side in enumerate(("parent", "change"))
+        }
+        runs.append({"first": "parent" if i % 2 == 0 else "change", **walls})
+    return runs
+
+
+def test_bench_pairs_walls_record_on_canned_runs():
+    script = load_script("bench_pairs")
+    # the import wall barely moves, the verify wall gains 0.05 s in every pair
+    parent = [1.10, 1.13, 1.12, 1.15, 1.11]
+    runs = _canned_walls(parent, [v + 0.01 for v in parent], [v + 0.1 for v in parent], [v + 0.05 for v in parent])
+    record = script.walls_record(runs)
+    assert list(record) == ["commands", "first", "correct", "metrics", "runs"]
+    assert record["commands"] == {
+        "import_s": "python -c 'import signchange'",
+        "verify_all_s": "python -m signchange verify all",
+    }
+    assert record["first"] == ["parent", "change", "parent", "change", "parent"]
+    assert record["correct"] and record["runs"] is runs
+    imports, verify = record["metrics"]["import_s"], record["metrics"]["verify_all_s"]
+    assert imports["parent"] == parent and imports["medians"]["parent"] == 1.12
+    assert (imports["wins"], verify["wins"], verify["pairs"]) == (0, 5, 5)
+    assert round(imports["gain"], 9) == -0.01 and round(verify["gain"], 9) == 0.05
+    # quartiles by the exclusive method: positions 1.5 and 4.5 of 5
+    assert [round(q, 9) for q in imports["quartiles"]["parent"]] == [1.105, 1.12, 1.14]
+    # five pairs are fewer than a claim needs, however clear the gain
+    assert not verify["claim_holds"]
+    # a side printing other output makes the record incorrect
+    runs[3]["change"]["verify_all_s"]["stdout_sha256"] = "ffff"
+    assert not script.walls_record(runs)["correct"]
+
 def current_bytecode(root):
     """Each module under root/src, and whether its __pycache__ file is current for its
     source by the check the import system makes: source mtime and size, or a hash."""

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from batching import assert_rows_equal, batches, object_array, rowwise, weights
 from signchange.counting import _signs, count_nonzero, sign_vector
 from signchange.grid import pattern_grid
+from signchange import transitions
 from signchange.oracles import _reference_pair_counts
+from signchange.subgradients import GapParams, zero_direction_gap
 from signchange.transitions import (
     Hessian2,
     Topology,
@@ -662,3 +664,120 @@ def test_sign_and_pair_kernels_match_the_per_entry_and_per_pair_rules(case, topo
         assert sign_changes(x, topology) == sum(ref) and pair_counts(x, topology) == ref
         stats = pair_stats(s, topology)
         assert stats == ref and {type(v) for v in stats} == {np.intp}
+
+
+# entries of the lists and tuples that the scalar pair statistics count from
+# their sign bytes, by kind; "mixed" draws from all of them
+SCALAR_POOLS = {
+    "int": [0, 1, -1, 3, -3, 2**63, -(2**64)],
+    "fraction": [Fraction(0), Fraction(1, 3), Fraction(-7, 2), Fraction(5)],
+    "float": [0.0, -0.0, 5e-324, -5e-324, 1.5, -1e308],
+    "bool": [False, True],
+    "numpy": [np.int64(0), np.int64(-5), np.uint8(7), np.float32(-1e-45), np.float64(0.0), np.float64(2.5)],
+    "exact": [0, 10**400, -(10**400), Fraction(1, 10**400), Fraction(-1, 10**400)],
+}
+SCALAR_POOLS["mixed"] = sum(SCALAR_POOLS.values(), [])
+# both sides of _SHORT, where lists and tuples leave the byte route for pair_stats
+SCALAR_LENGTHS = (2, 3, _SHORT - 1, _SHORT, _SHORT + 1, 2 * _SHORT + 1)
+SCALAR_GAPS = (GapParams(k_y=Fraction(1, 4), k_x=Fraction(3, 4)), GapParams(k_y=0.25, k_x=2.0))
+
+
+def _scalar_statistics(x, topology):
+    """The five scalar pair statistics of x, each weight form of the norm and the gap."""
+    return (
+        pair_counts(x, topology),
+        sign_changes(x, topology),
+        *(transition_norm_sq(x, k, topology) for k in (3, Fraction(1, 3), 0.5, -0.75)),
+        smoothed_sign_changes(x, 0.1, topology),
+        *(zero_direction_gap(x, p, topology) for p in SCALAR_GAPS),
+    )
+
+
+def _typed(value):
+    """value with the type of it, and of each entry of a tuple, for comparisons in type too."""
+    return tuple(map(_typed, value)) if isinstance(value, tuple) else (type(value), value)
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("container", [list, tuple])
+@pytest.mark.parametrize("pool", sorted(SCALAR_POOLS))
+def test_scalar_statistics_of_lists_and_tuples_match_the_array_route(pool, container, topology):
+    entries = SCALAR_POOLS[pool]
+    rng = np.random.default_rng([len(entries), _SHORT])
+    for n in SCALAR_LENGTHS:
+        x = container(entries[i] for i in rng.integers(len(entries), size=n))
+        weak, flips = _reference_pair_counts(tuple(map(_entry_sign, x)), topology)
+        norms = [weak + 4 * k * k * flips for k in (3, Fraction(1, 3), 0.5, -0.75)]
+        gaps = [4 * (p.k_y * p.k_y - p.k_x * p.k_x) * flips for p in SCALAR_GAPS]
+        expected = ((weak, flips), weak + flips, *norms, (weak + flips) / 1.1, *gaps)
+        got = _scalar_statistics(x, topology)
+        assert _typed(got) == _typed(_scalar_statistics(np.array(x, dtype=object), topology))
+        assert _typed(got) == _typed(expected), n
+    # n = 2 on the circle counts its one pair twice
+    assert pair_counts(container((1, 0)), topology) == (2 if topology is Topology.CIRCULAR else 1, 0)
+
+
+@pytest.mark.parametrize(
+    "x,message",
+    [
+        ([], "nonempty 1-D real vector"),
+        ([1], "at least two components"),
+        ([Fraction(1, 10**400)], "at least two components"),
+        ([1, math.nan], "must be finite"),
+        ([math.inf] + [1] * _SHORT, "must be finite"),
+        ([1] * (_SHORT - 1) + [np.float32("-inf")], "must be finite"),
+        (["a", 1], "nonempty 1-D real vector"),
+        ([1] * _SHORT + ["a"], "nonempty 1-D real vector"),
+    ],
+)
+@pytest.mark.parametrize("container", [list, tuple])
+def test_scalar_statistics_of_lists_and_tuples_raise_as_the_array_route(x, message, container):
+    calls = [
+        lambda v: pair_counts(v, Topology.LINEAR),
+        sign_changes,
+        lambda v: transition_norm_sq(v, Fraction(1, 2)),
+        lambda v: smoothed_sign_changes(v, 0.1),
+        lambda v: zero_direction_gap(v, SCALAR_GAPS[0]),
+    ]
+    for call in calls:
+        errors = []
+        for v in (container(x), np.array(x, dtype=object)):
+            with pytest.raises(ValueError, match=message) as error:
+                call(v)
+            errors.append(str(error.value))
+        assert errors[0] == errors[1]
+
+
+def test_short_lists_and_tuples_are_counted_with_no_array(monkeypatch):
+    # the byte route builds no array and never calls pair_stats, so a refactor that
+    # sends short lists back through them fails here
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the byte route")
+
+    short = [(1, -1, 0, 0, 2, -3), tuple(([1, -1, 0, Fraction(1, 2)] * _SHORT)[:_SHORT])]
+    with monkeypatch.context() as patch:
+        patch.setattr(transitions, "pair_stats", refuse)
+        patch.setattr(np, "frombuffer", refuse)
+        for x in short:
+            for topology in Topology:
+                got = _scalar_statistics(list(x), topology)
+                assert got == _scalar_statistics(x, topology)
+                assert got[0] == _reference_pair_counts(tuple(map(_entry_sign, x)), topology)
+    seen = []
+
+    def recorded(signs, topology):
+        seen.append(signs.size)
+        return pair_stats(signs, topology)
+
+    monkeypatch.setattr(transitions, "pair_stats", recorded)
+    for x in (np.array(short[0]), np.array(short[1], dtype=object), [1, 0, -1] * 171):
+        for call in (
+            pair_counts,
+            sign_changes,
+            lambda v: transition_norm_sq(v, 0.5),
+            lambda v: smoothed_sign_changes(v, 0.1),
+            lambda v: zero_direction_gap(v, SCALAR_GAPS[0]),
+        ):
+            seen.clear()
+            call(x)
+            assert seen == [len(x)]
