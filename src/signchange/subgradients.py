@@ -21,8 +21,8 @@ from .counting import _check_rows, _displaced, _entries, _finite, _finite_real, 
 from .counting import _real, _signs
 from .transitions import (
     Topology,
+    _form_value,
     _linear_form,
-    _norm_form,
     _per_row,
     _vector_counts,
     pair_counts,
@@ -92,30 +92,30 @@ def _displaced_signs(x, d) -> tuple[np.ndarray, np.ndarray]:
 
 def _decoupled_coefficients(y, x):
     """The coefficients of (wy, fy, wx, fx) in the decoupled gap, 1, 4 k_y^2, -1 and
-    -4 k_x^2, as (numerator, denominator) from those of y = k_y and x = k_x."""
+    -4 k_x^2, over dy^2 dx^2, from the (numerator, denominator) of y = k_y and x = k_x."""
     (ny, dy), (nx, dx) = y, x
-    return (1, 1), (4 * ny * ny, dy * dy), (-1, 1), (-4 * nx * nx, dx * dx)
+    common = dy * dy * dx * dx
+    return (common, 4 * ny * ny * dx * dx, -common, -4 * nx * nx * dy * dy), common
 
 
 def _zero_direction_coefficients(y, x):
-    """The coefficient of the flips in the zero-direction gap, 4(k_y^2 - k_x^2),
-    as (numerator, denominator) from those of y = k_y and x = k_x."""
+    """The coefficient of the flips in the zero-direction gap, 4(k_y^2 - k_x^2), over
+    dy^2 dx^2, from the (numerator, denominator) of y = k_y and x = k_x, once the
+    weights lie on the positive branch 0 < k_y <= 1/2 <= k_x (denominators are > 0)."""
     (ny, dy), (nx, dx) = y, x
-    return ((4 * (ny * ny * dx * dx - nx * nx * dy * dy), dy * dy * dx * dx),)
+    if not (0 < ny and 2 * ny <= dy and 2 * nx >= dx):
+        raise ValueError("closed form requires the positive branch 0 < k_y <= 1/2 <= k_x")
+    return (4 * (ny * ny * dx * dx - nx * nx * dy * dy),), dy * dy * dx * dx
 
 
-def _per_pair(params, gap, what, *columns):
-    """_per_row over gap(p) for each weight pair p; one GapParams takes column 0.
-    Where an int or Fraction beyond float64 meets a float, in gap(p) or in its
-    formula, Python's OverflowError becomes the ValueError of _within_float64."""
+def _per_pair(params, coefficients, what, *columns):
+    """_per_row over the _linear_form of each weight pair (k_y, k_x) in params by
+    coefficients; one GapParams takes column 0."""
     if isinstance(params, GapParams):
-        return _per_pair([params], gap, what, *columns).T[0]
+        return _per_pair([params], coefficients, what, *columns).T[0]
     if not (isinstance(params, (list, tuple)) and params and all(isinstance(p, GapParams) for p in params)):
         raise ValueError("params must be a GapParams or a nonempty list or tuple of them")
-    try:
-        return _per_row([gap(p) for p in params], what, *columns)
-    except OverflowError:
-        raise ValueError(f"{what} leaves the float64 range") from None
+    return _per_row([_linear_form((p.k_y, p.k_x), coefficients) for p in params], what, *columns)
 
 
 def decoupled_gap(
@@ -130,23 +130,15 @@ def decoupled_gap(
     this value for every displacement d.  A 2-D array x of points (rows)
     with d of the same shape gives an object array with one value per row,
     equal in value and type to the call on that row.  A list of GapParams adds a
-    last axis, entry j equal in value and type to the call at params[j].  A float
-    value beyond float64 raises ValueError; int and Fraction weights stay exact:
-    wy + 4 k_y^2 fy - wx - 4 k_x^2 fx is one integer sum over one denominator,
-    while any other weight pair keeps the expression of two norms, so float
-    results are unchanged.
+    last axis, entry j equal in value and type to the call at params[j].
+    wy + 4 k_y^2 fy - wx - 4 k_x^2 fx is one integer sum over one denominator
+    at the weights' exact values (_linear_form): int and Fraction weights give
+    the value and type Fraction arithmetic gives, and a float weight gives that
+    exact value rounded once to float, ValueError where it leaves float64.
     """
     base, moved = _displaced_signs(x, d)
-    what = "decoupled_gap at this k_x"
-
-    def gap(p):
-        form = _linear_form((p.k_y, p.k_x), _decoupled_coefficients)
-        if form is not None:
-            return form
-        inner, outer = _norm_form(p.k_y), _norm_form(p.k_x)
-        return lambda wy, fy, wx, fx: inner(wy, fy) - outer(wx, fx)
-
-    return _per_pair(params, gap, what, *pair_stats(moved, topology), *pair_stats(base, topology))
+    columns = (*pair_stats(moved, topology), *pair_stats(base, topology))
+    return _per_pair(params, _decoupled_coefficients, "decoupled_gap at this k_x", *columns)
 
 
 def zero_direction_gap(
@@ -162,29 +154,25 @@ def zero_direction_gap(
     equal nonzero signs; where a sign is zero s_i s_j = 0, and on a full flip
     s_i s_j = -1 and s_i + s_j = 0, so each summand is 0 except on the flips,
     where it is 4(k_y + k_x).  The value is therefore 4(k_y^2 - k_x^2) * flips
-    <= 0, with flips read from the pair kernel.  For int and Fraction weights it
-    is one integer product over one denominator, exact, while any other
-    weight pair keeps the expression (k_y - k_x) ((k_y + k_x) (4 flips)), so
-    float results are unchanged, and a float value beyond float64 raises
-    ValueError.  A 2-D array of vectors (rows) gives an object array with
-    one value per row, equal in value and type to the call on that row; a
-    list of GapParams adds a last axis, entry j equal in value and type to
-    the call at params[j].
+    <= 0, with flips read from the pair kernel, and it is one integer product
+    over one denominator at the weights' exact values (_linear_form): int and
+    Fraction weights give the value and type Fraction arithmetic gives, and a
+    float weight gives that exact value rounded once to float (0.0 at no
+    flip), ValueError where it leaves float64.  A 2-D array of vectors (rows)
+    gives an object array with one value per row, equal in value and type to
+    the call on that row; a list of GapParams adds a last axis, entry j equal
+    in value and type to the call at params[j].
     """
     batch = _is_batch(x)
     _, flips = pair_stats(_signs(x, batch), topology) if batch else _vector_counts(x, topology)
-    what = "zero_direction_gap at this k_x"
+    return _per_pair(params, _zero_direction_coefficients, "zero_direction_gap at this k_x", flips)
 
-    def gap(p):
-        if not 0 < p.k_y <= Fraction(1, 2) <= p.k_x:
-            raise ValueError("closed form requires the positive branch 0 < k_y <= 1/2 <= k_x")
-        form = _linear_form((p.k_y, p.k_x), _zero_direction_coefficients)
-        if form is not None:
-            return form
-        diff, total = p.k_y - p.k_x, p.k_y + p.k_x
-        return lambda f: diff * (total * (4 * f))
 
-    return _per_pair(params, gap, what, flips)
+def _profile_coefficients(k, offset):
+    """The coefficients of (weak, flips, 1) in a gap profile, 1, 4 k^2 and the offset,
+    over d^2 do, from the (numerator, denominator) (n, d) of k and (no, do) of the offset."""
+    (n, d), (no, do) = k, offset
+    return (d * d * do, 4 * n * n * do, no * d * d), d * d * do
 
 
 @dataclass(frozen=True)
@@ -213,13 +201,16 @@ class GapProfile:
         return 4 * self.flips
 
     def value(self, k):
+        """weak + 4*flips*k^2 + offset at k in (0, 1/2], summed in ints at the
+        exact values of k and the offset (_linear_form), as the gaps are: exact
+        for int and Fraction ones, and a float value rounded once, ValueError
+        where it leaves float64.  At a float k_x the stored offset was itself
+        rounded once to float when the profile was built."""
         k = _finite_real(k, "profile weight")
         if not 0 < k <= Fraction(1, 2):
             raise ValueError("profile weight must lie in (0, 1/2]")
-        try:
-            return self.weak + self.quad_coeff * k * k + self.offset
-        except OverflowError:
-            raise ValueError("a gap profile value leaves the float64 range") from None
+        form = _linear_form((k, self.offset), _profile_coefficients)
+        return _form_value(form, (self.weak, self.flips, 1), "a gap profile value")
 
 
 def gap_profile(

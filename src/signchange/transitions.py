@@ -124,8 +124,6 @@ _FLIP = np.int8(-2)
 # sign_changes of a 6-entry tuple, the same way: 2.9-3.0 us through an int8
 # array and pair_stats, 2.0 us from its sign bytes by _vector_counts.
 _SHORT = 512
-# np.intp(k) costs about 0.5 us; the counts of a short vector are read from here
-_SHORT_COUNTS = tuple(np.arange(_SHORT + 1, dtype=np.intp))
 
 
 def _byte_counts(raw, circular: bool) -> tuple[int, int]:
@@ -147,8 +145,8 @@ def _byte_counts(raw, circular: bool) -> tuple[int, int]:
 
 
 def pair_stats(signs: np.ndarray, topology: Topology):
-    """(weak transitions, full flips) of one sign vector, or one entry per
-    row of a 2-D batch of them, as numpy integers.
+    """(weak transitions, full flips) of one sign vector, as Python ints, or
+    of each row of a 2-D batch of them, as two np.intp arrays.
 
     A pair is weak when exactly one of its signs is zero and a full flip
     when the signs are opposite; t = weak + flips counts the pairs that
@@ -176,12 +174,11 @@ def pair_stats(signs: np.ndarray, topology: Topology):
     signs = signs.astype(np.int8, copy=False)
     if signs.ndim != 2:
         if signs.ndim == 1 and 2 <= signs.size <= _SHORT:
-            weak, flips = _byte_counts(signs.tobytes(), topology is Topology.CIRCULAR)
-            return _SHORT_COUNTS[weak], _SHORT_COUNTS[flips]
+            return _byte_counts(signs.tobytes(), topology is Topology.CIRCULAR)
         (a, b), wrap = topology.pairs(signs)
         codes = a ^ b
-        flips = np.count_nonzero(codes == _FLIP)
-        differ = np.count_nonzero(codes)
+        flips = int(np.count_nonzero(codes == _FLIP))
+        differ = int(np.count_nonzero(codes))
         if wrap is not None:
             code = wrap[0].item() ^ wrap[1].item()
             flips = flips + (code == -2)
@@ -205,8 +202,7 @@ def _vector_counts(x, topology: Topology) -> tuple[int, int]:
     x = _vector(x)
     if isinstance(x, (list, tuple)) and 2 <= len(x) <= _SHORT:
         return _byte_counts(_sign_codes(x), topology is Topology.CIRCULAR)
-    weak, flips = pair_stats(_sign_array(x), topology)
-    return int(weak), int(flips)
+    return pair_stats(_sign_array(x), topology)
 
 
 def pair_counts(x: Iterable[float], topology: Topology = Topology.CIRCULAR) -> tuple[int, int]:
@@ -221,46 +217,53 @@ def sign_changes(x: Iterable[float], topology: Topology = Topology.CIRCULAR) -> 
 
 
 def _linear_form(weights, coefficients):
-    """The function of integer statistics s_1, s_2, ... that gives sum a_i * s_i,
-    for exact weights, or None when a weight is no int or Fraction by exact type
-    (a float, a bool, any other Rational): the caller then keeps its own expression.
+    """The form (s_1, s_2, ...) -> sum a_i * s_i in integer statistics at these
+    weights, as (scaled, common, kind) for _form_value: a_i = scaled[i] / common.
 
-    coefficients(*ratios) takes each weight as its (numerator, denominator) and
-    returns the a_i the same way, as ints, so no Fraction operator runs.  Each
-    a_i is scaled to L, the lcm of their reduced denominators: a value is one
-    integer sum and one Fraction(sum, L), reduced as every Fraction is, so it
-    equals the value and type of the same formula in Fraction arithmetic.  With
-    only int weights it is the int sum; one Fraction weight makes every value a
-    Fraction, a whole one too, as that arithmetic would.
+    Each weight is read at its exact value, as a ratio of ints: a float as its
+    dyadic k.as_integer_ratio(), an int or bool as (k, 1), a Fraction or any
+    other Rational as (numerator, denominator).  coefficients(*ratios) returns
+    the ints (scaled, common), common > 0, so no Fraction or float operator
+    runs.  kind is the type of every value: float once a weight is a float,
+    else Fraction once a weight is no int, else int.
     """
-    ratios, fraction = [], False
+    ratios, kind = [], int
     for k in weights:
-        if type(k) is Fraction:
-            ratios.append((k.numerator, k.denominator))
-            fraction = True
-        elif type(k) is int:
+        if isinstance(k, float):
+            ratios.append(k.as_integer_ratio())
+            kind = float
+        elif isinstance(k, int):
             ratios.append((k, 1))
         else:
-            return None
-    terms = coefficients(*ratios)
-    common = math.lcm(*(d // math.gcd(n, d) for n, d in terms))
-    # n / d in lowest terms has a denominator dividing common, so d divides n * common
-    scaled = [n * common // d for n, d in terms]
-    if not fraction:
-        return lambda *stats: sum(map(operator.mul, scaled, stats))
-    return lambda *stats: Fraction(sum(map(operator.mul, scaled, stats)), common)
+            ratios.append((k.numerator, k.denominator))
+            if kind is int:
+                kind = Fraction
+    scaled, common = coefficients(*ratios)
+    return scaled, common, kind
+
+
+def _form_value(form, stats, what: str):
+    """A _linear_form's value at the integer statistics stats, from the one int
+    sum of scaled[i] * stats[i]: the sum itself, Fraction(sum, common), or for a
+    float weight sum / common, Python's int/int true division, which rounds the
+    exact value once, correctly; its OverflowError, where that value leaves
+    float64, becomes the ValueError of _within_float64, naming what."""
+    scaled, common, kind = form
+    total = sum(map(operator.mul, scaled, stats))
+    if kind is int:
+        return total
+    if kind is Fraction:
+        return Fraction(total, common)
+    try:
+        return total / common
+    except OverflowError:
+        raise ValueError(f"{what} leaves the float64 range") from None
 
 
 def _norm_form(k):
-    """(weak, flips) -> weak + 4*k^2*flips, the one place that writes the norm:
-    over one denominator for an exact k (_linear_form), else the expression
-    weak + (4*k*k)*flips with 4*k*k computed once, in float or Rational
-    arithmetic as k gives it."""
-    form = _linear_form((k,), lambda r: ((1, 1), (4 * r[0] * r[0], r[1] * r[1])))
-    if form is not None:
-        return form
-    four_k_sq = 4 * k * k
-    return lambda w, f: w + four_k_sq * f
+    """weak + 4*k^2*flips as the _linear_form of (weak, flips) at k, for a weight of
+    any type: the one place that writes the norm, 1 and 4 n^2 over d^2 for k = n / d."""
+    return _linear_form((k,), lambda r: ((r[1] * r[1], 4 * r[0] * r[0]), r[1] * r[1]))
 
 
 def _classes(*columns):
@@ -298,21 +301,21 @@ def _classes(*columns):
     return rep, inverse
 
 
-def _per_row(formulas, what, *columns):
-    """Each formula(*ints) on the integer statistics of one vector (scalars), or on
-    every row of a batch's (1-D columns), as an object array whose last axis has
-    one entry per formula; .T[0] is one formula's value, or its batch column.
+def _per_row(forms, what, *columns):
+    """Each _linear_form's value on the integer statistics of one vector (ints),
+    or on every row of a batch's (1-D columns), as an object array whose last
+    axis has one entry per form; .T[0] is one form's value, or its batch column.
     A float value beyond float64 raises ValueError naming what.
 
-    On a batch each formula runs once per distinct tuple of column values and
-    its result is broadcast back to the rows, so exact weights cost one
+    On a batch each form is evaluated once per distinct tuple of column values
+    and its value is broadcast back to the rows, so a weight costs one
     evaluation per class of rows however many rows the batch has.
     """
     batch = isinstance(columns[0], np.ndarray)
     rep, inverse = _classes(*columns) if batch else (None, 0)
-    keys = zip(*(c[rep].tolist() for c in columns)) if batch else [[int(c) for c in columns]]
-    values = [_within_float64(formula(*key), what) for key in keys for formula in formulas]
-    return np.array(values, dtype=object).reshape(-1, len(formulas))[inverse]
+    keys = zip(*(c[rep].tolist() for c in columns)) if batch else [columns]
+    values = [_form_value(form, key, what) for key in keys for form in forms]
+    return np.array(values, dtype=object).reshape(-1, len(forms))[inverse]
 
 
 def _weights(k, x, read):
@@ -332,11 +335,11 @@ def _weights(k, x, read):
 def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRCULAR):
     """Squared norm of the transition vector, via weak + 4*k^2*flips.
 
-    The closed form avoids accumulating squares, so the result is exact
-    for int or Fraction k and reproduces sign_changes exactly at k = +-1/2.
-    An int or Fraction k is summed in ints over one denominator, to the
-    value and type Fraction arithmetic gives; any other k keeps the
-    expression weak + (4*k*k)*flips, so float results are unchanged.
+    The closed form avoids accumulating squares, and it is summed in ints
+    over one denominator at k's exact value (_linear_form): an int or
+    Fraction k gives the value and type Fraction arithmetic gives, so it
+    reproduces sign_changes exactly at k = +-1/2, and a float k gives that
+    exact value rounded once to float, ValueError where it leaves float64.
     A 2-D array of vectors (rows) gives an object array with one value per
     row, equal in value and type to the call on that row; k is then one
     weight, or a sequence with one weight per row, and row r takes k[r].
@@ -344,13 +347,12 @@ def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRC
     k = _weights(k, x, lambda w: _finite_real(w, "transition weight k"))
     what = "transition_norm_sq at this k"
     if not _is_batch(x):
-        return _within_float64(_norm_form(k)(*_vector_counts(x, topology)), what)
+        return _form_value(_norm_form(k), _vector_counts(x, topology), what)
     weak, flips = pair_stats(_signs(x, batch=True), topology)
     if isinstance(k, list):
-        # rows that share (weak, flips) may differ in k, so the formula runs once per row
+        # rows that share (weak, flips) may differ in k, so the form is built once per row
         rows = zip(weak.tolist(), flips.tolist(), k)
-        values = [_within_float64(_norm_form(kr)(w, f), what) for w, f, kr in rows]
-        return np.array(values, dtype=object)
+        return np.array([_form_value(_norm_form(kr), (w, f), what) for w, f, kr in rows], dtype=object)
     return _per_row([_norm_form(k)], what, weak, flips).T[0]
 
 

@@ -1,6 +1,10 @@
 import importlib.util
+import math
 import py_compile
+from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -145,3 +149,35 @@ def test_bench_pairs_prepares_both_trees_alike(tmp_path):
         load_script("bench_pairs").prepare(root)
     expected = {"src/pkg/__init__.py": True, "src/pkg/mod.py": True}
     assert current_bytecode(trees[0]) == current_bytecode(trees[1]) == expected
+
+
+def test_probe_pairs_compares_outcomes_by_kind_and_ulps():
+    probe = load_script("probe_pairs")
+    one, next_one = probe.encode(1.0), probe.encode(math.nextafter(1.0, 2.0))
+    assert one == ["float:0x1.0000000000000p+0"]
+    assert probe.kind(one, one) is None
+    assert (probe.kind(one, next_one), probe.ulps(one, next_one)) == ("value", 1)
+    # signed zeros differ in value by 0 ulps; ulps span the two signs
+    assert probe.ulps(probe.encode(-0.0), probe.encode(0.0)) == 0
+    assert probe.ulps(probe.encode(-5e-324), probe.encode(5e-324)) == 2
+    assert probe.kind(probe.encode(Fraction(1, 2)), probe.encode(0.5)) == "type"
+    assert probe.kind(probe.encode(ValueError("x")), one) == "error"
+    batch = np.array([Fraction(1, 3), 2, 0.5], dtype=object)
+    assert probe.encode(batch) == ["ndarray:|O (3,)", "Fraction:0x1/0x3", "int:0x2", "float:0x1.0000000000000p-1"]
+    names = {name: [] for name in probe.NAMES}
+    parent = {**names, "decoupled_gap": [["a", one], ["b", one], ["c", probe.encode(ValueError("beyond"))]]}
+    change = {**names, "decoupled_gap": [["a", one], ["b", next_one], ["c", one]]}
+    record = probe.compare(parent, change)["decoupled_gap"]
+    assert record["cases"] == 3 and record["differences"] == {"value": 1, "type": 0, "error": 1}
+    assert record["errors"] == {"parent_only": 1, "change_only": 0, "both": 0}
+    assert (record["changed_values"], record["max_ulps"]) == (1, 1)
+    assert [e["label"] for e in record["examples"]] == ["b", "c"]
+
+
+def test_probe_pairs_battery_on_one_tree_against_itself_differs_nowhere():
+    probe = load_script("probe_pairs")
+    root = SCRIPTS.parent
+    record = probe.compare(probe.run_side(root), probe.run_side(root))
+    assert list(record) == list(probe.NAMES)
+    assert all(r["cases"] > 0 for r in record.values())
+    assert {name: sum(r["differences"].values()) for name, r in record.items()} == dict.fromkeys(probe.NAMES, 0)

@@ -302,13 +302,17 @@ def test_decoupled_batch_int64_overflow():
         lambda: zero_direction_gap(np.array([[1, -1], [1, 1]]), GapParams(0.5, 1e200)),
         lambda: zero_direction_gap([1, -1], GapParams(0.5, np.float64(1e200))),
         lambda: decoupled_gap([1, -1], [0, 0], GapParams(0.5, 1e200)),
-        # 4 k_x^2 is inf and the base pair has no flip: inf * 0 is nan
-        lambda: decoupled_gap([1, 1], [0, -2], GapParams(0.5, 1e200)),
     ],
 )
 def test_gaps_beyond_float64_raise(call):
     with pytest.raises(ValueError, match="float64 range"):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_float_gaps_within_float64_are_returned_whatever_4_kx_squared_is():
+    # 4 k_x^2 is beyond float64, but the base pair has no flip: the exact gap is 2
+    _assert_same(decoupled_gap([1, 1], [0, -2], GapParams(0.5, 1e200)), 2.0)
 
 
 def test_exact_gaps_stay_exact_beyond_float64():
@@ -376,22 +380,35 @@ def test_gap_lists_match_the_per_pair_calls(n):
                 )
 
 
-# The expressions the gap and norm functions evaluate for every weight type but
-# int and Fraction, as they evaluated them for all types before exact weights
-# were summed over one denominator: the exact route must give their values and
-# types, and every other route their floats bit for bit.
+# The norm and the gaps in exact arithmetic, each float weight at its exact
+# Fraction value: the library must give their values and types for int, bool
+# and Fraction weights, and where a weight is a float, that exact value rounded
+# once by float(), a ValueError (through OverflowError) where it leaves float64.
+def _exact(k):
+    """k at its exact value: a float as its Fraction, any other weight as it is."""
+    return Fraction(k) if isinstance(k, float) else k
+
+
+def _rounded(value, *weights):
+    """An exact value as the library gives it: rounded once to float where a weight is a float."""
+    return float(value) if any(isinstance(k, float) for k in weights) else value
+
+
 def _norm_expression(weak, flips, k):
-    return weak + (4 * k * k) * flips
+    e = _exact(k)
+    return _rounded(weak + (4 * e * e) * flips, k)
 
 
 def _decoupled_expression(wy, fy, wx, fx, p):
-    return _norm_expression(wy, fy, p.k_y) - _norm_expression(wx, fx, p.k_x)
+    ky, kx = _exact(p.k_y), _exact(p.k_x)
+    return _rounded(wy + (4 * ky * ky) * fy - (wx + (4 * kx * kx) * fx), p.k_y, p.k_x)
 
 
 def _zero_direction_expression(q, l, p):
     if not 0 < p.k_y <= Fraction(1, 2) <= p.k_x:
         raise ValueError("not the positive branch")
-    return (p.k_y - p.k_x) * ((p.k_y + p.k_x) * q + l)
+    ky, kx = _exact(p.k_y), _exact(p.k_x)
+    return _rounded((ky - kx) * ((ky + kx) * q + l), p.k_y, p.k_x)
 
 
 def _outcome(call, *args):
@@ -562,7 +579,7 @@ def test_zero_direction_gap_is_the_papers_sum(n):
                 _assert_same(value, _zero_direction_expression(*qs, p))
 
 
-# weight pairs that take the float expressions: floats, a float beside a Fraction,
+# weight pairs with a float or a bool: floats, a float beside a Fraction,
 # and an int or a bool outer weight
 FLOAT_ROUTE_WEIGHTS = [
     (0.1, 0.75), (0.5, 2.0), (Fraction(1, 3), 0.75), (0.25, Fraction(3, 2)),
@@ -571,8 +588,8 @@ FLOAT_ROUTE_WEIGHTS = [
 
 
 @pytest.mark.parametrize("topo", list(Topology))
-def test_non_exact_gaps_keep_the_float_expressions(topo):
-    # the docstrings' promise that float results are unchanged, bit for bit
+def test_float_gaps_are_the_exact_values_rounded_once(topo):
+    # the docstrings' promise: a float weight's gap is its exact value, rounded once
     grid = pattern_grid(4)
     d = np.random.default_rng(20240817).integers(-2, 3, size=grid.shape)
     base = [_reference_pair_counts(tuple(row), topo) for row in grid.tolist()]
@@ -582,8 +599,77 @@ def test_non_exact_gaps_keep_the_float_expressions(topo):
         gaps = decoupled_gap(grid, d, params, topo).tolist()
         closed = zero_direction_gap(grid, params, topo).tolist()
         for (wy, fy), (wx, fx), gap, value in zip(moved, base, gaps, closed):
-            _assert_same(gap, (wy + (4 * ky * ky) * fy) - (wx + (4 * kx * kx) * fx))
-            _assert_same(value, (ky - kx) * ((ky + kx) * (4 * fx)))
+            _assert_same(gap, _decoupled_expression(wy, fy, wx, fx, params))
+            # the zero-direction sums are q = 4 flips and l = 0
+            _assert_same(value, _zero_direction_expression(4 * fx, 0, params))
+
+
+def test_float_gaps_do_not_cancel():
+    # wy = wx = 2: the float expression (2 + 4e-10) - 2 kept 4.000000330961484e-10
+    x, d = [0, 1, 1, 0], [0, 0, -2, 0]
+    exact = float(Fraction(4) * Fraction(1e-5) ** 2)
+    assert exact == 4.0000000000000007e-10
+    _assert_same(decoupled_gap(x, d, GapParams(1e-5, 0.5), Topology.LINEAR), exact)
+    _assert_same(decoupled_gap(np.array([x]), np.array([d]), [GapParams(1e-5, 0.5)], Topology.LINEAR)[0, 0], exact)
+    # the profile at a float k_x: its offset -2.0 is exact, so the value is 4e-10 rounded once
+    profile = gap_profile(x, d, 0.7, Topology.LINEAR)
+    _assert_same(profile.value(Fraction(1, 100000)), 4e-10)
+    _assert_same(profile.value(1e-5), exact)
+
+
+def test_float_zero_direction_gap_at_no_flip_is_positive_zero():
+    # the exact value 0 rounds to +0.0; (k_y - k_x) * ((k_y + k_x) * 0) gave -0.0
+    for x in ([1, 1, 0], np.array([[1, 1, 0], [0, 0, 0]])):
+        for p in (GapParams(0.25, 0.75), GapParams(Fraction(1, 4), 2.5)):
+            values = np.ravel(zero_direction_gap(x, p)).tolist()
+            assert [v.hex() for v in values] == [(0.0).hex()] * len(values)
+
+
+def _signed(magnitudes):
+    return st.builds(lambda v, s: s * v, magnitudes, signed)
+
+
+# floats at both ends of float64, the others of the same width, Fractions
+# beside them, and bools: each result must be the exact value rounded once
+subnormals = st.floats(5e-324, 2.2250738585072014e-308)
+near_overflow = st.floats(1e300, 1.7976931348623157e308)
+edge_norm_weights = st.one_of(
+    _signed(subnormals), _signed(near_overflow), _signed(st.floats(0, 1e300)), st.booleans(), big_ratios
+)
+edge_inner_weights = st.one_of(
+    _signed(subnormals), _signed(st.floats(1e-300, 0.5)), st.builds(lambda r, s: s * _inner(r), big_ratios, signed)
+)
+edge_outer_weights = st.one_of(
+    _signed(near_overflow),
+    _signed(st.floats(0.5, 1e300)),
+    st.just(True),
+    st.builds(lambda r, s: s * _outer(r), big_ratios, signed),
+)
+
+
+def _assert_outcome(got, want):
+    """Two _outcome results alike: both ValueError, or the same value and type."""
+    if want is ValueError or got is ValueError:
+        assert got is want, (got, want)
+    else:
+        _assert_same(got, want)
+
+
+@given(st.data(), patterns, edge_norm_weights, edge_inner_weights, edge_outer_weights, topologies)
+def test_float_results_are_the_exact_values_rounded_once(data, x, k, ky, kx, topo):
+    moved = data.draw(st.lists(signs, min_size=len(x), max_size=len(x)))
+    d = [m - v for m, v in zip(moved, x)]
+    (wx, fx), (wy, fy) = (_reference_pair_counts(tuple(v), topo) for v in (x, moved))
+    _assert_outcome(_outcome(transition_norm_sq, x, k, topo), _outcome(_norm_expression, wx, fx, k))
+    p = GapParams(ky, kx)
+    _assert_outcome(_outcome(decoupled_gap, x, d, p, topo), _outcome(_decoupled_expression, wy, fy, wx, fx, p))
+    _assert_outcome(_outcome(zero_direction_gap, x, p, topo), _outcome(_zero_direction_expression, 4 * fx, 0, p))
+    # the profile's offset is the base norm as the library gives it, rounded once at a float k_x
+    offset = _outcome(transition_norm_sq, x, kx, topo)
+    if ky > 0 and offset is not ValueError:
+        e = _exact(ky)
+        want = _outcome(lambda: _rounded(wy + (4 * e * e) * fy - _exact(offset), ky, offset))
+        _assert_outcome(_outcome(gap_profile(x, d, kx, topo).value, ky), want)
 
 
 @pytest.mark.parametrize("topo", list(Topology))

@@ -350,9 +350,6 @@ def test_weight_must_be_finite(k):
         lambda: transition_map([1, -1], 1e308),
         lambda: transition_map([1, -1], np.float64(-1e308)),
         lambda: transition_norm_sq([1, -1], 1e200),
-        # 4k^2 is inf and the pair has no flip: inf * 0 is nan
-        lambda: transition_norm_sq([1, 1], 1e200),
-        lambda: transition_norm_sq(np.array([[1, 1], [1, 0]]), 1e200),
         lambda: transition_norm_sq([1, -1], np.float64(1e200)),
         lambda: hadamard_norm_sq([1, -1], 1e200),
         lambda: transition_hessian_2d([1e200, 1e200], 0.5),
@@ -362,6 +359,20 @@ def test_weight_must_be_finite(k):
 def test_float_results_beyond_float64_raise(call):
     with pytest.raises(ValueError, match="float64 range"):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        # 4k^2 is beyond float64, but no pair flips: the exact value is finite
+        (lambda: transition_norm_sq([1, 1], 1e200), [0.0]),
+        (lambda: transition_norm_sq(np.array([[1, 1], [1, 0]]), 1e200), [0.0, 2.0]),
+    ],
+)
+def test_float_results_within_float64_are_returned_whatever_4k2_is(call, want):
+    values = np.ravel(call()).tolist()
+    assert [type(v) for v in values] == [float] * len(want) and values == want
 
 
 def test_exact_weights_stay_exact_beyond_float64():
@@ -644,7 +655,7 @@ def test_sign_and_pair_kernels_match_the_per_entry_and_per_pair_rules(case, topo
         # wider integer and float sign arrays go through the same int8 cast
         for signs in (s, s.astype(np.int64), s.astype(float)):
             stats = pair_stats(signs, topology)
-            assert stats == ref and {type(v) for v in stats} == {np.intp}
+            assert stats == ref and {type(v) for v in stats} == {int}
     s = _signs(batch, batch=True)
     assert s.dtype == np.int8 and s.flags.writeable and s.tolist() == want
     weak, flips = pair_stats(s, topology)
@@ -663,7 +674,7 @@ def test_sign_and_pair_kernels_match_the_per_entry_and_per_pair_rules(case, topo
         ref = _reference_pair_counts(tuple(signs_want), topology)
         assert sign_changes(x, topology) == sum(ref) and pair_counts(x, topology) == ref
         stats = pair_stats(s, topology)
-        assert stats == ref and {type(v) for v in stats} == {np.intp}
+        assert stats == ref and {type(v) for v in stats} == {int}
 
 
 # entries of the lists and tuples that the scalar pair statistics count from
