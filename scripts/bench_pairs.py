@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of benchmark runs, and the claim rule on them.
 
     python3 scripts/bench_pairs.py --parent REV --workload NAME --pairs 10 \\
-        --first-seed S --seconds 15 --out FILE [--other-pairs 1] [--walls 5]
+        --first-seed S --seconds 15 --out FILE [--other-pairs 1] [--walls 5] [--layers]
 
 The parent is extracted with ``git archive REV`` into a temporary
 directory; the change is this checkout as it stands.  Both trees are
@@ -17,7 +17,14 @@ With ``--walls N`` the script last times N alternating pairs of two process
 walls, ``python -c "import signchange"`` and ``python -m signchange verify
 all``, each a fresh interpreter in its tree with that tree's ``src`` on
 ``PYTHONPATH`` and one BLAS thread, in raw wall seconds; both sides of a
-pair must exit 0 and print the same stdout.
+pair must exit 0 and print the same stdout.  With ``--layers`` it then times
+four layers of the pair kernel, ``counting._signs``, ``transitions.pair_stats``
+(on the int8 signs), ``sign_changes`` and ``count_nonzero``, on a float64
+array and on a list of ints and ``Fraction``s of each length in
+``LAYER_SIZES``: ``LAYER_ROUNDS`` alternating rounds, each a fresh interpreter
+per tree with that tree's ``src`` first on ``PYTHONPATH``, one BLAS thread
+and pinned to one CPU, which times every call in process as the best of
+``LAYER_REPEAT`` loops of at least ``LAYER_LOOP_S`` seconds.
 
 FILE receives, per workload and per end-to-end metric of ``BENCHMARK.json``,
 each side's values in pair order, their medians and quartiles
@@ -26,8 +33,11 @@ of the change.  Its claim block gives, for every end-to-end metric on NAME,
 the wins, the gain, the medians and whether the claim rule holds: the change
 wins at least nine pairs in ten, and its median beats the parent's by more
 than the parent's interquartile range.  The walls get the same statistics
-under ``walls``, outside the claim block.  Exits 1 when a run reports a wrong
-output; a run that fails stops the script.
+under ``walls``, outside the claim block, and the layer timings under ``layers``:
+per call, each round's seconds, each side's best, the change's best over the
+parent's and nanoseconds per entry.  Exits 1 when a run reports a wrong output
+or a layer call returns another output on the two sides; a run that fails
+stops the script.
 """
 
 from __future__ import annotations
@@ -60,6 +70,11 @@ WALLS = {
     "verify_all_s": ["-m", "signchange", "verify", "all"],
 }
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# --layers: the vector lengths, the rounds per side, and each call's timing loop
+LAYER_SIZES = tuple(10**k for k in range(1, 7))
+LAYER_ROUNDS = 2
+LAYER_REPEAT = 5
+LAYER_LOOP_S = 0.05
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -172,16 +187,22 @@ def run_pairs(parent: Path, workload: str, pairs: int, first_seed: int, seconds:
     }
 
 
-def time_wall(root: Path, args: list[str]) -> dict:
-    """One fresh interpreter running args in root, root's src first on PYTHONPATH:
-    its wall seconds and the sha256 of its stdout.  A nonzero exit stops the script."""
+def run_in(root: Path, args: list[str]) -> subprocess.CompletedProcess:
+    """One fresh interpreter running args in root, root's src first on PYTHONPATH,
+    with one BLAS thread.  A nonzero exit stops the script."""
     path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1"), "PYTHONPATH": path}
-    start = time.perf_counter()
     proc = subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True, check=False)
-    seconds = time.perf_counter() - start
     if proc.returncode != 0:
         raise RuntimeError(f"python {' '.join(args)} in {root} exited {proc.returncode}:\n{proc.stderr.decode()}")
+    return proc
+
+
+def time_wall(root: Path, args: list[str]) -> dict:
+    """run_in(root, args): its wall seconds and the sha256 of its stdout."""
+    start = time.perf_counter()
+    proc = run_in(root, args)
+    seconds = time.perf_counter() - start
     return {"s": seconds, "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()}
 
 
@@ -216,6 +237,86 @@ def run_walls(parent: Path, pairs: int) -> dict:
     return walls_record(runs)
 
 
+def time_layers() -> list[dict]:
+    """Every layer call of --layers timed in this process, on the signchange it
+    imports: one row per call with the seconds of one call, the best of
+    LAYER_REPEAT loops of at least LAYER_LOOP_S seconds, and its output as text."""
+    import timeit
+    from fractions import Fraction
+
+    import numpy as np
+    from signchange import count_nonzero, sign_changes
+    from signchange.counting import _signs
+    from signchange.transitions import Topology, pair_stats
+
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    rows = []
+    for n in LAYER_SIZES:
+        rng = np.random.default_rng(n)
+        floats = rng.standard_normal(n)
+        floats[rng.random(n) < 0.25] = 0.0
+        # a quarter zeros, then ints and Fractions in turn
+        nums = (floats * 10**6).astype(np.int64).tolist()
+        exact = [Fraction(p, 7) if i % 2 else p for i, p in enumerate(nums)]
+        for name, x in (("float64", floats), ("int_fraction_list", exact)):
+            signs = _signs(x)
+            calls = {
+                "_signs": lambda: _signs(x),
+                "pair_stats": lambda: pair_stats(signs, Topology.CIRCULAR),
+                "sign_changes": lambda: sign_changes(x),
+                "count_nonzero": lambda: count_nonzero(x),
+            }
+            for layer, call in calls.items():
+                timer, number = timeit.Timer(call), 1
+                while timer.timeit(number) < LAYER_LOOP_S:
+                    number *= 4
+                seconds = min(timer.repeat(LAYER_REPEAT, number)) / number
+                out = call()
+                text = hashlib.sha256(out.tobytes()).hexdigest() if isinstance(out, np.ndarray) else repr(out)
+                rows.append({"layer": layer, "input": name, "n": n, "s": seconds, "out": text})
+    return rows
+
+
+def layers_record(runs: list[dict]) -> dict:
+    """The statistics of every layer call over runs, each {"first": side, "parent":
+    rows, "change": rows} with rows as time_layers returns them, in one order.
+    correct: every call returned the same output on both sides in every run."""
+    cells = []
+    for i, row in enumerate(runs[0]["parent"]):
+        seconds = {side: [r[side][i]["s"] for r in runs] for side in ("parent", "change")}
+        best = {side: min(values) for side, values in seconds.items()}
+        cells.append({
+            **{key: row[key] for key in ("layer", "input", "n")},
+            **seconds,
+            "best": best,
+            "ratio": best["change"] / best["parent"],
+            "ns_per_entry": {side: 1e9 * s / row["n"] for side, s in best.items()},
+        })
+    outputs = [[row["out"] for row in r[side]] for r in runs for side in ("parent", "change")]
+    return {
+        "how": f"in-process best of {LAYER_REPEAT} loops of at least {LAYER_LOOP_S} s per call, "
+        "one fresh interpreter per side and round, pinned to one CPU; best is the least over rounds",
+        "first": [r["first"] for r in runs],
+        "correct": all(out == outputs[0] for out in outputs),
+        "rows": cells,
+    }
+
+
+def run_layers(parent: Path, rounds: int) -> dict:
+    """rounds alternating rounds of time_layers on both trees, the parent first on even rounds."""
+    program = f"import json, sys; sys.path.insert(0, {str(ROOT / 'scripts')!r}); "
+    program += "import bench_pairs; print(json.dumps(bench_pairs.time_layers()))"
+    runs = []
+    for i in range(rounds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        run = {"first": order[0]}
+        for side in order:
+            run[side] = json.loads(run_in(parent if side == "parent" else ROOT, ["-c", program]).stdout)
+            print(f"layers round {i} {side}: done", file=sys.stderr)
+        runs.append(run)
+    return layers_record(runs)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -225,6 +326,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=None, help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--other-pairs", type=int, default=0, help="pairs of every other workload")
     parser.add_argument("--walls", type=int, default=0, help="pairs of the process walls")
+    parser.add_argument("--layers", action="store_true", help="time the pair kernel's layers")
     parser.add_argument("--what", default="", help="one line saying what the change is")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
@@ -244,6 +346,7 @@ def main(argv=None) -> int:
             name: run_pairs(Path(tmp), name, pairs, args.first_seed, seconds, spec) for name, pairs in plan
         }
         walls = run_walls(Path(tmp), args.walls) if args.walls else None
+        layers = run_layers(Path(tmp), LAYER_ROUNDS) if args.layers else None
 
     record = {
         "what": args.what,
@@ -260,9 +363,11 @@ def main(argv=None) -> int:
     }
     if walls:
         record["walls"] = walls
+    if layers:
+        record["layers"] = layers
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps(record["claim"]))
-    correct = all(w["correct"] for w in workloads.values()) and (walls is None or walls["correct"])
+    correct = all(w["correct"] for w in (*workloads.values(), walls, layers) if w is not None)
     return 0 if correct else 1
 
 

@@ -94,13 +94,13 @@ def _check_rows(rows, what: str, least: int = 1) -> int:
 def _vector(x, batch: bool = False):
     """x read as a nonempty 1-D real vector (with batch=True, a 2-D array of
     them): a numeric array as it is, any other iterable as a list or tuple.
-    Float arrays must be finite.  The entries of lists, tuples and object
-    arrays are checked by the reader that takes them, through _entries."""
+    No entry is read here: the reader that takes them checks each one, a
+    float array's in the pass that signs or counts it (_sign_array,
+    _nonzeros) or converts it (_float_array), the entries of lists, tuples
+    and object arrays through _sign_codes or _entries."""
     if isinstance(x, np.ndarray):
         if x.ndim != 1 + batch or x.shape[-1] == 0 or x.dtype.kind not in "fiubO":
             raise ValueError(_NOT_A_VECTOR)
-        if x.dtype.kind == "f" and not np.isfinite(x).all():
-            raise ValueError(_NOT_FINITE)
         return x
     try:
         x = x if isinstance(x, (list, tuple)) else list(x)
@@ -113,14 +113,15 @@ def _vector(x, batch: bool = False):
 
 def _entries(values) -> list:
     """The one entry rule, for a vector or batch read by _vector: its entries,
-    flat, as Python reals.  A numpy integer or float becomes the Python int or
+    flat, as Python reals.  A numpy bool is read as 0 or 1, as a Python bool
+    is; a numpy integer or float becomes the Python int or
     float of its value, which a sum cannot wrap and a Fraction can hold, or,
     for a finite longdouble wider than float64, the Fraction of its value,
     unrounded; any other finite numbers.Real is kept.  A real that is not
     finite raises ValueError naming finiteness; any other entry is no real."""
     reals = [
         int(v)
-        if isinstance(v, np.integer)
+        if isinstance(v, (np.integer, np.bool_))
         else v
         if not isinstance(v, np.floating)
         else float(v)
@@ -167,6 +168,56 @@ def sign(value: float) -> int:
     return sign_vector((value,))[0]
 
 
+# The entries of one block.  A numeric array longer than its one-piece limit
+# (_BLOCK for the count, _SIGN_PIECE for the signs) is read block by block
+# (512 KiB of float64 each), and every block is checked finite and signed, or
+# counted, while it is still in cache: whole-array passes read it from memory
+# once for the check and once for each comparison.  The sign pass and the
+# count of one float64 vector, 30 % zeros, read by _vector and then in one
+# piece (as before blocks) or in blocks, best of 15 on one core of a 2-vCPU
+# x86-64 VM (numpy 2.4.6, Python 3.11.7), two runs:
+#
+#          n        signs: one piece   blocks       count: one piece   blocks
+#     46,416        28-31 us           25-28 us     47-51 us           48 us
+#    215,443       158-165 us         140-145 us   224-237 us         108-115 us
+#    464,159       521-528 us         353-354 us   540-575 us         287-288 us
+#       10^6       1.20-1.22 ms       0.74-0.78 ms 1.20-1.24 ms       0.61-0.62 ms
+#
+# At 10^6, blocks of 2^14, 2^15, 2^16, 2^17 and 2^18 entries took 1.15-1.27,
+# 0.88-0.98, 0.77-0.85, 0.89-0.92 and 1.12-1.19 ms for the signs, and 0.88-0.92,
+# 0.71-0.78, 0.64-0.69, 0.70-0.74 and 0.74-0.87 ms for the count.
+_BLOCK = 1 << 16
+# The most entries _sign_array signs in one piece.  Up to about 180,000
+# float64 entries a vector and its three byte masks stay in a core's L2
+# cache, where a block's five more numpy calls cost more than its one read
+# saves.  Signs in one piece -> in blocks of _BLOCK, the same way but best of
+# 25: 50.7 -> 59.0-61.4 us at 100,000 entries, 75.3-78.4 -> 93.9-95.5 us at
+# 150,000, 129.0-129.5 -> 118.5-123.4 us at 196,608.  The count reads in blocks
+# past _BLOCK: its blocks also count a != 0 mask in place of np.count_nonzero
+# on the floats, 91.4-94.7 -> 46.7-48.4 us at 100,000.
+_SIGN_PIECE = 3 * _BLOCK
+
+
+def _blocks(shape: tuple[int, ...]) -> list[tuple[slice, ...]]:
+    """Index tuples that cover an array of this shape, one vector or a 2-D
+    batch, in blocks of at most _BLOCK entries, each a view of the array
+    whatever its strides: runs of one vector, whole rows of a batch whose rows
+    are shorter than _BLOCK, runs of one row of a batch whose rows are longer."""
+    *rows, n = shape
+    step = min(n, _BLOCK)
+    runs = [slice(j, j + step) for j in range(0, n, step)]
+    if not rows:
+        return [(run,) for run in runs]
+    height = max(1, _BLOCK // n)
+    return [(slice(i, i + height), run) for i in range(0, rows[0], height) for run in runs]
+
+
+def _check_finite(values: np.ndarray) -> None:
+    """ValueError naming finiteness unless every entry of a numeric array is finite."""
+    if values.dtype.kind == "f" and not np.isfinite(values).all():
+        raise ValueError(_NOT_FINITE)
+
+
 def _signs(x, batch: bool = False) -> np.ndarray:
     """Componentwise signs of x, read by _vector, as an int8 array."""
     return _sign_array(_vector(x, batch))
@@ -175,10 +226,10 @@ def _signs(x, batch: bool = False) -> np.ndarray:
 def _sign_array(values) -> np.ndarray:
     """Signs of a vector or batch read by _vector, as a writable int8 array.
 
-    Numeric and bool arrays take (x > 0) - (x < 0): the two comparisons,
-    viewed as int8 and subtracted in place, allocate one byte per entry and
-    no temporary as wide as the input (_vector has refused NaN, which
-    compares as 0).
+    Numeric and bool arrays are signed by _block_signs, which checks a float
+    array finite first: an array of at most _SIGN_PIECE entries in one piece,
+    a longer one block by block of _blocks, in place whatever its strides,
+    into one C-contiguous int8 array.  So each entry is read once from memory.
 
     Lists, tuples and object arrays are coded by _sign_codes into one
     bytearray of the byte codes 1, 0 and 255 (-1 as int8), read here as int8
@@ -187,11 +238,25 @@ def _sign_array(values) -> np.ndarray:
     """
     is_array = isinstance(values, np.ndarray)
     if is_array and values.dtype.kind in "fiub":
-        signs = (values > 0).view(np.int8)
-        signs -= (values < 0).view(np.int8)
+        if values.size <= _SIGN_PIECE:
+            return _block_signs(values)
+        signs = np.empty(values.shape, dtype=np.int8)
+        for block in _blocks(values.shape):
+            _block_signs(values[block], signs[block])
         return signs
     signs = np.frombuffer(_sign_codes(values), dtype=np.int8)
     return signs.reshape(values.shape) if is_array else signs
+
+
+def _block_signs(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(values > 0) - (values < 0) of a numeric array once _check_finite passes it
+    (NaN would compare as 0), written into the int8 array out, or a new one.
+    The two comparisons, viewed as int8 and subtracted in place, allocate one
+    byte per entry and no temporary as wide as the input."""
+    _check_finite(values)
+    signs = np.greater(values, 0, out=None if out is None else out.view(bool)).view(np.int8)
+    signs -= np.less(values, 0).view(np.int8)
+    return signs
 
 
 def _sign_codes(values) -> bytearray:
@@ -230,8 +295,9 @@ def _is_batch(x) -> bool:
 
 def _float_array(x) -> np.ndarray:
     """x as a float64 array of any shape: object entries through _entries and
-    _real, numeric arrays cast whole; any other dtype (strings, complex) or an
-    entry not finite in float64, such as a wider float beyond it, raises ValueError."""
+    _real, numeric arrays cast whole and checked finite once, in float64; any
+    other dtype (strings, complex) or an entry not finite in float64, such as
+    a wider float beyond it, raises ValueError."""
     arr = np.asarray(x)
     if arr.dtype.kind == "O":
         return np.array([_real(v, "an entry") for v in _entries(arr)]).reshape(arr.shape)
@@ -245,8 +311,16 @@ def _float_array(x) -> np.ndarray:
 
 
 def as_vector(x: Iterable[float]) -> np.ndarray:
-    """Read x as a vector and convert it to float64 through _float_array."""
-    arr = _float_array(_vector(x))
+    """Read x as a vector and convert it to float64 through _float_array, the
+    one check of its entries; a float array refused there for an entry not
+    finite in its own precision is refused as every vector reader refuses it."""
+    x = _vector(x)
+    try:
+        arr = _float_array(x)
+    except ValueError:
+        if isinstance(x, np.ndarray):
+            _check_finite(x)
+        raise
     if arr.ndim != 1:
         raise ValueError(_NOT_A_VECTOR)
     return arr
@@ -274,12 +348,27 @@ def _row_nonzeros(values: np.ndarray):
 def _nonzeros(values):
     """Nonzero entries of a vector read by _vector, or of each row of a batch.
 
-    A numeric array is counted as it is, with no sign array (-0.0 is zero);
-    lists, tuples and object arrays take the exact sign pass.
+    A numeric array is counted as it is, with no sign array (-0.0 is zero),
+    once _check_finite passes it: an array of at most _BLOCK entries in one
+    piece, a longer one block by block of _blocks, each checked and then
+    counted by its != 0 mask while it is in cache.  A list or tuple is
+    counted from its _sign_codes bytes, with no array; an object array
+    takes the exact sign pass.
     """
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiub"):
-        values = _sign_array(values)
-    return _row_nonzeros(values)
+    if isinstance(values, (list, tuple)):
+        codes = _sign_codes(values)
+        return len(codes) - codes.count(0)
+    if values.dtype.kind not in "fiub":
+        return _row_nonzeros(_sign_array(values))
+    if values.size <= _BLOCK:
+        _check_finite(values)
+        return _row_nonzeros(values)
+    counts = np.zeros(values.shape[:-1], dtype=np.intp)
+    for block in _blocks(values.shape):
+        part = values[block]
+        _check_finite(part)
+        counts[block[:-1]] += _row_nonzeros(part != 0)
+    return counts if values.ndim == 2 else int(counts)
 
 
 def count_nonzero(x: Iterable[float]) -> int:
@@ -343,7 +432,7 @@ def sign_minorant_gap(x: Iterable[float]) -> float:
     batch = _is_batch(x)
     x = _vector(x, batch)
     count = _nonzeros(x)
-    if not count.all():
+    if not np.all(count):
         raise ValueError("minorant gap is undefined at the origin")
     mags = _unit_magnitudes(x)
     norm = np.sqrt(_row_dot(mags, mags))

@@ -12,6 +12,7 @@ called with extreme values in each of its own arguments instead.
 import inspect
 import json
 import math
+import re
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -69,6 +70,7 @@ from signchange import (
     transition_norm_sq,
     zero_direction_gap,
 )
+from signchange.counting import _BLOCK, _SIGN_PIECE
 
 PARAMS = GapParams(Fraction(1, 4), Fraction(1))
 
@@ -268,7 +270,14 @@ MIXED = (1, Fraction(-1, 2), 0.5, -3)
 ENTRIES_READ = {"transition_hessian_2d": 2}
 
 
-@pytest.mark.parametrize("container", [list, tuple, object_array], ids=["list", "tuple", "object"])
+def float_array(values):
+    """values as a float64 array."""
+    return np.array(values, dtype=float)
+
+
+@pytest.mark.parametrize(
+    "container", [list, tuple, object_array, float_array], ids=["list", "tuple", "object", "float"]
+)
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_non_finite_entries_are_refused_at_every_position(name, container):
     for bad in NON_FINITE:
@@ -277,6 +286,25 @@ def test_non_finite_entries_are_refused_at_every_position(name, container):
             values[i] = bad
             with pytest.raises(ValueError, match="finite"):
                 ENTRY_POINTS[name](container(values))
+
+
+# the ends of the first block of a float array that is signed and counted block by
+# block, and its last entry
+BLOCK_POSITIONS = (0, _BLOCK - 1, _BLOCK, _SIGN_PIECE + 1)
+# the message a non-finite entry of a float array is refused with; transition_hessian_2d
+# reads a list of its first two entries as float64
+NOT_FINITE_MESSAGES = {"transition_hessian_2d": "entries must be finite real numbers within the float64 range"}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_non_finite_entries_of_long_float_arrays_are_refused_at_block_edges(name):
+    message = NOT_FINITE_MESSAGES.get(name, "vector entries must be finite")
+    for bad in NON_FINITE:
+        for i in (i for i in BLOCK_POSITIONS if i < ENTRIES_READ.get(name, math.inf)):
+            x = np.resize(np.array([1.0, -0.5, 0.0, 2.0]), BLOCK_POSITIONS[-1] + 1)
+            x[i] = bad
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ENTRY_POINTS[name](x)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -318,8 +346,10 @@ def test_scalar_rule_cases():
     assert sign(10**400) == 1
     assert sign_vector([10**400, -1]) == (1, -1)
     assert sign_vector([np.float32(1), 10**400]) == (1, 1)
-    # a bool array is read as 1 and 0
+    # a bool array is read as 1 and 0, and so are Python and numpy bools
     assert sign_vector(np.array([True, False])) == (1, 0)
+    assert sign_changes([np.True_, np.False_]) == sign_changes([True, False]) == 2
+    assert sign_changes(np.array([True, False])) == count_nonzero((np.True_, 1.0, np.False_)) == 2
     # a longdouble is not rounded to float64 where that type is wider
     tiny = np.longdouble("1e-400")
     assert sign(tiny) == int(tiny > 0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 
 from batching import LIST_ENTRIES, batches, object_array, rowwise
 from signchange.counting import (
+    _BLOCK,
+    _SIGN_PIECE,
+    _nonzeros,
     _signs,
     count_nonzero,
     is_count_subgradient,
@@ -16,6 +20,7 @@ from signchange.counting import (
     sign_vector,
 )
 from signchange.optimality import lagrangian_residual
+from signchange.transitions import Topology, pair_counts, pair_stats, sign_changes, transition_norm_sq
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 vectors = st.lists(finite_floats, min_size=1, max_size=12)
@@ -188,3 +193,97 @@ def test_count_is_exact_beyond_float64():
     assert count_nonzero([10**400]) == 1
     assert count_nonzero([Fraction(1, 10**400), 0, -(10**400)]) == 2
     assert sign_vector([Fraction(-1, 10**400), 10**400, 0]) == (-1, 1, 0)
+
+
+# both sides of _BLOCK, where the count leaves one piece for blocks, and of
+# _SIGN_PIECE, where the signs do, with a last block of 7 entries
+BLOCK_LENGTHS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, _SIGN_PIECE, _SIGN_PIECE + 7)
+BLOCK_DTYPES = (np.float64, np.float32, np.longdouble, np.int64, np.bool_)
+# batches signed in blocks: three rows to a block, one row to a block, and rows
+# longer than one block
+BLOCK_BATCHES = ((13, _BLOCK // 3), (7, _BLOCK // 2 + 3), (4, _BLOCK + 1), (3, 2 * _BLOCK + 5))
+
+
+def _edge_pool(dtype) -> np.ndarray:
+    """Entries of dtype at its edges: signed zeros, the least subnormals (and
+    float64's, which a narrower type rounds to 0), the largest magnitudes."""
+    if dtype is np.bool_:
+        return np.array([False, True])
+    if np.dtype(dtype).kind == "i":
+        info = np.iinfo(dtype)
+        return np.array([0, 1, -1, info.max, info.min], dtype=dtype)
+    info = np.finfo(dtype)
+    edges = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal, 5e-324, -5e-324]
+    return np.array(edges + [info.max, -info.max, 1.5, -2.5], dtype=dtype)
+
+
+def _drawn(dtype, shape) -> tuple[np.ndarray, np.ndarray]:
+    """An array of this shape drawn from the edge pool of dtype, and its signs by the
+    per-entry rule (v > 0) - (v < 0) on each pool entry."""
+    pool = _edge_pool(dtype)
+    picks = np.random.default_rng([*np.atleast_1d(shape), len(pool)]).integers(len(pool), size=shape)
+    return pool[picks], np.array([int(v > 0) - int(v < 0) for v in pool])[picks]
+
+
+def _pair_reference(signs: np.ndarray, circular: bool) -> tuple[int, int]:
+    """(weak, flips) of one sign vector by the per-pair rule: weak when exactly one
+    sign of the pair is zero, a flip when their product is -1."""
+    a = signs.astype(np.int64)
+    b = np.roll(a, -1)
+    if not circular:
+        a, b = a[:-1], b[:-1]
+    prod = a * b
+    return int(np.count_nonzero((prod == 0) & (a != b))), int(np.count_nonzero(prod == -1))
+
+
+@pytest.mark.parametrize("n", BLOCK_LENGTHS)
+@pytest.mark.parametrize("dtype", BLOCK_DTYPES, ids=lambda dt: np.dtype(dt).name)
+def test_long_vectors_read_in_blocks_match_the_per_entry_rule(dtype, n):
+    x, want = _drawn(dtype, n)
+    s = _signs(x)
+    assert s.dtype == np.int8 and s.flags.writeable and np.array_equal(s, want)
+    count = count_nonzero(x)
+    assert type(count) is int and count == np.count_nonzero(want)
+    # the four calls of the long_vectors benchmark
+    for topology in Topology:
+        weak, flips = _pair_reference(want, topology is Topology.CIRCULAR)
+        assert pair_counts(x, topology) == (weak, flips)
+        assert sign_changes(x, topology) == weak + flips
+        assert transition_norm_sq(x, Fraction(1, 2), topology) == weak + flips
+
+
+@pytest.mark.parametrize("shape", BLOCK_BATCHES, ids=lambda shape: "x".join(map(str, shape)))
+def test_long_batches_read_in_blocks_match_their_rows(shape):
+    x, want = _drawn(np.float64, shape)
+    s = _signs(x, batch=True)
+    assert s.dtype == np.int8 and s.shape == shape and np.array_equal(s, want)
+    counts = _nonzeros(x)
+    assert counts.dtype == np.intp and counts.tolist() == [count_nonzero(row) for row in x]
+    assert counts.tolist() == np.count_nonzero(want, axis=1).tolist()
+    for topology in Topology:
+        weak, flips = pair_stats(s, topology)
+        rows = [_pair_reference(row, topology is Topology.CIRCULAR) for row in want]
+        assert list(zip(weak.tolist(), flips.tolist())) == rows
+    # bit for bit the call on each row
+    gaps = sign_minorant_gap(x)
+    assert gaps.tobytes() == np.array([sign_minorant_gap(row) for row in x]).tobytes()
+
+
+def test_strided_views_are_read_in_place():
+    vector, vector_signs = _drawn(np.float64, 2 * BLOCK_LENGTHS[-1])
+    # a transposed batch: rows of one block and a bit, F-contiguous
+    columns, column_signs = _drawn(np.float64, (_BLOCK + 3, 3))
+    for x, want in ((vector[::2], vector_signs[::2]), (columns.T, column_signs.T)):
+        assert not x.flags.c_contiguous
+        batch = x.ndim == 2
+        tracemalloc.start()
+        try:
+            s = _signs(x, batch)
+            counts = _nonzeros(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one int8 sign array and two block-sized masks, never a float64 copy of x
+        assert peak < x.size + 3 * _BLOCK
+        assert np.array_equal(s, want)
+        assert np.array_equal(counts, np.count_nonzero(want, axis=-1))

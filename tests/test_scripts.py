@@ -113,6 +113,43 @@ def test_bench_pairs_walls_record_on_canned_runs():
     runs[3]["change"]["verify_all_s"]["stdout_sha256"] = "ffff"
     assert not script.walls_record(runs)["correct"]
 
+def _canned_layers(parent_rounds, change_rounds):
+    """Layer runs as run_layers records them, two calls per side from per-round
+    seconds, the parent first in even rounds, every output alike."""
+
+    def rows(seconds):
+        return [
+            {"layer": "_signs", "input": "float64", "n": 10, "s": seconds[0], "out": "ab12"},
+            {"layer": "count_nonzero", "input": "float64", "n": 10**6, "s": seconds[1], "out": "7"},
+        ]
+
+    return [
+        {"first": "parent" if i % 2 == 0 else "change", "parent": rows(p), "change": rows(c)}
+        for i, (p, c) in enumerate(zip(parent_rounds, change_rounds))
+    ]
+
+
+def test_bench_pairs_layers_record_on_canned_runs():
+    script = load_script("bench_pairs")
+    # the short call does not move, the long one takes 0.6 of the parent's time
+    runs = _canned_layers([(2e-6, 1.2e-3), (1.5e-6, 1.0e-3)], [(1.5e-6, 0.7e-3), (1.6e-6, 0.6e-3)])
+    record = script.layers_record(runs)
+    assert list(record) == ["how", "first", "correct", "rows"]
+    assert record["first"] == ["parent", "change"] and record["correct"]
+    short, long = record["rows"]
+    assert (short["layer"], short["input"], short["n"]) == ("_signs", "float64", 10)
+    assert short["parent"] == [2e-6, 1.5e-6] and short["change"] == [1.5e-6, 1.6e-6]
+    # each side's best is its least time over the rounds
+    assert short["best"] == {"parent": 1.5e-6, "change": 1.5e-6} and short["ratio"] == 1.0
+    assert long["best"] == {"parent": 1.0e-3, "change": 0.6e-3}
+    assert round(long["ratio"], 12) == 0.6
+    assert {side: round(v, 9) for side, v in long["ns_per_entry"].items()} == {"parent": 1.0, "change": 0.6}
+    assert round(short["ns_per_entry"]["parent"], 9) == 150.0
+    # one call that returns another output on one side makes the record incorrect
+    runs[1]["change"][1]["out"] = "8"
+    assert not script.layers_record(runs)["correct"]
+
+
 def current_bytecode(root):
     """Each module under root/src, and whether its __pycache__ file is current for its
     source by the check the import system makes: source mtime and size, or a hash."""

@@ -770,6 +770,9 @@ def test_short_lists_and_tuples_are_counted_with_no_array(monkeypatch):
         patch.setattr(transitions, "pair_stats", refuse)
         patch.setattr(np, "frombuffer", refuse)
         for x in short:
+            # count_nonzero counts the sign bytes of a list or tuple of any length
+            for long in (x, x * 3):
+                assert count_nonzero(long) == count_nonzero(list(long)) == sum(map(bool, map(_entry_sign, long)))
             for topology in Topology:
                 got = _scalar_statistics(list(x), topology)
                 assert got == _scalar_statistics(x, topology)
