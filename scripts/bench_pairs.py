@@ -155,17 +155,29 @@ def claim(workload: str, metrics: dict) -> dict:
     }
 
 
+def alternate(parent: Path, count: int, what: str, measure) -> list[dict]:
+    """count alternating pairs of measure(root, i) on both trees, the parent first on
+    even i: each {"first": side, side: measurement, other side: measurement}, the
+    sides in the order they ran."""
+    runs = []
+    for i in range(count):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        run = {"first": order[0]}
+        for side in order:
+            start = time.perf_counter()
+            run[side] = measure(parent if side == "parent" else ROOT, i)
+            print(f"{what} pair {i} {side}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+        runs.append(run)
+    return runs
+
+
 def run_pairs(parent: Path, workload: str, pairs: int, first_seed: int, seconds: float, spec: dict) -> dict:
     """pairs alternating runs of one workload; the statistics of every end-to-end metric."""
-    runs = []
-    for i in range(pairs):
-        seed = first_seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {}
-        for side in order:
-            pair[side] = run_side(parent if side == "parent" else ROOT, workload, seed, seconds)
-            print(f"{workload} seed {seed} {side}: {pair[side]['result']['metrics']}", file=sys.stderr)
-        runs.append({"seed": seed, "first": order[0], **pair})
+
+    def measure(root: Path, i: int) -> dict:
+        return run_side(root, workload, first_seed + i, seconds)
+
+    runs = [{"seed": first_seed + i, **run} for i, run in enumerate(alternate(parent, pairs, workload, measure))]
     metrics = {
         m["name"]: compare(
             [r["parent"]["result"]["metrics"][m["name"]]["value"] for r in runs],
@@ -225,16 +237,11 @@ def walls_record(runs: list[dict]) -> dict:
 
 def run_walls(parent: Path, pairs: int) -> dict:
     """pairs alternating pairs of every wall, the parent first on even pair indices."""
-    runs = []
-    for i in range(pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        run = {"first": order[0]}
-        for side in order:
-            root = parent if side == "parent" else ROOT
-            run[side] = {name: time_wall(root, args) for name, args in WALLS.items()}
-            print(f"walls pair {i} {side}: {[w['s'] for w in run[side].values()]}", file=sys.stderr)
-        runs.append(run)
-    return walls_record(runs)
+
+    def measure(root: Path, i: int) -> dict:
+        return {name: time_wall(root, args) for name, args in WALLS.items()}
+
+    return walls_record(alternate(parent, pairs, "walls", measure))
 
 
 def time_layers() -> list[dict]:
@@ -306,15 +313,11 @@ def run_layers(parent: Path, rounds: int) -> dict:
     """rounds alternating rounds of time_layers on both trees, the parent first on even rounds."""
     program = f"import json, sys; sys.path.insert(0, {str(ROOT / 'scripts')!r}); "
     program += "import bench_pairs; print(json.dumps(bench_pairs.time_layers()))"
-    runs = []
-    for i in range(rounds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        run = {"first": order[0]}
-        for side in order:
-            run[side] = json.loads(run_in(parent if side == "parent" else ROOT, ["-c", program]).stdout)
-            print(f"layers round {i} {side}: done", file=sys.stderr)
-        runs.append(run)
-    return layers_record(runs)
+
+    def measure(root: Path, i: int) -> list[dict]:
+        return json.loads(run_in(root, ["-c", program]).stdout)
+
+    return layers_record(alternate(parent, rounds, "layers", measure))
 
 
 def main(argv=None) -> int:

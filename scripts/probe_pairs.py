@@ -34,9 +34,7 @@ import argparse
 import dataclasses
 import importlib.util
 import json
-import os
 import struct
-import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -223,16 +221,8 @@ def run_battery() -> dict:
 
 
 def run_side(root: Path) -> dict:
-    """The battery in a fresh interpreter with root's src first on PYTHONPATH."""
-    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--battery"],
-        cwd=root, env=env, capture_output=True, text=True, check=False,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(f"the battery in {root} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout)
+    """The battery in a fresh interpreter by bench_pairs.run_in, with root's src first on PYTHONPATH."""
+    return json.loads(_load_bench_pairs().run_in(root, [str(Path(__file__).resolve()), "--battery"]).stdout)
 
 
 def _ordinal(x: float) -> int:

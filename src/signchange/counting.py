@@ -34,13 +34,14 @@ _MAX_ROWS = 3**12
 
 
 def _finite(value) -> bool:
-    """The one scalar rule: ints and Fractions are finite without a float
-    conversion (which could overflow), a numpy float in its own precision (a
-    longdouble beyond float64 is finite, as _entries reads it), any other real
-    by math.isfinite.  A float is tested first, by type rather than by ABC."""
+    """The one scalar rule: ints, Fractions and numpy bools (0 or 1, as
+    _entries reads them) are finite without a float conversion (which could
+    overflow), a numpy float in its own precision (a longdouble beyond float64
+    is finite, as _entries reads it), any other real by math.isfinite.  A
+    float is tested first, by type rather than by ABC."""
     if isinstance(value, float):
         return math.isfinite(value)
-    if isinstance(value, numbers.Rational):
+    if isinstance(value, (numbers.Rational, np.bool_)):
         return True
     if isinstance(value, np.floating):
         return bool(np.isfinite(value))
@@ -168,20 +169,20 @@ def sign(value: float) -> int:
     return sign_vector((value,))[0]
 
 
-# The entries of one block.  A numeric array longer than its one-piece limit
-# (_BLOCK for the count, _SIGN_PIECE for the signs) is read block by block
-# (512 KiB of float64 each), and every block is checked finite and signed, or
-# counted, while it is still in cache: whole-array passes read it from memory
-# once for the check and once for each comparison.  The sign pass and the
-# count of one float64 vector, 30 % zeros, read by _vector and then in one
-# piece (as before blocks) or in blocks, best of 15 on one core of a 2-vCPU
-# x86-64 VM (numpy 2.4.6, Python 3.11.7), two runs:
+# The entries of one block.  The count reads every numeric array block by
+# block, and the signs an array longer than _SIGN_PIECE (512 KiB of float64
+# each); every block is checked finite and signed, or counted, while it is
+# still in cache: whole-array passes read it from memory once for the check
+# and once for each comparison.  The sign pass of one float64 vector, 30 %
+# zeros, read by _vector and then in one piece or in blocks, and the count in
+# blocks, best of 15 on one core of a 2-vCPU x86-64 VM (numpy 2.4.6, Python
+# 3.11.7), two runs:
 #
-#          n        signs: one piece   blocks       count: one piece   blocks
-#     46,416        28-31 us           25-28 us     47-51 us           48 us
-#    215,443       158-165 us         140-145 us   224-237 us         108-115 us
-#    464,159       521-528 us         353-354 us   540-575 us         287-288 us
-#       10^6       1.20-1.22 ms       0.74-0.78 ms 1.20-1.24 ms       0.61-0.62 ms
+#          n        signs: one piece   blocks       count: blocks
+#     46,416        28-31 us           25-28 us     25-27 us
+#    215,443       158-165 us         140-145 us   115-152 us
+#    464,159       521-528 us         353-354 us   317-319 us
+#       10^6       1.20-1.22 ms       0.74-0.78 ms 0.62-0.63 ms
 #
 # At 10^6, blocks of 2^14, 2^15, 2^16, 2^17 and 2^18 entries took 1.15-1.27,
 # 0.88-0.98, 0.77-0.85, 0.89-0.92 and 1.12-1.19 ms for the signs, and 0.88-0.92,
@@ -192,9 +193,11 @@ _BLOCK = 1 << 16
 # cache, where a block's five more numpy calls cost more than its one read
 # saves.  Signs in one piece -> in blocks of _BLOCK, the same way but best of
 # 25: 50.7 -> 59.0-61.4 us at 100,000 entries, 75.3-78.4 -> 93.9-95.5 us at
-# 150,000, 129.0-129.5 -> 118.5-123.4 us at 196,608.  The count reads in blocks
-# past _BLOCK: its blocks also count a != 0 mask in place of np.count_nonzero
-# on the floats, 91.4-94.7 -> 46.7-48.4 us at 100,000.
+# 150,000, 129.0-129.5 -> 118.5-123.4 us at 196,608.  The count has no such
+# piece: its blocks count a != 0 mask, cheaper than np.count_nonzero on the
+# floats past a few thousand entries (13.5 -> 9.8 us at 10,000, 91.4-94.7 ->
+# 46.7-48.4 us at 100,000), for about 3 us more per call below (2.7 -> 5.9 us
+# at 10 entries).
 _SIGN_PIECE = 3 * _BLOCK
 
 
@@ -332,7 +335,8 @@ def sign_vector(x: Iterable[float]) -> tuple[int, ...]:
 
 
 def _row_nonzeros(values: np.ndarray):
-    """Nonzero entries of a numeric vector, or of each row of a 2-D batch, as numpy integers.
+    """Nonzero entries of a numeric vector, as a Python int, or of each row of a
+    2-D batch, as an np.intp array.
 
     One vector is counted by np.count_nonzero, one C call.  A batch's nonzero
     mask is summed per row as int8 into intp by one einsum, a single reduction
@@ -340,7 +344,7 @@ def _row_nonzeros(values: np.ndarray):
     any row, where a narrower sum (a uint8 matmul) would wrap.
     """
     if values.ndim == 1:
-        return np.count_nonzero(values)
+        return int(np.count_nonzero(values))
     mask = values if values.dtype == bool else values != 0
     return np.einsum("ij->i", mask.view(np.int8), dtype=np.intp)
 
@@ -349,20 +353,16 @@ def _nonzeros(values):
     """Nonzero entries of a vector read by _vector, or of each row of a batch.
 
     A numeric array is counted as it is, with no sign array (-0.0 is zero),
-    once _check_finite passes it: an array of at most _BLOCK entries in one
-    piece, a longer one block by block of _blocks, each checked and then
-    counted by its != 0 mask while it is in cache.  A list or tuple is
-    counted from its _sign_codes bytes, with no array; an object array
-    takes the exact sign pass.
+    block by block of _blocks, however short: each block is checked by
+    _check_finite and then counted by its != 0 mask while it is in cache.
+    A list or tuple is counted from its _sign_codes bytes, with no array; an
+    object array takes the exact sign pass.
     """
     if isinstance(values, (list, tuple)):
         codes = _sign_codes(values)
         return len(codes) - codes.count(0)
     if values.dtype.kind not in "fiub":
         return _row_nonzeros(_sign_array(values))
-    if values.size <= _BLOCK:
-        _check_finite(values)
-        return _row_nonzeros(values)
     counts = np.zeros(values.shape[:-1], dtype=np.intp)
     for block in _blocks(values.shape):
         part = values[block]

@@ -163,8 +163,7 @@ def zero_direction_gap(
     the call on that row; a list of GapParams adds a last axis, entry j equal
     in value and type to the call at params[j].
     """
-    batch = _is_batch(x)
-    _, flips = pair_stats(_signs(x, batch), topology) if batch else _vector_counts(x, topology)
+    _, flips = _vector_counts(x, topology, _is_batch(x))
     return _per_pair(params, _zero_direction_coefficients, "zero_direction_gap at this k_x", flips)
 
 

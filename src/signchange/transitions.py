@@ -49,6 +49,8 @@ __all__ = [
     "symmetric2_eigenvalues",
 ]
 
+_TOO_SHORT = "adjacency pairs need at least two components"
+
 
 class Topology(enum.Enum):
     """Adjacency pattern: wrap around (n pairs) or chain (n - 1 pairs)."""
@@ -56,30 +58,19 @@ class Topology(enum.Enum):
     CIRCULAR = "circular"
     LINEAR = "linear"
 
-    def pairs(self, arr: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], tuple | None]:
-        """((a, b), wrap): the linear pair views a = arr[..., :-1] and
-        b = arr[..., 1:] along the last axis, and on the circle the wrap pair
-        (arr[..., -1], arr[..., 0]), else None.  No entry is copied.
+    def neighbors(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b): the two ends of every adjacency pair along the last axis,
+        with the circular wrap pair (n - 1, 0) last.  On the chain a and b
+        are the views arr[..., :-1] and arr[..., 1:], with no copy; on the
+        circle a is arr itself.
 
         Works on one vector or a 2-D batch of them.
         """
         if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
-            raise ValueError("adjacency pairs need at least two components")
-        wrap = (arr[..., -1], arr[..., 0]) if self is Topology.CIRCULAR else None
-        return (arr[..., :-1], arr[..., 1:]), wrap
-
-    def neighbors(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(a, b): the two ends of every adjacency pair along the last axis,
-        the pairs of pairs() in one array each, with the circular wrap pair
-        (n - 1, 0) last.
-
-        Works on one vector or a 2-D batch of them.
-        """
-        (a, b), wrap = self.pairs(arr)
-        if wrap is None:
-            return a, b
-        # a followed by the wrap pair's first end, arr[..., -1], is arr itself
-        return arr, np.concatenate((b, wrap[1][..., None]), axis=-1)
+            raise ValueError(_TOO_SHORT)
+        if self is Topology.LINEAR:
+            return arr[..., :-1], arr[..., 1:]
+        return arr, np.concatenate((arr[..., 1:], arr[..., :1]), axis=-1)
 
     @classmethod
     def from_name(cls, name: str) -> "Topology":
@@ -108,18 +99,19 @@ def transition_map(x: Iterable[float], k, topology: Topology = Topology.CIRCULAR
 # the pair code of a full flip, as an int8 scalar: comparing with a Python int costs more
 _FLIP = np.int8(-2)
 # The longest vector pair_stats counts by one big-int xor over its sign bytes;
-# longer ones take numpy.  The big-int route has the smaller fixed cost and
-# the larger cost per entry, and the two cross between 512 and 1,024 entries.
-# pair_stats of one int8 vector on the circle, best of 7 on one core of a
-# 2-vCPU x86-64 VM (numpy 2.4.6, Python 3.11.7), whose speed drifts 10-25 %:
+# longer ones take the numpy xor pass of a batch.  The big-int route has the
+# smaller fixed cost and the larger cost per entry, and the two cross between
+# 512 and 1,024 entries.  pair_stats of one int8 vector on the circle by each
+# route, best of 7 on one core of a 2-vCPU x86-64 VM (numpy 2.4.6, Python
+# 3.11.7), whose speed drifts 10-25 %, three runs:
 #
-#        n   numpy    bytes
-#        6   3.5 us   1.4 us
-#      256   3.4 us   2.3 us
-#      512   3.7 us   3.4 us
-#    1,024   4.0 us   5.5 us
-#    4,096   4.5 us  15-25 us
-#     10^6   0.21 ms  9.6 ms
+#        n   xor pass       bytes
+#        6   4.8-5.6 us     0.8-1.7 us
+#      256   5.0-6.0 us     1.9-2.1 us
+#      512   5.5-5.8 us     2.9-3.4 us
+#    1,024   5.6-6.5 us     5.2-7.9 us
+#    4,096   6.4-9.4 us     16-19 us
+#     10^6   0.25-0.36 ms   10.5-10.8 ms
 #
 # sign_changes of a 6-entry tuple, the same way: 2.9-3.0 us through an int8
 # array and pair_stats, 2.0 us from its sign bytes by _vector_counts.
@@ -152,54 +144,39 @@ def pair_stats(signs: np.ndarray, topology: Topology):
     when the signs are opposite; t = weak + flips counts the pairs that
     differ.  The signs are read through one int8 cast, and each pair gets the
     code a ^ b: 0 when the signs are equal, -2 on a flip (1 ^ -1) and +-1
-    when weak.  A vector of at most _SHORT entries is counted from its bytes
-    by _byte_counts: one big-int xor that codes every pair in one byte, in
-    place of numpy's five calls of fixed cost, but dearer per entry, so
-    _SHORT is the measured crossover.  A list or tuple that short never
-    reaches pair_stats: _vector_counts codes it to bytes by
-    counting._sign_codes and counts them by _byte_counts, with no array.  A
-    longer vector xors the pair views of Topology.pairs and counts them with
-    np.count_nonzero.  On the circle both add the wrap pair's code, read as
-    Python ints.  A batch is coded in one xor over its rows laid end to end,
-    written into a C-contiguous int8 array shaped like the signs; each row's
-    last column, which that xor paired with the first entry of the next row,
-    is then overwritten with the row's wrap code on the circle and 0 on the
-    chain.  Its rows are counted by counting._row_nonzeros, one reduction
-    over the whole batch rather than a loop over its rows, exact for any row
-    length: flips on the codes equal to -2, weak pairs on the odd codes.  Not
-    in __all__: an entry outside -1..1 is miscounted, so only callers
-    holding a reader's signs use it; it keeps an unprefixed name, which
-    perfbench's tracer times as a layer.
+    when weak.  Two routes, by length.  A vector of at most _SHORT entries is
+    counted from its bytes by _byte_counts, whose big-int xor has the smaller
+    fixed cost.  A longer vector, and a batch, is coded by one xor over its
+    rows laid end to end into a C-contiguous int8 array shaped like the
+    signs; each row's last column, which that xor paired with the first entry
+    of the next row, is then overwritten with the row's wrap code on the
+    circle and 0 on the chain.  counting._row_nonzeros counts the codes and
+    the flips among them (one reduction over a whole batch), and the weak
+    pairs are the rest.  Not in __all__: an entry outside -1..1 is
+    miscounted, so only callers holding a reader's signs use it; it keeps an
+    unprefixed name, which perfbench's tracer times as a layer.
     """
     signs = signs.astype(np.int8, copy=False)
-    if signs.ndim != 2:
-        if signs.ndim == 1 and 2 <= signs.size <= _SHORT:
-            return _byte_counts(signs.tobytes(), topology is Topology.CIRCULAR)
-        (a, b), wrap = topology.pairs(signs)
-        codes = a ^ b
-        flips = int(np.count_nonzero(codes == _FLIP))
-        differ = int(np.count_nonzero(codes))
-        if wrap is not None:
-            code = wrap[0].item() ^ wrap[1].item()
-            flips = flips + (code == -2)
-            differ = differ + (code != 0)
-        return differ - flips, flips
-    _, wrap = topology.pairs(signs)
+    if signs.shape[-1] < 2:
+        raise ValueError(_TOO_SHORT)
+    if signs.ndim == 1 and signs.size <= _SHORT:
+        return _byte_counts(signs.tobytes(), topology is Topology.CIRCULAR)
     codes = np.empty(signs.shape, dtype=np.int8)
     # the rows end to end, copied only where they are not C-contiguous
     flat = signs.reshape(-1)
     np.bitwise_xor(flat[:-1], flat[1:], out=codes.reshape(-1)[:-1])
-    codes[:, -1] = 0 if wrap is None else wrap[0] ^ wrap[1]
-    # a code is odd exactly on a weak pair: -2 (a flip) and 0 are even
-    return _row_nonzeros((codes & 1).view(bool)), _row_nonzeros(codes == _FLIP)
+    codes[..., -1] = signs[..., -1] ^ signs[..., 0] if topology is Topology.CIRCULAR else 0
+    flips = _row_nonzeros(codes == _FLIP)
+    return _row_nonzeros(codes) - flips, flips
 
 
-def _vector_counts(x, topology: Topology) -> tuple[int, int]:
-    """(weak, flips) of one vector x as Python ints, the route of every scalar
-    pair statistic: x read by _vector, then a list or tuple of 2 to _SHORT
-    entries counted by _byte_counts from its _sign_codes, with no array; any
+def _vector_counts(x, topology: Topology, batch: bool = False):
+    """(weak, flips) of one vector x as Python ints or, with batch=True, of
+    each row of a 2-D batch as np.intp arrays: the route of every pair
+    statistic.  x is read by _vector; a list or tuple of 2 to _SHORT entries
+    is counted by _byte_counts from its _sign_codes, with no array, and any
     other x, every ndarray among them, through pair_stats of its signs."""
-    x = _vector(x)
+    x = _vector(x, batch)
     if isinstance(x, (list, tuple)) and 2 <= len(x) <= _SHORT:
         return _byte_counts(_sign_codes(x), topology is Topology.CIRCULAR)
     return pair_stats(_sign_array(x), topology)
@@ -346,9 +323,10 @@ def transition_norm_sq(x: Iterable[float], k, topology: Topology = Topology.CIRC
     """
     k = _weights(k, x, lambda w: _finite_real(w, "transition weight k"))
     what = "transition_norm_sq at this k"
-    if not _is_batch(x):
-        return _form_value(_norm_form(k), _vector_counts(x, topology), what)
-    weak, flips = pair_stats(_signs(x, batch=True), topology)
+    batch = _is_batch(x)
+    weak, flips = _vector_counts(x, topology, batch)
+    if not batch:
+        return _form_value(_norm_form(k), (weak, flips), what)
     if isinstance(k, list):
         # rows that share (weak, flips) may differ in k, so the form is built once per row
         rows = zip(weak.tolist(), flips.tolist(), k)
@@ -391,9 +369,7 @@ def smoothed_sign_changes(x: Iterable[float], eps, topology: Topology = Topology
     eps = _real(eps, "smoothing epsilon")
     if not eps > 0.0:
         raise ValueError("smoothing epsilon must be positive")
-    if not _is_batch(x):
-        return sum(_vector_counts(x, topology)) / (1.0 + eps)
-    weak, flips = pair_stats(_signs(x, batch=True), topology)
+    weak, flips = _vector_counts(x, topology, _is_batch(x))
     return (weak + flips) / (1.0 + eps)
 
 

@@ -341,6 +341,37 @@ def test_pattern_entry_points_reject_non_signs(name, bad):
         PATTERN_ENTRY_POINTS[name]((bad, 1, 1, 1))
 
 
+def _outcome(call, value):
+    """call(value), or the message of the ValueError it raises."""
+    try:
+        return call(value)
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+def test_numpy_bool_parameters_read_as_their_python_bool():
+    # a numpy bool weight or tolerance is 0 or 1, as a Python bool is and as entries read both
+    calls = [
+        lambda b: transition_norm_sq([1, -1, 0], b),
+        lambda b: transition_norm_sq(np.array([[1, -1], [0, 1]]), b, Topology.LINEAR),
+        lambda b: hadamard_norm_sq([1, -1, 0], b),
+        lambda b: transition_map([1, -1, 0], b),
+        lambda b: smoothed_sign_changes([1, -1], b),
+        lambda b: GapParams(Fraction(1, 4), b),
+        lambda b: gap_profile((1, -1), (0, 0), b),
+        lambda b: GapProfile(0, 1, 0, 1).value(b),
+    ]
+    for call in calls:
+        for numpy_bool, python_bool in ((np.True_, True), (np.False_, False)):
+            got, want = _outcome(call, numpy_bool), _outcome(call, python_bool)
+            assert type(got) is type(want)
+            if isinstance(got, np.ndarray):
+                assert [(type(v), v) for v in got.tolist()] == [(type(v), v) for v in want.tolist()]
+            else:
+                assert got == want
+    assert transition_norm_sq([1, -1], np.True_) == transition_norm_sq([1, -1], True) == 8
+
+
 def test_scalar_rule_cases():
     # ints and Fractions are finite without a float conversion
     assert sign(10**400) == 1

@@ -357,7 +357,6 @@ def test_oracle_reports_are_pinned():
 # docstring list them; every other public name is covered by unit tests only
 ORACLE_CALLED = {
     "Topology.neighbors",
-    "Topology.pairs",
     "coupled_subgradient_value",
     "decoupled_gap",
     "finite_direction_feasibility",

@@ -518,6 +518,46 @@ def test_batch_pair_stats_count_rows_longer_than_a_byte_holds():
     assert weak.tolist() == [0, 0, 0] and flips.tolist() == [300, 300, 300]
 
 
+@pytest.mark.parametrize("n", [_SHORT + 1, 4096])
+@pytest.mark.parametrize("topology", list(Topology))
+def test_batches_of_long_rows_match_the_one_vector_call(n, topology):
+    # rows past _SHORT, which one vector and a batch both count by the one xor pass
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((4, n))
+    x[rng.random(x.shape) < 0.3] = 0.0
+    expected = [_reference_pair_counts(tuple(map(_entry_sign, row)), topology) for row in x.tolist()]
+    weak, flips = pair_stats(_signs(x, batch=True), topology)
+    assert list(zip(weak.tolist(), flips.tolist())) == expected
+    assert [pair_stats(_signs(row), topology) for row in x] == expected
+    gap = GapParams(Fraction(1, 4), Fraction(3, 4))
+    calls = [
+        lambda v: transition_norm_sq(v, Fraction(1, 3), topology),
+        lambda v: transition_norm_sq(v, 0.75, topology),
+        lambda v: smoothed_sign_changes(v, 0.1, topology),
+        lambda v: zero_direction_gap(v, gap, topology),
+    ]
+    for call in calls:
+        assert _typed(tuple(call(x).tolist())) == _typed(tuple(call(row) for row in x))
+        # one row as a batch gives, in its one entry, what the 1-D call gives
+        assert _typed(tuple(call(x[2:3]).tolist())) == _typed((call(x[2]),))
+    weak, flips = pair_stats(_signs(x[2:3], batch=True), topology)
+    assert (weak.tolist(), flips.tolist()) == tuple([v] for v in expected[2])
+
+
+def test_neighbors_is_the_one_adjacency_view():
+    x = np.array([[1, -1, 0], [0, 0, 1]])
+    a, b = Topology.LINEAR.neighbors(x)
+    assert a.tolist() == [[1, -1], [0, 0]] and b.tolist() == [[-1, 0], [0, 1]]
+    assert np.shares_memory(a, x) and np.shares_memory(b, x)
+    a, b = Topology.CIRCULAR.neighbors(x[1])
+    assert a.tolist() == [0, 0, 1] and b.tolist() == [0, 1, 0]
+    # fewer than two components, or an array of no or more than two axes
+    for topology in Topology:
+        for bad in (np.array([1]), np.zeros((3, 1)), np.zeros((0, 1)), np.zeros((2, 2, 2)), np.array(5)):
+            with pytest.raises(ValueError, match="at least two components"):
+                topology.neighbors(bad)
+
+
 def _byte_partition(columns):
     stacked = np.stack(columns, axis=-1)
     _, inverse = np.unique(stacked.view(f"V{stacked.itemsize * len(columns)}"), return_inverse=True)
